@@ -62,6 +62,26 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     return out
 
 
+def _save_manifest(args: argparse.Namespace, inputs, outputs, default: Optional[str]) -> None:
+    """Write the run manifest to --manifest, else to ``default``; with neither,
+    write none.  None entries stand for optional files that were not given."""
+    path = args.manifest or default
+    if path is not None:
+        manifest = RunManifest(args.command, _manifest_config(args))
+        for name in filter(None, inputs):
+            manifest.add_input(name)
+        for name in filter(None, outputs):
+            manifest.add_output(name)
+        manifest.save(path)
+
+
+def _comma_list(args: argparse.Namespace, name: str) -> list[str]:
+    items = str(getattr(args, name)).split(",")
+    if not all(item.strip() for item in items):
+        raise RewriterError("CONFIG_INVALID", f"--{name} needs a comma list without empty items")
+    return items
+
+
 def _source(args: argparse.Namespace) -> TripleSource:
     return TripleSource(TripleMode(args.source), TripleScope(args.scope))
 
@@ -123,13 +143,13 @@ def _model_config(args: argparse.Namespace, vocab_size: int, variant: MaskVarian
     )
 
 
-def _train_config(args: argparse.Namespace, seed: Optional[int] = None) -> TrainConfig:
+def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
         batch_size=args.batch_size,
         lr=args.lr,
         max_steps=args.max_steps,
         eval_every=args.eval_every,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         triple_source=_source(args),
         mask_variant=MaskVariant(args.variant),
         clip_norm=_clip(args.clip_norm),
@@ -156,19 +176,19 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
         include_negation_triples=args.include_negation_triples,
     )
     examples = sample_corpus(config)
-    manifest = RunManifest("gen-corpus", _manifest_config(args))
     if args.split:
         parts = zip(("train", "dev", "test"), split_corpus(examples))
     else:
         parts = [("all", examples)]
+    outputs = []
     for name, part in parts:
         path = f"{args.out_prefix}.{name}.jsonl"
         write_records(path, [example_to_record(ex) for ex in part])
-        manifest.add_output(path)
+        outputs.append(path)
         print(f"wrote {len(part):>6} examples to {path}")
     stats = compute_statistics(examples)
     print(stats.table())
-    manifest.save(args.manifest or f"{args.out_prefix}.manifest.json")
+    _save_manifest(args, [], outputs, f"{args.out_prefix}.manifest.json")
     return 0
 
 
@@ -189,10 +209,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 print(f"lint {code}: {n}")
         else:
             print("lint clean")
-    if args.manifest:
-        manifest = RunManifest("stats", _manifest_config(args))
-        manifest.add_input(args.input)
-        manifest.save(args.manifest)
+    _save_manifest(args, [args.input], [], None)
     return 0
 
 
@@ -217,10 +234,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
         mask = build_mask(packed.region_tags, MaskVariant(args.variant))
         for row in mask.astype(int):
             print("".join(str(v) for v in row))
-    if args.manifest:
-        manifest = RunManifest("pack", _manifest_config(args))
-        manifest.add_input(args.input)
-        manifest.save(args.manifest)
+    _save_manifest(args, [args.input], [], None)
     return 0
 
 
@@ -241,12 +255,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"best dev-EM {result.best_em * 100:.2f} at step {result.best_step}")
     save_checkpoint(result.model, args.out)
     vocab.save(args.out + ".vocab")
-    manifest = RunManifest("train", _manifest_config(args))
-    manifest.add_input(args.train)
-    manifest.add_input(args.dev)
-    manifest.add_output(args.out)
-    manifest.add_output(args.out + ".vocab")
-    manifest.save(args.manifest or args.out + ".manifest.json")
+    _save_manifest(
+        args, [args.train, args.dev], [args.out, args.out + ".vocab"], args.out + ".manifest.json"
+    )
     return 0
 
 
@@ -261,11 +272,7 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     hyps = decode_corpus(model, packs, args.max_decode_steps, vocab=vocab)
     records = [example_to_record(ex, hypothesis=hyp) for ex, hyp in zip(examples, hyps)]
     write_records(args.out, records)
-    manifest = RunManifest("rewrite", _manifest_config(args))
-    manifest.add_input(args.model)
-    manifest.add_input(args.input)
-    manifest.add_output(args.out)
-    manifest.save(args.manifest or args.out + ".manifest.json")
+    _save_manifest(args, [args.model, args.input], [args.out], args.out + ".manifest.json")
     print(f"wrote {len(records)} rewrites to {args.out}")
     return 0
 
@@ -290,14 +297,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if args.manifest:
-        manifest = RunManifest("evaluate", _manifest_config(args))
-        manifest.add_input(args.input)
-        if args.ref:
-            manifest.add_input(args.ref)
-        if args.json_out:
-            manifest.add_output(args.json_out)
-        manifest.save(args.manifest)
+    _save_manifest(args, [args.input, args.ref], [args.json_out], None)
     return 0
 
 
@@ -319,12 +319,7 @@ def cmd_score_srl(args: argparse.Namespace) -> int:
     print(f"precision {precision:.4f}")
     print(f"recall    {recall:.4f}")
     print(f"f1        {f1:.4f}")
-    if args.manifest:
-        manifest = RunManifest("score-srl", _manifest_config(args))
-        manifest.add_input(args.input)
-        if args.pred:
-            manifest.add_input(args.pred)
-        manifest.save(args.manifest)
+    _save_manifest(args, [args.input, args.pred], [], None)
     return 0
 
 
@@ -332,8 +327,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     train_examples = read_examples(args.train)
     dev_examples = read_examples(args.dev)
     test_examples = read_examples(args.test)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    labels = [c for c in args.cells.split(",") if c]
+    try:
+        seeds = [int(s) for s in _comma_list(args, "seeds")]
+    except ValueError as exc:
+        raise RewriterError("CONFIG_INVALID", f"--seeds takes integers: {exc}") from exc
+    labels = _comma_list(args, "cells")
     by_label = {cell.label: cell for cell in DEFAULT_GRID}
     unknown = [c for c in labels if c not in by_label]
     if unknown:
@@ -375,11 +373,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    manifest = RunManifest("ablate", _manifest_config(args))
-    for path in (args.train, args.dev, args.test):
-        manifest.add_input(path)
-    manifest.add_output(args.out)
-    manifest.save(args.manifest or args.out + ".manifest.json")
+    _save_manifest(
+        args, [args.train, args.dev, args.test], [args.out], args.out + ".manifest.json"
+    )
     return 0
 
 

@@ -7,9 +7,9 @@ The line-delimited record format used by every CLI command lives here too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 PAD_TOKEN = "[PAD]"
 EOS_TOKEN = "[EOS]"
@@ -251,6 +251,7 @@ def example_to_record(example: RewriteExample, hypothesis: Optional[Iterable[str
 
 
 def example_from_record(record: dict) -> RewriteExample:
+    """Decode one record; spans that point outside their session are refused."""
     try:
         utterances = tuple(
             Utterance(tokens=tuple(u["tokens"]), speaker=Speaker(u["speaker"]), turn_index=i)
@@ -267,8 +268,17 @@ def example_from_record(record: dict) -> RewriteExample:
         reference = record.get("reference")
     except (KeyError, ValueError, TypeError) as exc:
         raise RewriterError("BAD_RECORD", f"undecodable record: {exc}") from exc
+    session = DialogueSession(utterances)
+    bad = [
+        v.message
+        for idx, t in enumerate(triples)
+        for what, span in (("predicate", t.predicate), ("argument", t.argument))
+        for v in _check_span(span, session, what, idx)
+    ]
+    if bad:
+        raise RewriterError("BAD_RECORD", "; ".join(bad))
     return RewriteExample(
-        session=DialogueSession(utterances),
+        session=session,
         triples=triples,
         reference=tuple(reference) if reference is not None else None,
     )
@@ -289,7 +299,13 @@ def read_records(path: str) -> list[dict]:
 
 
 def read_examples(path: str) -> list[RewriteExample]:
-    return [example_from_record(r) for r in read_records(path)]
+    examples = []
+    for idx, record in enumerate(read_records(path)):
+        try:
+            examples.append(example_from_record(record))
+        except RewriterError as err:
+            raise RewriterError(err.code, f"{path}: record {idx}: {err.message}") from err
+    return examples
 
 
 def write_records(path: str, records: Iterable[dict]) -> None:
@@ -298,11 +314,3 @@ def write_records(path: str, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
 
-
-def write_examples(path: str, examples: Iterable[RewriteExample]) -> None:
-    write_records(path, (example_to_record(e) for e in examples))
-
-
-def iter_examples(records: Iterable[dict]) -> Iterator[RewriteExample]:
-    for record in records:
-        yield example_from_record(record)

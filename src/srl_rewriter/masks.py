@@ -58,6 +58,6 @@ def build_mask(region_tags: Sequence[RegionTag], variant: MaskVariant) -> np.nda
     return mask
 
 
-def mask_to_additive(mask: np.ndarray, neg_value: float = NEG_BIAS) -> np.ndarray:
+def mask_to_additive(mask: np.ndarray) -> np.ndarray:
     """0 where visible, a large negative bias where blocked (added pre-softmax)."""
-    return np.where(mask, 0.0, neg_value)
+    return np.where(mask, 0.0, NEG_BIAS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import RESERVED_TOKENS, RewriterError
 
@@ -32,9 +32,6 @@ class EvalReport:
     rougeL: float
     n_matches: int
     n_examples: int
-    srl_precision: Optional[float] = None
-    srl_recall: Optional[float] = None
-    srl_f1: Optional[float] = None
 
     @property
     def em(self) -> float:
@@ -46,7 +43,7 @@ class EvalReport:
         return "  ".join(f"{100 * v:6.2f}" for v in values)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "bleu1": self.bleu1,
             "bleu2": self.bleu2,
             "bleu4": self.bleu4,
@@ -57,11 +54,6 @@ class EvalReport:
             "n_matches": self.n_matches,
             "n_examples": self.n_examples,
         }
-        if self.srl_f1 is not None:
-            out.update(
-                srl_precision=self.srl_precision, srl_recall=self.srl_recall, srl_f1=self.srl_f1
-            )
-        return out
 
 
 def _require_pairs(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> None:

@@ -10,7 +10,7 @@ analytic gradients are hand-written over float64 numpy; shapes follow the
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ class ModelConfig:
     n_layers: int = 2
     d_ff: int = 128
     max_position: int = 64
-    dropout_rate: float = 0.0
     mask_variant: MaskVariant = MaskVariant.TRIPLE_MASK
     tie_embeddings: bool = False
 
@@ -45,8 +44,13 @@ class ModelConfig:
             )
         if self.vocab_size < 4:
             raise RewriterError("CONFIG_INVALID", "vocab_size must cover the reserved tokens")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise RewriterError("CONFIG_INVALID", f"bad dropout_rate {self.dropout_rate}")
+
+    def check_decode_budget(self, max_steps: int) -> None:
+        """Rewrite position ids run up to max_steps - 1; the table must hold them."""
+        if max_steps > self.max_position:
+            raise RewriterError(
+                "TOO_LONG", f"{max_steps} decode steps exceed max_position {self.max_position}"
+            )
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -56,6 +60,7 @@ class ModelConfig:
     @staticmethod
     def from_dict(obj: dict) -> "ModelConfig":
         obj = dict(obj)
+        obj.pop("dropout_rate", None)  # legacy key of older checkpoints; inference never used it
         obj["mask_variant"] = MaskVariant(obj["mask_variant"])
         return ModelConfig(**obj)
 
@@ -147,11 +152,7 @@ class RewriterModel:
         return p["tok_emb"][ids] + p["seg_emb"][segs] + p["pos_emb"][poss]
 
     def forward_batch(
-        self,
-        batch: dict,
-        need_cache: bool = False,
-        train: bool = False,
-        dropout_rng: Optional[np.random.Generator] = None,
+        self, batch: dict, need_cache: bool = False
     ) -> tuple[np.ndarray, Optional[list]]:
         """Logits [B, L, V] for a made batch; cache retained only when asked."""
         cfg = self.config
@@ -162,22 +163,8 @@ class RewriterModel:
         B, L = ids.shape
         H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         scale = 1.0 / np.sqrt(dh)
-        rate = cfg.dropout_rate if train else 0.0
-        if rate > 0.0 and dropout_rng is None:
-            raise RewriterError("CONFIG_INVALID", "dropout active but no rng supplied")
-
-        def dropout(x: np.ndarray, store: list) -> np.ndarray:
-            if rate == 0.0:
-                store.append(None)
-                return x
-            keep = dropout_rng.random(x.shape) >= rate
-            store.append(keep)
-            return x * keep / (1.0 - rate)
-
         x = self.embed_ids(ids, segs, poss)
         caches: list = []
-        emb_drop: list = []
-        x = dropout(x, emb_drop)
         for i in range(cfg.n_layers):
             pre = f"layers.{i}."
             q = x @ p[pre + "attn.Wq"] + p[pre + "attn.bq"]
@@ -190,49 +177,36 @@ class RewriterModel:
             scores -= scores.max(axis=-1, keepdims=True)
             attn = np.exp(scores)
             attn /= attn.sum(axis=-1, keepdims=True)
-            drops: list = []
-            attn_d = dropout(attn, drops)
-            ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
+            ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
             out = ctx @ p[pre + "attn.Wo"] + p[pre + "attn.bo"]
-            out = dropout(out, drops)
             res1 = x + out
             x1, ln1_cache = _layer_norm_forward(res1, p[pre + "ln1.g"], p[pre + "ln1.b"])
             h_pre = x1 @ p[pre + "ff.W1"] + p[pre + "ff.b1"]
             h_act, gelu_cache = _gelu_forward(h_pre)
             ff = h_act @ p[pre + "ff.W2"] + p[pre + "ff.b2"]
-            ff = dropout(ff, drops)
             res2 = x1 + ff
             x2, ln2_cache = _layer_norm_forward(res2, p[pre + "ln2.g"], p[pre + "ln2.b"])
             if need_cache:
                 caches.append(
                     dict(
-                        x_in=x, attn=attn, attn_d=attn_d, qh=qh, kh=kh, vh=vh, ctx=ctx,
-                        ln1=ln1_cache, x1=x1, h_pre=h_pre, h_act=h_act, gelu=gelu_cache,
-                        ln2=ln2_cache, drops=drops,
+                        x_in=x, attn=attn, qh=qh, kh=kh, vh=vh, ctx=ctx, ln1=ln1_cache,
+                        x1=x1, h_pre=h_pre, h_act=h_act, gelu=gelu_cache, ln2=ln2_cache,
                     )
                 )
             x = x2
         logits = x @ self._out_weight() + p["out.b"]
         if need_cache:
-            return logits, [ids, segs, poss, emb_drop, caches, x]
+            return logits, [ids, segs, poss, caches, x]
         return logits, None
 
-    def loss_and_grads(
-        self,
-        batch: dict,
-        loss_scale: float = 1.0,
-        train: bool = False,
-        dropout_rng: Optional[np.random.Generator] = None,
-    ) -> tuple[float, int]:
+    def loss_and_grads(self, batch: dict, loss_scale: float = 1.0) -> tuple[float, int]:
         """Summed NLL over target positions; analytic gradients accumulate into
         ``self.grads`` scaled by ``loss_scale``.  Returns (loss, target count)."""
         target_mask, target_ids = batch["target_mask"], batch["target_ids"]
         n_targets = int(target_mask.sum())
         if n_targets == 0:
             raise RewriterError("NO_REFERENCE", "batch contains no loss targets")
-        logits, cache = self.forward_batch(
-            batch, need_cache=True, train=train, dropout_rng=dropout_rng
-        )
+        logits, cache = self.forward_batch(batch, need_cache=True)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         norm = exp.sum(axis=-1, keepdims=True)
@@ -252,16 +226,10 @@ class RewriterModel:
     def _backward(self, dlogits: np.ndarray, batch: dict, cache: list) -> None:
         cfg = self.config
         p, g = self.params, self.grads
-        ids, segs, poss, emb_drop, layer_caches, x_final = cache
+        ids, segs, poss, layer_caches, x_final = cache
         B, L = ids.shape
         H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         scale = 1.0 / np.sqrt(dh)
-        rate = cfg.dropout_rate if emb_drop[0] is not None else 0.0
-
-        def undrop(dx: np.ndarray, keep) -> np.ndarray:
-            if keep is None:
-                return dx
-            return dx * keep / (1.0 - rate)
 
         g["out.b"] += dlogits.sum(axis=(0, 1))
         if cfg.tie_embeddings:
@@ -276,10 +244,9 @@ class RewriterModel:
             dres2, dg2, db2 = _layer_norm_backward(dx, c["ln2"])
             g[pre + "ln2.g"] += dg2
             g[pre + "ln2.b"] += db2
-            dff = undrop(dres2, c["drops"][2])
-            g[pre + "ff.b2"] += dff.sum(axis=(0, 1))
-            g[pre + "ff.W2"] += np.tensordot(c["h_act"], dff, axes=([0, 1], [0, 1]))
-            dh_act = dff @ p[pre + "ff.W2"].T
+            g[pre + "ff.b2"] += dres2.sum(axis=(0, 1))
+            g[pre + "ff.W2"] += np.tensordot(c["h_act"], dres2, axes=([0, 1], [0, 1]))
+            dh_act = dres2 @ p[pre + "ff.W2"].T
             dh_pre = _gelu_backward(dh_act, c["gelu"])
             g[pre + "ff.b1"] += dh_pre.sum(axis=(0, 1))
             g[pre + "ff.W1"] += np.tensordot(c["x1"], dh_pre, axes=([0, 1], [0, 1]))
@@ -287,13 +254,11 @@ class RewriterModel:
             dres1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
             g[pre + "ln1.g"] += dg1
             g[pre + "ln1.b"] += db1
-            dout = undrop(dres1, c["drops"][1])
-            g[pre + "attn.bo"] += dout.sum(axis=(0, 1))
-            g[pre + "attn.Wo"] += np.tensordot(c["ctx"], dout, axes=([0, 1], [0, 1]))
-            dctx = (dout @ p[pre + "attn.Wo"].T).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-            dattn_d = dctx @ c["vh"].transpose(0, 1, 3, 2)
-            dvh = c["attn_d"].transpose(0, 1, 3, 2) @ dctx
-            dattn = undrop(dattn_d, c["drops"][0])
+            g[pre + "attn.bo"] += dres1.sum(axis=(0, 1))
+            g[pre + "attn.Wo"] += np.tensordot(c["ctx"], dres1, axes=([0, 1], [0, 1]))
+            dctx = (dres1 @ p[pre + "attn.Wo"].T).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+            dattn = dctx @ c["vh"].transpose(0, 1, 3, 2)
+            dvh = c["attn"].transpose(0, 1, 3, 2) @ dctx
             dscores = c["attn"] * (dattn - (dattn * c["attn"]).sum(axis=-1, keepdims=True))
             dqh = dscores @ c["kh"] * scale
             dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"] * scale
@@ -310,7 +275,6 @@ class RewriterModel:
                 + dk @ p[pre + "attn.Wk"].T
                 + dv @ p[pre + "attn.Wv"].T
             )
-        dx = undrop(dx, emb_drop[0])
         np.add.at(g["tok_emb"], ids, dx)
         np.add.at(g["seg_emb"], segs, dx)
         np.add.at(g["pos_emb"], poss, dx)
@@ -351,11 +315,14 @@ def _gelu_backward(dout: np.ndarray, cache) -> np.ndarray:
 # -- batch assembly ----------------------------------------------------------
 
 
-def _raw_batch(packed_seqs: Sequence[PackedSequence], pad_to: Optional[int] = None) -> dict:
-    """Id/segment/position arrays plus next-token loss targets, without masks."""
+def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> dict:
+    """Pad packed sequences into model-ready arrays under a mask variant, with
+    next-token loss targets over each rewrite region.
+
+    Padding columns are invisible to every real position, so batched and
+    single-sequence execution agree exactly.
+    """
     length = max(len(s) for s in packed_seqs)
-    if pad_to is not None:
-        length = max(length, pad_to)
     B = len(packed_seqs)
     ids = np.zeros((B, length), dtype=np.int64)
     segs = np.zeros((B, length), dtype=np.int64)
@@ -369,6 +336,7 @@ def _raw_batch(packed_seqs: Sequence[PackedSequence], pad_to: Optional[int] = No
         segs[b, :n] = [int(s) for s in packed.segment_ids]
         poss[b, :n] = packed.position_ids
         np.fill_diagonal(bias[b], 0.0)  # padding rows attend themselves only
+        bias[b, :n, :n] = mask_to_additive(build_mask(packed.region_tags, variant))
         if packed.len_r > 0:
             start = packed.len_z + packed.len_c  # BOS position
             for pos in range(start, n - 1):
@@ -384,73 +352,6 @@ def _raw_batch(packed_seqs: Sequence[PackedSequence], pad_to: Optional[int] = No
     }
 
 
-def make_batch(
-    packed_seqs: Sequence[PackedSequence],
-    variant: MaskVariant,
-    pad_to: Optional[int] = None,
-) -> dict:
-    """Pad packed sequences into model-ready arrays under a mask variant.
-
-    Padding columns are invisible to every real position, so batched and
-    single-sequence execution agree exactly.
-    """
-    batch = _raw_batch(packed_seqs, pad_to=pad_to)
-    for b, packed in enumerate(packed_seqs):
-        n = len(packed)
-        visible = build_mask(packed.region_tags, variant)
-        batch["bias"][b, :n, :n] = mask_to_additive(visible)
-    return batch
-
-
-# -- single-instance operations ------------------------------------------------
-
-
-@dataclass
-class ForwardPass:
-    """Per-position next-token distributions plus the state needed to backprop."""
-
-    probs: np.ndarray  # [L, vocab]
-    batch: dict = field(repr=False)
-    logits: np.ndarray = field(repr=False)
-
-
-def embed(packed: PackedSequence, model: RewriterModel) -> np.ndarray:
-    """Summed word+segment+position embeddings, [len, d_model]."""
-    ids = np.asarray(packed.token_ids)[None, :]
-    segs = np.asarray([int(s) for s in packed.segment_ids])[None, :]
-    poss = np.asarray(packed.position_ids)[None, :]
-    return model.embed_ids(ids, segs, poss)[0]
-
-
-def forward(packed: PackedSequence, mask: np.ndarray, model: RewriterModel) -> ForwardPass:
-    """Probability distribution over the vocabulary at every position."""
-    if mask.shape != (len(packed), len(packed)):
-        raise RewriterError(
-            "SHAPE_MISMATCH", f"mask side {mask.shape} vs packed length {len(packed)}"
-        )
-    batch = _raw_batch([packed])
-    batch["bias"] = mask_to_additive(mask)[None, :, :]
-    logits, _ = model.forward_batch(batch)
-    shifted = logits[0] - logits[0].max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return ForwardPass(probs=exp / exp.sum(axis=-1, keepdims=True), batch=batch, logits=logits)
-
-
-def nll_loss(fwd: ForwardPass, model: RewriterModel) -> tuple[float, dict[str, np.ndarray]]:
-    """Summed NLL over the rewrite targets (terminal EOS included) with fresh
-    gradients for every parameter."""
-    model.zero_grads()
-    loss, _ = model.loss_and_grads(fwd.batch)
-    return loss, {k: v.copy() for k, v in model.grads.items()}
-
-
-@dataclass
-class DecodeState:
-    packed: PackedSequence
-    step: int = 0
-    finished: bool = False
-
-
 def greedy_decode(
     packed_zc: PackedSequence,
     model: RewriterModel,
@@ -464,21 +365,18 @@ def greedy_decode(
     """
     if max_steps < 1:
         raise RewriterError("CONFIG_INVALID", "max_steps must be >= 1")
-    state = DecodeState(packed=start_decode(packed_zc))
+    model.config.check_decode_budget(max_steps)
+    packed = start_decode(packed_zc)
     emitted: list[int] = []
-    while not state.finished:
-        batch = make_batch([state.packed], model.config.mask_variant)
-        logits, _ = model.forward_batch(batch)
-        next_id = int(np.argmax(logits[0, len(state.packed) - 1]))
-        state.step += 1
+    while True:
+        logits, _ = model.forward_batch(make_batch([packed], model.config.mask_variant))
+        next_id = int(np.argmax(logits[0, len(packed) - 1]))
         if next_id == EOS_ID:
-            state.finished = True
             break
         emitted.append(next_id)
-        if state.step >= max_steps:
-            state.finished = True
+        if len(emitted) >= max_steps:
             break
-        state.packed = append_rewrite_token(state.packed, next_id)
+        packed = append_rewrite_token(packed, next_id)
     if vocab is not None:
         return vocab.decode(emitted)
     return emitted
@@ -510,11 +408,14 @@ def load_checkpoint(path: str) -> RewriterModel:
         version = int.from_bytes(fh.read(4), "little")
         if version != CHECKPOINT_VERSION:
             raise RewriterError("CHECKPOINT_MISMATCH", f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(int.from_bytes(fh.read(8), "little")))
-        config = ModelConfig.from_dict(header["config"])
+        try:
+            header = json.loads(fh.read(int.from_bytes(fh.read(8), "little")))
+            config = ModelConfig.from_dict(header["config"])
+            declared = [(name, tuple(shape)) for name, shape in header["params"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise RewriterError("CHECKPOINT_MISMATCH", f"{path}: bad header: {exc!r}") from exc
         model = RewriterModel(config, seed=0)
         expected = _parameter_shapes(config)
-        declared = [(name, tuple(shape)) for name, shape in header["params"]]
         if declared != expected:
             raise RewriterError("CHECKPOINT_MISMATCH", "parameter table does not match config")
         for name, shape in expected:

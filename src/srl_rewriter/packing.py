@@ -23,7 +23,6 @@ from .core import (
     RewriteExample,
     RewriterError,
     SemanticRole,
-    Speaker,
 )
 
 # Role markers sit between predicate and argument tokens so each triple is
@@ -188,12 +187,10 @@ def pack(
     vocab: Vocabulary,
     seed: int,
     include_reference: bool = True,
-    max_length: Optional[int] = None,
 ) -> PackedSequence:
     """Build the full training/decoding instance.
 
-    Deterministic given (example, triples, vocab, seed).  Inputs longer than
-    ``max_length`` are rejected, not clipped.
+    Deterministic given (example, triples, vocab, seed).
     """
     if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
         raise RewriterError("VOCAB_OVERFLOW", "vocabulary lacks reserved tokens")
@@ -223,10 +220,6 @@ def pack(
         tags.extend(RegionTag(RegionKind.REWRITE, 0) for _ in rewrite)
         len_r = len(rewrite)
 
-    if max_length is not None and len(tokens) > max_length:
-        raise RewriterError(
-            "TOO_LONG", f"packed length {len(tokens)} exceeds configured maximum {max_length}"
-        )
     return PackedSequence(
         token_ids=tuple(vocab.encode(tokens)),
         segment_ids=tuple(assign_segments(tags, session)),

@@ -5,7 +5,7 @@ scorer, and triple acquisition with the full/last-utterance scope switch.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -21,7 +21,6 @@ from .core import (
 # Default lexica for lint checks; CLI configs may override.
 DEFAULT_PRONOUNS = ("它", "这个", "那个", "他", "她", "it", "that", "this", "he", "she")
 DEFAULT_PERSON_PRONOUNS = ("我", "你", "i", "me", "you")
-SPEAKER_TOKENS = ("A", "B")
 
 
 class TripleMode(Enum):

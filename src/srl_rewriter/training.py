@@ -48,7 +48,6 @@ class TrainConfig:
     stop_loss: Optional[float] = None
     stop_dev_em: Optional[float] = None
     max_decode_steps: int = 32
-    max_length: Optional[int] = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -114,23 +113,13 @@ def prepare_instances(
     master_seed: int,
     heuristic_rules: Optional[HeuristicRules] = None,
     include_reference: bool = True,
-    max_length: Optional[int] = None,
 ) -> list[PackedSequence]:
     """Acquire triples and pack every example with a derived per-example seed."""
     packs = []
     for idx, example in enumerate(examples):
         triples = acquire_triples(example, source, heuristic_rules)
         seed = derive_seed(master_seed, f"pack:{idx}")
-        packs.append(
-            pack(
-                example,
-                triples,
-                vocab,
-                seed,
-                include_reference=include_reference,
-                max_length=max_length,
-            )
-        )
+        packs.append(pack(example, triples, vocab, seed, include_reference=include_reference))
     return packs
 
 
@@ -179,14 +168,15 @@ def train(
         raise RewriterError("EMPTY_CORPUS", "no dev examples")
     if config.mask_variant is not model.config.mask_variant:
         raise RewriterError("VARIANT_MISMATCH", "train and model mask variants differ")
+    model.config.check_decode_budget(config.max_decode_steps)
 
     train_packs = prepare_instances(
         train_examples, vocab, config.triple_source, config.seed,
-        heuristic_rules=heuristic_rules, max_length=config.max_length,
+        heuristic_rules=heuristic_rules,
     )
     dev_packs = prepare_instances(
         dev_examples, vocab, config.triple_source, config.seed,
-        heuristic_rules=heuristic_rules, include_reference=False, max_length=config.max_length,
+        heuristic_rules=heuristic_rules, include_reference=False,
     )
     dev_refs = [list(ex.reference) for ex in dev_examples]
 
@@ -340,7 +330,6 @@ def run_ablation_grid(
             test_packs = prepare_instances(
                 test_examples, vocab, cell.source, seed,
                 heuristic_rules=heuristic_rules, include_reference=False,
-                max_length=tcfg.max_length,
             )
             hyps = decode_corpus(result.model, test_packs, tcfg.max_decode_steps, vocab=vocab)
             test_report = evaluate_corpus(hyps, [list(ex.reference) for ex in test_examples])

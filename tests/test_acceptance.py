@@ -31,7 +31,7 @@ from srl_rewriter.generator import (
 )
 from srl_rewriter.masks import MaskVariant, build_mask
 from srl_rewriter.metrics import bleu_n, exact_match, exact_match_count, rouge_l, rouge_n
-from srl_rewriter.model import ModelConfig, RewriterModel, forward, nll_loss
+from srl_rewriter.model import ModelConfig, RewriterModel, make_batch
 from srl_rewriter.packing import build_vocabulary, pack
 from srl_rewriter.srl import (
     SrlTuple,
@@ -81,17 +81,22 @@ def test_criterion_02_causality():
         seed=11,
     )
     rng = random.Random(7)
+
+    def probs(packed):
+        logits, _ = model.forward_batch(make_batch([packed], MaskVariant.TRIPLE_MASK))
+        exp = np.exp(logits[0] - logits[0].max(axis=-1, keepdims=True))
+        return exp / exp.sum(axis=-1, keepdims=True)
+
     for i, example in enumerate(corpus):
         packed = pack(example, example.triples, vocab, seed=i)
-        mask = build_mask(packed.region_tags, MaskVariant.TRIPLE_MASK)
-        base = forward(packed, mask, model)
+        base = probs(packed)
         # perturb one rewrite-region token past BOS; everything before it is
         # on the causal side and must not move at all
         t = rng.randrange(packed.len_z + packed.len_c + 1, len(packed))
         ids = list(packed.token_ids)
         ids[t] = (ids[t] + 1) % len(vocab)
-        poked = forward(replace(packed, token_ids=tuple(ids)), mask, model)
-        assert float(np.max(np.abs(poked.probs[:t] - base.probs[:t]))) < 1e-12
+        poked = probs(replace(packed, token_ids=tuple(ids)))
+        assert float(np.max(np.abs(poked[:t] - base[:t]))) < 1e-12
 
 
 def test_criterion_03_gradient_check():
@@ -106,15 +111,17 @@ def test_criterion_03_gradient_check():
         seed=3,
     )
     packed = pack(corpus[0], corpus[0].triples, vocab, seed=0)
-    fwd = forward(packed, build_mask(packed.region_tags, MaskVariant.TRIPLE_MASK), model)
-    loss, grads = nll_loss(fwd, model)
+    batch = make_batch([packed], MaskVariant.TRIPLE_MASK)
+    model.zero_grads()
+    loss, _ = model.loss_and_grads(batch)
+    grads = {k: v.copy() for k, v in model.grads.items()}
 
     def loss_only() -> float:
-        logits, _ = model.forward_batch(fwd.batch)
+        logits, _ = model.forward_batch(batch)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        tmask = fwd.batch["target_mask"][0]
-        tids = fwd.batch["target_ids"][0]
+        tmask = batch["target_mask"][0]
+        tids = batch["target_ids"][0]
         return float(-logp[0][tmask, tids[tmask]].sum())
 
     assert abs(loss_only() - loss) < 1e-9

@@ -106,6 +106,20 @@ def test_pack_rejects_out_of_range_index(ws, capsys):
     assert "error[BAD_RECORD]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("span", [
+    {"turn": 5, "start": 0, "end": 1},
+    {"turn": 0, "start": -1, "end": 1},
+])
+def test_pack_rejects_out_of_range_triple_span(ws, capsys, tmp_path, span):
+    records = [json.loads(line) for line in read_lines(f"{ws['prefix']}.dev.jsonl")]
+    records[1]["triples"][0]["argument"] = span
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["pack", "--input", str(path), "--index", "1", "--dump"]) == 1
+    err = capsys.readouterr().err
+    assert "error[BAD_RECORD]" in err and "record 1: triple 0: argument" in err
+
+
 # -- training and decoding ---------------------------------------------------------
 
 
@@ -201,6 +215,83 @@ def test_ablate_unknown_cell(ws, capsys, tmp_path):
         "--cells", "bogus", "--out", str(tmp_path / "x.json"),
     ]) == 1
     assert "error[CONFIG_INVALID]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--seeds", "x"), ("--seeds", ""), ("--seeds", "0,,1"), ("--cells", ""),
+])
+def test_ablate_rejects_malformed_lists(ws, capsys, tmp_path, flag, value):
+    assert main([
+        "ablate", "--train", f"{ws['prefix']}.train.jsonl",
+        "--dev", f"{ws['prefix']}.dev.jsonl", "--test", f"{ws['prefix']}.test.jsonl",
+        flag, value, "--out", str(tmp_path / "x.json"),
+    ]) == 1
+    assert "error[CONFIG_INVALID]" in capsys.readouterr().err
+
+
+def test_ablate_seeds_from_config_file(ws, capsys, tmp_path):
+    cfg = tmp_path / "ablate.cfg"
+    cfg.write_text("seeds = 0\n")  # typed as an int, not a string
+    assert main([
+        "ablate", "--config", str(cfg), "--train", f"{ws['prefix']}.train.jsonl",
+        "--dev", f"{ws['prefix']}.dev.jsonl", "--test", f"{ws['prefix']}.test.jsonl",
+        "--cells", "bogus", "--out", str(tmp_path / "x.json"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "error[CONFIG_INVALID]" in err and "unknown cells" in err
+
+
+# -- manifests ---------------------------------------------------------------------
+
+
+def manifest_case(ws, tmp_path, case):
+    """argv, manifest inputs, manifest outputs and default manifest path."""
+    prefix, ckpt, hyps = ws["prefix"], ws["ckpt"], ws["hyps"]
+    train, dev, test = (f"{prefix}.{name}.jsonl" for name in ("train", "dev", "test"))
+    out = str(tmp_path / "out")
+    splits = [f"{out}.{name}.jsonl" for name in ("train", "dev", "test")]
+    return {
+        "gen-corpus": (["gen-corpus", "--n-sessions", "6", "--split", "--out-prefix", out],
+                       [], splits, f"{out}.manifest.json"),
+        "stats": (["stats", "--input", train, "--lint"], [train], [], None),
+        "pack": (["pack", "--input", train, "--dump"], [train], [], None),
+        "train": (["train", "--train", train, "--dev", dev, "--out", out,
+                   *TINY_MODEL, *TINY_TRAIN], [train, dev], [out, out + ".vocab"],
+                  out + ".manifest.json"),
+        "rewrite": (["rewrite", "--model", ckpt, "--input", test, "--out", out],
+                    [ckpt, test], [out], out + ".manifest.json"),
+        "evaluate": (["evaluate", "--input", hyps], [hyps], [], None),
+        "evaluate+ref+json": (["evaluate", "--input", hyps, "--ref", test, "--json-out", out],
+                              [hyps, test], [out], None),
+        "score-srl": (["score-srl", "--input", test, "--source", "heuristic"], [test], [], None),
+        "score-srl+pred": (["score-srl", "--input", test, "--pred", dev], [test, dev], [], None),
+        "ablate": (["ablate", "--train", train, "--dev", dev, "--test", test, "--seeds", "0",
+                    "--cells", "no-srl", "--out", out, *TINY_MODEL, *TINY_TRAIN],
+                   [train, dev, test], [out], out + ".manifest.json"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "gen-corpus", "stats", "pack", "train", "rewrite", "evaluate", "evaluate+ref+json",
+    "score-srl", "score-srl+pred", "ablate",
+])
+def test_manifest_records_command_inputs_and_outputs(ws, tmp_path, capsys, case):
+    argv, inputs, outputs, default = manifest_case(ws, tmp_path, case)
+
+    def files():
+        return {str(f) for folder in (ws["root"], tmp_path) for f in folder.iterdir()}
+
+    if default is None:  # inspection commands write a manifest only when asked
+        before = files()
+        assert main(argv) == 0
+        assert files() - before == set(outputs)
+        default = str(tmp_path / "asked.manifest.json")
+        argv = [*argv, "--manifest", default]
+    assert main(argv) == 0
+    manifest = json.loads(open(default, encoding="utf-8").read())
+    assert manifest["command"] == manifest["config"]["command"] == argv[0]
+    assert set(manifest["inputs"]) == set(inputs)
+    assert set(manifest["outputs"]) == set(outputs)
 
 
 # -- config files and exit codes -----------------------------------------------------

@@ -19,7 +19,7 @@ from srl_rewriter.core import (
     example_to_record,
     read_examples,
     validate_example,
-    write_examples,
+    write_records,
 )
 
 
@@ -125,16 +125,29 @@ def test_record_hypothesis_field(session):
     assert example_from_record(record) == ex
 
 
-def test_bad_record_raises_coded_error():
+def test_bad_record_raises_coded_error(session):
     with pytest.raises(RewriterError) as err:
         example_from_record({"utterances": [{"speaker": "Q", "tokens": ["x"]}]})
     assert err.value.code == "BAD_RECORD"
+    good = example_to_record(
+        RewriteExample(session, (PATriple(Span(2, 0, 2), SemanticRole.ARG0, Span(0, 0, 1)),))
+    )
+    assert example_from_record(good).triples
+    for field, span, words in (
+        ("predicate", {"turn": 5, "start": 0, "end": 1}, "turn 5 outside session of 3"),
+        ("argument", {"turn": 0, "start": -1, "end": 1}, "span [-1,1)"),
+    ):
+        triple = {**good["triples"][0], field: span}
+        with pytest.raises(RewriterError) as err:
+            example_from_record({**good, "triples": [triple]})
+        assert err.value.code == "BAD_RECORD"
+        assert f"triple 0: {field} {words}" in err.value.message
 
 
 def test_file_round_trip(tmp_path, session):
     ex = RewriteExample(session=session, reference=("吃", "饭"))
     path = str(tmp_path / "corpus.jsonl")
-    write_examples(path, [ex, ex])
+    write_records(path, [example_to_record(ex)] * 2)
     assert read_examples(path) == [ex, ex]
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import oracle_bleu, oracle_lcs, oracle_rouge_l, oracle_rouge_n
 from srl_rewriter.metrics import (
     REPORT_HEADER,
-    EvalReport,
     RewriterError,
     bleu_n,
     evaluate_corpus,
@@ -118,15 +117,6 @@ def test_report_shape_and_row():
     assert "100.00" in row
     assert report.to_dict()["em"] == 1.0
     assert "srl_f1" not in report.to_dict()
-
-
-def test_report_includes_srl_fields_when_present():
-    report = EvalReport(
-        bleu1=1, bleu2=1, bleu4=1, rouge1=1, rouge2=1, rougeL=1,
-        n_matches=1, n_examples=1,
-        srl_precision=0.5, srl_recall=0.5, srl_f1=0.5,
-    )
-    assert report.to_dict()["srl_f1"] == 0.5
 
 
 # -- oracle cross-checks --------------------------------------------------------

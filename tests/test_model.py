@@ -1,21 +1,19 @@
 """Transformer forward/backward, decoding, and checkpoint format."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from srl_rewriter.core import RewriterError
-from srl_rewriter.masks import MaskVariant, build_mask
+from srl_rewriter.masks import MaskVariant
 from srl_rewriter.model import (
     ModelConfig,
     RewriterModel,
-    embed,
-    forward,
     greedy_decode,
     load_checkpoint,
     make_batch,
-    nll_loss,
     save_checkpoint,
 )
 from srl_rewriter.packing import EOS_ID, PAD_ID, pack
@@ -44,9 +42,18 @@ def packed_instances(tiny_corpus, tiny_vocab):
 # -- embeddings and forward -------------------------------------------------------
 
 
+def probs_of(model, packed):
+    """Next-token distribution at every position of one packed sequence."""
+    logits, _ = model.forward_batch(make_batch([packed], MaskVariant.TRIPLE_MASK))
+    shifted = logits[0] - logits[0].max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
 def test_embedding_sums_three_tables(model, packed_instances):
     packed = packed_instances[0]
-    out = embed(packed, model)
+    batch = make_batch([packed], MaskVariant.TRIPLE_MASK)
+    out = model.embed_ids(batch["ids"], batch["segs"], batch["poss"])[0]
     assert out.shape == (len(packed), model.config.d_model)
     p = model.params
     for i in (0, packed.len_z, len(packed) - 1):
@@ -60,18 +67,17 @@ def test_embedding_sums_three_tables(model, packed_instances):
 
 def test_forward_rows_are_distributions(model, packed_instances):
     packed = packed_instances[0]
-    mask = build_mask(packed.region_tags, MaskVariant.TRIPLE_MASK)
-    fwd = forward(packed, mask, model)
-    assert fwd.probs.shape == (len(packed), model.config.vocab_size)
-    assert np.all(fwd.probs >= 0)
-    assert np.allclose(fwd.probs.sum(axis=-1), 1.0, atol=1e-12)
+    probs = probs_of(model, packed)
+    assert probs.shape == (len(packed), model.config.vocab_size)
+    assert np.all(probs >= 0)
+    assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_forward_rejects_wrong_mask_side(model, packed_instances):
-    packed = packed_instances[0]
-    bad = np.ones((3, 3), dtype=bool)
+    batch = make_batch(packed_instances[:1], MaskVariant.TRIPLE_MASK)
+    batch["bias"] = np.zeros((1, 3, 3))
     with pytest.raises(RewriterError) as err:
-        forward(packed, bad, model)
+        model.forward_batch(batch)
     assert err.value.code == "SHAPE_MISMATCH"
 
 
@@ -122,31 +128,29 @@ def test_batched_and_single_forward_agree(model, packed_instances):
 # -- loss and gradients -----------------------------------------------------------
 
 
-def manual_nll(fwd, packed):
+def manual_nll(probs, packed):
     start = packed.len_z + packed.len_c
     total = 0.0
     for pos in range(start, len(packed) - 1):
-        total -= np.log(fwd.probs[pos, packed.token_ids[pos + 1]])
+        total -= np.log(probs[pos, packed.token_ids[pos + 1]])
     return total
 
 
 def test_loss_matches_probability_table(model, packed_instances):
     packed = packed_instances[0]
-    mask = build_mask(packed.region_tags, MaskVariant.TRIPLE_MASK)
-    fwd = forward(packed, mask, model)
-    loss, grads = nll_loss(fwd, model)
-    assert loss == pytest.approx(manual_nll(fwd, packed), abs=1e-10)
-    assert set(grads) == set(model.params)
-    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    model.zero_grads()
+    loss, n_targets = model.loss_and_grads(make_batch([packed], MaskVariant.TRIPLE_MASK))
+    assert n_targets == packed.len_r - 1
+    assert loss == pytest.approx(manual_nll(probs_of(model, packed), packed), abs=1e-10)
+    assert set(model.grads) == set(model.params)
+    assert all(np.all(np.isfinite(g)) for g in model.grads.values())
 
 
 def test_loss_requires_reference_targets(model, tiny_corpus, tiny_vocab):
     example = tiny_corpus[0]
     bare = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
-    mask = build_mask(bare.region_tags, MaskVariant.TRIPLE_MASK)
-    fwd = forward(bare, mask, model)
     with pytest.raises(RewriterError) as err:
-        nll_loss(fwd, model)
+        model.loss_and_grads(make_batch([bare], MaskVariant.TRIPLE_MASK))
     assert err.value.code == "NO_REFERENCE"
 
 
@@ -225,15 +229,6 @@ def test_config_validation():
     assert err.value.code == "CONFIG_INVALID"
     with pytest.raises(RewriterError):
         ModelConfig(vocab_size=3)
-    with pytest.raises(RewriterError):
-        ModelConfig(vocab_size=50, dropout_rate=1.0)
-
-
-def test_dropout_zero_train_equals_eval(model, packed_instances):
-    batch = make_batch(packed_instances[:1], MaskVariant.TRIPLE_MASK)
-    eval_logits, _ = model.forward_batch(batch, train=False)
-    train_logits, _ = model.forward_batch(batch, train=True, dropout_rng=np.random.default_rng(0))
-    assert np.array_equal(eval_logits, train_logits)
 
 
 # -- greedy decoding ---------------------------------------------------------------
@@ -278,6 +273,17 @@ def test_decode_rejects_zero_budget(model, packed_instances):
     assert err.value.code == "CONFIG_INVALID"
 
 
+def test_decode_budget_beyond_position_table_fails_up_front(config, tiny_corpus, tiny_vocab):
+    # a model that never emits EOS fills every rewrite position id the table has
+    model = surgery_model(replace(config, max_position=16), **{"20": 5.0})
+    example = tiny_corpus[0]
+    packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
+    assert len(greedy_decode(packed, model, max_steps=16)) == 16
+    with pytest.raises(RewriterError) as err:
+        greedy_decode(packed, model, max_steps=40)
+    assert err.value.code == "TOO_LONG"
+
+
 # -- checkpoints -------------------------------------------------------------------
 
 
@@ -306,6 +312,17 @@ def test_checkpoint_double_round_trip_is_exact(tmp_path, model):
         assert np.array_equal(again.params[name], p)
 
 
+def split_checkpoint(blob):
+    """(header dict, weight bytes) of a checkpoint file's bytes."""
+    size = int.from_bytes(blob[8:16], "little")
+    return json.loads(blob[16 : 16 + size]), bytes(blob[16 + size :])
+
+
+def join_checkpoint(blob, header, weights):
+    raw = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
+    return bytes(blob[:8]) + len(raw).to_bytes(8, "little") + raw + weights
+
+
 def test_checkpoint_rejects_foreign_bytes(tmp_path, model):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
@@ -328,3 +345,35 @@ def test_checkpoint_rejects_foreign_bytes(tmp_path, model):
     with pytest.raises(RewriterError) as err:
         load_checkpoint(str(truncated))
     assert err.value.code == "CHECKPOINT_MISMATCH"
+
+    header, weights = split_checkpoint(blob)
+    config = header["config"]
+    for name, bad_header in (
+        ("json", b"{not json"),
+        ("no-config", {"params": header["params"]}),
+        ("no-params", {"config": config}),
+        ("unknown-key", {**header, "config": {**config, "bogus": 1}}),
+        ("bad-variant", {**header, "config": {**config, "mask_variant": "sideways"}}),
+    ):
+        bad = tmp_path / f"{name}.ckpt"
+        bad.write_bytes(join_checkpoint(blob, bad_header, weights))
+        with pytest.raises(RewriterError) as err:
+            load_checkpoint(str(bad))
+        assert err.value.code == "CHECKPOINT_MISMATCH", name
+
+
+def test_checkpoint_with_legacy_dropout_key_loads(tmp_path, model, packed_instances):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    header, weights = split_checkpoint(blob)
+    assert "dropout_rate" not in header["config"]
+    header["config"]["dropout_rate"] = 0.0
+    legacy = tmp_path / "legacy.ckpt"
+    legacy.write_bytes(join_checkpoint(blob, header, weights))
+    loaded = load_checkpoint(str(legacy))
+    assert loaded.config == model.config
+    batch = make_batch(packed_instances[:1], MaskVariant.TRIPLE_MASK)
+    a, _ = load_checkpoint(str(path)).forward_batch(batch)
+    b, _ = loaded.forward_batch(batch)
+    assert np.array_equal(a, b)

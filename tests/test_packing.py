@@ -218,12 +218,6 @@ def test_pack_requires_reference_for_training(fixture_example, fixture_vocab):
     assert err.value.code == "NO_REFERENCE"
 
 
-def test_pack_rejects_overlong(fixture_example, fixture_vocab):
-    with pytest.raises(RewriterError) as err:
-        pack(fixture_example, fixture_example.triples, fixture_vocab, seed=0, max_length=10)
-    assert err.value.code == "TOO_LONG"
-
-
 def test_pack_is_deterministic_per_seed(fixture_example, fixture_vocab):
     a = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=5)
     b = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=5)

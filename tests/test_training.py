@@ -73,6 +73,17 @@ def test_train_rejects_model_variant_mismatch(micro_setup):
     assert err.value.code == "VARIANT_MISMATCH"
 
 
+def test_train_rejects_decode_budget_beyond_position_table(micro_setup):
+    corpus, vocab, config = micro_setup
+    model = RewriterModel(config, seed=1)
+    before = {k: v.copy() for k, v in model.params.items()}
+    with pytest.raises(RewriterError) as err:
+        train(model, corpus[:6], corpus[6:], vocab, micro_train_config(
+            max_decode_steps=config.max_position + 1))
+    assert err.value.code == "TOO_LONG"
+    assert all(np.array_equal(model.params[k], v) for k, v in before.items())
+
+
 # -- optimizer pieces -------------------------------------------------------------
 
 
