@@ -274,6 +274,9 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     write_records(args.out, records)
     _save_manifest(args, [args.model, args.input], [args.out], args.out + ".manifest.json")
     print(f"wrote {len(records)} rewrites to {args.out}")
+    # a hypothesis as long as the budget was cut off: EOS never ends one that long
+    hits = sum(len(hyp) == args.max_decode_steps for hyp in hyps)
+    print(f"{hits} of {len(records)} rewrites hit the decode budget of {args.max_decode_steps} steps")
     return 0
 
 

@@ -250,11 +250,27 @@ def example_to_record(example: RewriteExample, hypothesis: Optional[Iterable[str
     return record
 
 
+# validate_example rules that refuse a record on read; the others stay lints
+_REFUSED_ON_READ = ("EMPTY_SESSION", "RESERVED_TOKEN", "SPAN_OUT_OF_RANGE")
+
+
+def _token_list(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(tok, str) for tok in value):
+        raise RewriterError("BAD_RECORD", f"{what} must be a list of strings")
+    return tuple(value)
+
+
 def example_from_record(record: dict) -> RewriteExample:
-    """Decode one record; spans that point outside their session are refused."""
+    """Decode one record.  Fields of the wrong type, sessions without
+    utterances, reserved tokens in the text and spans that point outside
+    their session are refused."""
     try:
         utterances = tuple(
-            Utterance(tokens=tuple(u["tokens"]), speaker=Speaker(u["speaker"]), turn_index=i)
+            Utterance(
+                tokens=_token_list(u["tokens"], f"utterance {i} tokens"),
+                speaker=Speaker(u["speaker"]),
+                turn_index=i,
+            )
             for i, u in enumerate(record["utterances"])
         )
         triples = tuple(
@@ -266,22 +282,21 @@ def example_from_record(record: dict) -> RewriteExample:
             for t in record.get("triples", [])
         )
         reference = record.get("reference")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise RewriterError("BAD_RECORD", f"undecodable record: {exc}") from exc
-    session = DialogueSession(utterances)
+    example = RewriteExample(
+        session=DialogueSession(utterances),
+        triples=triples,
+        reference=None if reference is None else _token_list(reference, "reference"),
+    )
     bad = [
         v.message
-        for idx, t in enumerate(triples)
-        for what, span in (("predicate", t.predicate), ("argument", t.argument))
-        for v in _check_span(span, session, what, idx)
+        for v in validate_example(example, require_reference=False).violations
+        if v.code in _REFUSED_ON_READ
     ]
     if bad:
         raise RewriterError("BAD_RECORD", "; ".join(bad))
-    return RewriteExample(
-        session=session,
-        triples=triples,
-        reference=tuple(reference) if reference is not None else None,
-    )
+    return example
 
 
 def read_records(path: str) -> list[dict]:

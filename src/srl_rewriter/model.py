@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import RewriterError
 from .masks import NEG_BIAS, MaskVariant, build_mask, mask_to_additive
-from .packing import EOS_ID, PackedSequence, append_rewrite_token, start_decode
+from .packing import BOS_ID, EOS_ID, PackedSequence, SegmentType
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _LN_EPS = 1e-5
@@ -155,49 +155,65 @@ class RewriterModel:
         self, batch: dict, need_cache: bool = False
     ) -> tuple[np.ndarray, Optional[list]]:
         """Logits [B, L, V] for a made batch; cache retained only when asked."""
-        cfg = self.config
-        p = self.params
         ids, segs, poss, bias = batch["ids"], batch["segs"], batch["poss"], batch["bias"]
         if bias.shape[-1] != ids.shape[-1] or bias.shape[-2] != ids.shape[-1]:
             raise RewriterError("SHAPE_MISMATCH", "mask side does not match sequence length")
-        B, L = ids.shape
-        H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-        scale = 1.0 / np.sqrt(dh)
         x = self.embed_ids(ids, segs, poss)
         caches: list = []
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            q = x @ p[pre + "attn.Wq"] + p[pre + "attn.bq"]
-            k = x @ p[pre + "attn.Wk"] + p[pre + "attn.bk"]
-            v = x @ p[pre + "attn.Wv"] + p[pre + "attn.bv"]
-            qh = q.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-            kh = k.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-            vh = v.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
-            scores = qh @ kh.transpose(0, 1, 3, 2) * scale + bias[:, None, :, :]
-            scores -= scores.max(axis=-1, keepdims=True)
-            attn = np.exp(scores)
-            attn /= attn.sum(axis=-1, keepdims=True)
-            ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-            out = ctx @ p[pre + "attn.Wo"] + p[pre + "attn.bo"]
-            res1 = x + out
-            x1, ln1_cache = _layer_norm_forward(res1, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            h_pre = x1 @ p[pre + "ff.W1"] + p[pre + "ff.b1"]
-            h_act, gelu_cache = _gelu_forward(h_pre)
-            ff = h_act @ p[pre + "ff.W2"] + p[pre + "ff.b2"]
-            res2 = x1 + ff
-            x2, ln2_cache = _layer_norm_forward(res2, p[pre + "ln2.g"], p[pre + "ln2.b"])
+        for i in range(self.config.n_layers):
+            x_in = x
+            x, cache = self._layer(i, x, bias)
             if need_cache:
-                caches.append(
-                    dict(
-                        x_in=x, attn=attn, qh=qh, kh=kh, vh=vh, ctx=ctx, ln1=ln1_cache,
-                        x1=x1, h_pre=h_pre, h_act=h_act, gelu=gelu_cache, ln2=ln2_cache,
-                    )
-                )
-            x = x2
-        logits = x @ self._out_weight() + p["out.b"]
+                caches.append(dict(cache, x_in=x_in))
+        logits = x @ self._out_weight() + self.params["out.b"]
         if need_cache:
             return logits, [ids, segs, poss, caches, x]
         return logits, None
+
+    def _layer(
+        self, i: int, x: np.ndarray, bias: np.ndarray, kv: Optional[tuple] = None, at: int = 0
+    ) -> tuple[np.ndarray, dict]:
+        """One post-norm block over query rows x [B, Lq, d] under bias [B, Lq, Lk].
+
+        Without ``kv`` the rows attend each other (Lk == Lq).  With ``kv`` =
+        (K, V), buffers [B, H, L_max, dh] whose first ``at`` columns hold the
+        keys and values of earlier rows, the rows' own keys and values are
+        written to columns [at, at + Lq) and attention spans [0, at + Lq).
+        Returns the block output and the activations the backward pass reads.
+        """
+        p = self.params
+        pre = f"layers.{i}."
+        B, L, d = x.shape
+        H = self.config.n_heads
+        dh = d // H
+
+        def heads(m: np.ndarray) -> np.ndarray:
+            return m.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+
+        qh = heads(x @ p[pre + "attn.Wq"] + p[pre + "attn.bq"])
+        kh = heads(x @ p[pre + "attn.Wk"] + p[pre + "attn.bk"])
+        vh = heads(x @ p[pre + "attn.Wv"] + p[pre + "attn.bv"])
+        if kv is not None:
+            K, V = kv
+            K[:, :, at : at + L] = kh
+            V[:, :, at : at + L] = vh
+            kh, vh = K[:, :, : at + L], V[:, :, : at + L]
+        scores = qh @ kh.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh)) + bias[:, None, :, :]
+        scores -= scores.max(axis=-1, keepdims=True)
+        attn = np.exp(scores, out=scores)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, L, d)
+        res1 = x + (ctx @ p[pre + "attn.Wo"] + p[pre + "attn.bo"])
+        x1, ln1_cache = _layer_norm_forward(res1, p[pre + "ln1.g"], p[pre + "ln1.b"])
+        h_pre = x1 @ p[pre + "ff.W1"] + p[pre + "ff.b1"]
+        h_act, gelu_cache = _gelu_forward(h_pre)
+        res2 = x1 + (h_act @ p[pre + "ff.W2"] + p[pre + "ff.b2"])
+        x2, ln2_cache = _layer_norm_forward(res2, p[pre + "ln2.g"], p[pre + "ln2.b"])
+        cache = dict(
+            attn=attn, qh=qh, kh=kh, vh=vh, ctx=ctx, ln1=ln1_cache,
+            x1=x1, h_act=h_act, gelu=gelu_cache, ln2=ln2_cache,
+        )
+        return x2, cache
 
     def loss_and_grads(self, batch: dict, loss_scale: float = 1.0) -> tuple[float, int]:
         """Summed NLL over target positions; analytic gradients accumulate into
@@ -301,7 +317,7 @@ def _layer_norm_backward(dout: np.ndarray, cache) -> tuple[np.ndarray, np.ndarra
 
 
 def _gelu_forward(x: np.ndarray):
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     return 0.5 * x * (1.0 + t), (x, t)
 
@@ -352,34 +368,87 @@ def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> d
     }
 
 
+class PrefixCache:
+    """Keys and values of a padded batch of z+c prefixes at every layer, with
+    room for ``max_steps`` rewrite rows per example.
+
+    Triple and context rows never attend rewrite rows under any mask variant,
+    and rewrite rows see every triple and context column, so the prefix's keys
+    and values stay fixed for the whole decode.  Each ``step`` then runs one
+    query row per example through the stack.
+    """
+
+    def __init__(self, model: RewriterModel, prefixes: Sequence[PackedSequence], max_steps: int):
+        if any(packed.len_r != 0 for packed in prefixes):
+            raise RewriterError("SHAPE_MISMATCH", "decode prefix already has a rewrite region")
+        cfg = model.config
+        self.model = model
+        batch = make_batch(prefixes, cfg.mask_variant)
+        B, L = batch["ids"].shape
+        shape = (B, cfg.n_heads, L + max_steps, cfg.d_model // cfg.n_heads)
+        self.kv = [(np.empty(shape), np.empty(shape)) for _ in range(cfg.n_layers)]
+        # a rewrite row sees its own prefix and every rewrite row up to itself
+        self.bias = np.zeros((B, 1, L + max_steps))
+        for b, packed in enumerate(prefixes):
+            self.bias[b, 0, len(packed) : L] = NEG_BIAS
+        self.prefix_len = L
+        self.steps = 0
+        x = model.embed_ids(batch["ids"], batch["segs"], batch["poss"])
+        for i, kv in enumerate(self.kv):
+            x = model._layer(i, x, batch["bias"], kv)[0]
+
+    def step(self, token_ids: np.ndarray) -> np.ndarray:
+        """Logits [B, V] of the next rewrite row, which holds ``token_ids``."""
+        model = self.model
+        t = self.steps
+        ids = token_ids.reshape(-1, 1)
+        x = model.embed_ids(ids, np.full_like(ids, SegmentType.E_A), np.full_like(ids, t))
+        at = self.prefix_len + t
+        for i, kv in enumerate(self.kv):
+            x = model._layer(i, x, self.bias[:, :, : at + 1], kv, at)[0]
+        self.steps += 1
+        return x[:, 0] @ model._out_weight() + model.params["out.b"]
+
+
+def decode_batch(
+    prefixes: Sequence[PackedSequence], model: RewriterModel, max_steps: int
+) -> list[list[int]]:
+    """Greedy argmax decoding of a batch of z+c prefixes against one prefix cache.
+
+    Each hypothesis stops at EOS, which is never emitted, or after
+    ``max_steps`` tokens; ties break toward the lowest token id.  Rows that
+    have stopped ride along until the whole batch has.
+    """
+    if max_steps < 1:
+        raise RewriterError("CONFIG_INVALID", "max_steps must be >= 1")
+    model.config.check_decode_budget(max_steps)
+    cache = PrefixCache(model, prefixes, max_steps)
+    emitted: list[list[int]] = [[] for _ in prefixes]
+    live = np.ones(len(prefixes), dtype=bool)
+    next_ids = np.full(len(prefixes), BOS_ID)
+    for _ in range(max_steps):
+        next_ids = np.argmax(cache.step(next_ids), axis=-1)
+        live &= next_ids != EOS_ID
+        for b in np.flatnonzero(live):
+            emitted[b].append(int(next_ids[b]))
+        if not live.any():
+            break
+    return emitted
+
+
 def greedy_decode(
     packed_zc: PackedSequence,
     model: RewriterModel,
     max_steps: int = 32,
     vocab=None,
 ) -> list:
-    """Greedy argmax decoding; ties break toward the lowest token id.
+    """Greedy decoding of one z+c prefix: ``decode_batch`` on a batch of one.
 
     Returns emitted token ids (or tokens when a vocabulary is given) without
-    BOS/EOS.  Recomputes the full forward per step; fine at desk scale.
+    BOS/EOS.
     """
-    if max_steps < 1:
-        raise RewriterError("CONFIG_INVALID", "max_steps must be >= 1")
-    model.config.check_decode_budget(max_steps)
-    packed = start_decode(packed_zc)
-    emitted: list[int] = []
-    while True:
-        logits, _ = model.forward_batch(make_batch([packed], model.config.mask_variant))
-        next_id = int(np.argmax(logits[0, len(packed) - 1]))
-        if next_id == EOS_ID:
-            break
-        emitted.append(next_id)
-        if len(emitted) >= max_steps:
-            break
-        packed = append_rewrite_token(packed, next_id)
-    if vocab is not None:
-        return vocab.decode(emitted)
-    return emitted
+    emitted = decode_batch([packed_zc], model, max_steps)[0]
+    return vocab.decode(emitted) if vocab is not None else emitted
 
 
 # -- checkpointing -----------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .core import RewriteExample, RewriterError
 from .masks import MaskVariant
 from .metrics import EvalReport, evaluate_corpus
-from .model import ModelConfig, RewriterModel, greedy_decode, make_batch
+from .model import ModelConfig, RewriterModel, decode_batch, make_batch
 from .packing import PackedSequence, Vocabulary, build_vocabulary, pack
 from .seeding import derive_seed, substream
 from .srl import HeuristicRules, TripleMode, TripleSource, acquire_triples, score_srl_corpus
@@ -25,6 +25,10 @@ from .srl import HeuristicRules, TripleMode, TripleSource, acquire_triples, scor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Prefixes decoded together against one prefix cache.  Larger batches amortise
+# more per-step overhead but hold more prefix-pass temporaries at once.
+_DECODE_BATCH = 4
 
 
 @dataclass
@@ -129,7 +133,11 @@ def decode_corpus(
     max_steps: int,
     vocab: Optional[Vocabulary] = None,
 ) -> list[list]:
-    return [greedy_decode(p, model, max_steps=max_steps, vocab=vocab) for p in packs]
+    """Greedy hypotheses for every pack, decoded in batches of ``_DECODE_BATCH``."""
+    hyps = []
+    for lo in range(0, len(packs), _DECODE_BATCH):
+        hyps.extend(decode_batch(packs[lo : lo + _DECODE_BATCH], model, max_steps))
+    return [vocab.decode(h) for h in hyps] if vocab is not None else hyps
 
 
 @dataclass

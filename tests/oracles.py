@@ -10,7 +10,8 @@ import math
 from itertools import combinations
 
 from srl_rewriter.masks import MaskVariant
-from srl_rewriter.packing import RegionKind
+from srl_rewriter.model import make_batch
+from srl_rewriter.packing import EOS_ID, RegionKind, append_rewrite_token, start_decode
 
 
 def grams(seq, k):
@@ -128,3 +129,36 @@ def oracle_visible(tags, i, j, variant):
 def oracle_mask(tags, variant):
     n = len(tags)
     return [[oracle_visible(tags, i, j, variant) for j in range(n)] for i in range(n)]
+
+
+def oracle_argmax(row):
+    """Index of the largest entry; the first one wins a tie."""
+    best = 0
+    for j in range(1, len(row)):
+        if row[j] > row[best]:
+            best = j
+    return best
+
+
+def oracle_greedy_decode(packed_zc, model, max_steps):
+    """Greedy decoding by full recompute: every step rebuilds the batch and
+    the mask and reruns the whole sequence, then reads the logits of its last
+    row.  Returns the emitted ids (no BOS/EOS) and the logits of every step.
+
+    It runs the library's forward pass, so what it checks is the caching,
+    batching and stopping around that pass, not the pass itself.
+    """
+    packed = start_decode(packed_zc)
+    emitted, step_logits = [], []
+    while True:
+        logits, _ = model.forward_batch(make_batch([packed], model.config.mask_variant))
+        row = logits[0, len(packed) - 1]
+        step_logits.append(row)
+        next_id = oracle_argmax(row)
+        if next_id == EOS_ID:
+            break
+        emitted.append(next_id)
+        if len(emitted) >= max_steps:
+            break
+        packed = append_rewrite_token(packed, next_id)
+    return emitted, step_logits

@@ -1,8 +1,12 @@
 """End-to-end command-line flows in temporary workspaces."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from srl_rewriter.cli import main
 from srl_rewriter.model import load_checkpoint
@@ -120,6 +124,28 @@ def test_pack_rejects_out_of_range_triple_span(ws, capsys, tmp_path, span):
     assert "error[BAD_RECORD]" in err and "record 1: triple 0: argument" in err
 
 
+@pytest.mark.parametrize("command", ["pack", "stats", "rewrite", "score-srl"])
+@pytest.mark.parametrize("where", ["utterance", "reference"])
+def test_reserved_tokens_are_refused_by_every_read(ws, capsys, tmp_path, command, where):
+    records = [json.loads(line) for line in read_lines(f"{ws['prefix']}.dev.jsonl")]
+    tokens = records[1]["utterances"][0]["tokens"] if where == "utterance" else records[1]["reference"]
+    tokens.insert(1, "[EOS]")
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(r) + "\n" for r in records))
+    argv = {
+        "pack": ["pack", "--input", path],
+        "stats": ["stats", "--input", path, "--lint"],
+        "rewrite": ["rewrite", "--model", ws["ckpt"], "--input", path,
+                    "--out", str(tmp_path / "out.jsonl")],
+        "score-srl": ["score-srl", "--input", path, "--source", "heuristic"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error[BAD_RECORD]" in err and f"{path}: record 1: " in err
+    assert "[EOS]" in err
+
+
 # -- training and decoding ---------------------------------------------------------
 
 
@@ -139,6 +165,21 @@ def test_rewrite_attaches_hypotheses(ws):
     for rec in records:
         assert isinstance(rec["hypothesis"], list)
         assert "reference" in rec  # inputs carried through untouched
+
+
+def test_rewrite_reports_decode_budget_hits(ws, capsys, tmp_path):
+    out = str(tmp_path / "hyps.jsonl")
+    test = f"{ws['prefix']}.test.jsonl"
+    for steps in ("1", "32"):
+        argv = ["rewrite", "--model", ws["ckpt"], "--input", test, "--out", out,
+                "--max-decode-steps", steps]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        hyps = [json.loads(line)["hypothesis"] for line in read_lines(out)]
+        hits = sum(len(h) == int(steps) for h in hyps)
+        assert lines[-1] == f"{hits} of 3 rewrites hit the decode budget of {steps} steps"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == lines[-1]
 
 
 def test_evaluate_hypotheses(ws, capsys, tmp_path):
@@ -292,6 +333,83 @@ def test_manifest_records_command_inputs_and_outputs(ws, tmp_path, capsys, case)
     assert manifest["command"] == manifest["config"]["command"] == argv[0]
     assert set(manifest["inputs"]) == set(inputs)
     assert set(manifest["outputs"]) == set(outputs)
+
+
+# -- malformed records -------------------------------------------------------------
+
+
+def record_paths(obj, prefix=()):
+    """Every key or index path inside a decoded JSON record."""
+    yield prefix
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from record_paths(value, prefix + (key,))
+
+
+DROP = object()  # stands for deleting the key or item
+
+
+def set_path(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is DROP:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+
+
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.just(DROP),
+)
+RESERVED = st.sampled_from(["[PAD]", "[EOS]", "[BOS]"])
+
+
+@st.composite
+def mutated_record(draw, records):
+    record = copy.deepcopy(draw(st.sampled_from(records)))
+    kind = draw(st.sampled_from(["type", "span", "reserved"]))
+    if kind == "type":
+        path = draw(st.sampled_from([p for p in record_paths(record) if p]))
+        set_path(record, path, draw(WRONG_TYPES))
+    elif kind == "span" and record.get("triples"):
+        triple = draw(st.sampled_from(record["triples"]))
+        span = triple[draw(st.sampled_from(["predicate", "argument"]))]
+        span[draw(st.sampled_from(["turn", "start", "end"]))] = draw(st.integers(-5, 40))
+    else:
+        tokens = draw(st.sampled_from(
+            [u["tokens"] for u in record["utterances"]] + [record.get("reference", [])]))
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(RESERVED))
+    return record
+
+
+@pytest.fixture(scope="module")
+def valid_records(ws):
+    return [json.loads(line) for line in read_lines(f"{ws['prefix']}.dev.jsonl")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_records_never_crash(ws, valid_records, fuzz_dir, data):
+    record = data.draw(mutated_record(valid_records))
+    path = str(fuzz_dir / "in.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n" + json.dumps(valid_records[0]) + "\n")
+    for argv in (
+        ["pack", "--input", path, "--dump"],
+        ["stats", "--input", path, "--lint"],
+        ["rewrite", "--model", ws["ckpt"], "--input", path,
+         "--out", str(fuzz_dir / "out.jsonl")],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1), f"{argv[0]} exited {code} on {record}: {err.getvalue()}"
 
 
 # -- config files and exit codes -----------------------------------------------------

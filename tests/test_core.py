@@ -144,6 +144,60 @@ def test_bad_record_raises_coded_error(session):
         assert f"triple 0: {field} {words}" in err.value.message
 
 
+@pytest.mark.parametrize("field,value,words", [
+    ("reference", 5, "reference must be a list of strings"),
+    ("reference", "abc", "reference must be a list of strings"),
+    ("reference", ["x", 1], "reference must be a list of strings"),
+    ("tokens", [1, 2], "utterance 0 tokens must be a list of strings"),
+    ("tokens", "abc", "utterance 0 tokens must be a list of strings"),
+    ("tokens", None, "utterance 0 tokens must be a list of strings"),
+])
+def test_record_fields_must_be_token_lists(session, field, value, words):
+    record = example_to_record(RewriteExample(session, reference=("吃",)))
+    if field == "tokens":
+        record["utterances"][0]["tokens"] = value
+    else:
+        record[field] = value
+    with pytest.raises(RewriterError) as err:
+        example_from_record(record)
+    assert err.value.code == "BAD_RECORD"
+    assert words in err.value.message
+
+
+@pytest.mark.parametrize("token", [PAD_TOKEN, EOS_TOKEN, BOS_TOKEN])
+def test_reserved_tokens_are_refused_on_read(session, token):
+    record = example_to_record(RewriteExample(session, reference=("吃",)))
+    record["utterances"][1]["tokens"].insert(1, token)
+    with pytest.raises(RewriterError) as err:
+        example_from_record(record)
+    assert err.value.code == "BAD_RECORD"
+    assert f"utterance 1 contains reserved token {token}" in err.value.message
+    record = example_to_record(RewriteExample(session, reference=("吃", token)))
+    with pytest.raises(RewriterError) as err:
+        example_from_record(record)
+    assert f"reference contains {token}" in err.value.message
+
+
+def test_unreadable_spans_and_empty_sessions_are_refused():
+    for record in (
+        {"utterances": []},
+        {"utterances": [{"speaker": "A", "tokens": ["x"]}],
+         "triples": [{"predicate": {"turn": float("inf"), "start": 0, "end": 1},
+                      "role": "ARG0", "argument": {"turn": 0, "start": 0, "end": 1}}]},
+    ):
+        with pytest.raises(RewriterError) as err:
+            example_from_record(record)
+        assert err.value.code == "BAD_RECORD"
+
+
+def test_future_argument_stays_a_lint(session):
+    ex = RewriteExample(
+        session, (PATriple(Span(1, 0, 1), SemanticRole.ARG0, Span(2, 0, 1)),), ("吃",)
+    )
+    assert "FUTURE_ARGUMENT" in validate_example(ex).codes()
+    assert example_from_record(example_to_record(ex)) == ex
+
+
 def test_file_round_trip(tmp_path, session):
     ex = RewriteExample(session=session, reference=("吃", "饭"))
     path = str(tmp_path / "corpus.jsonl")

@@ -1,0 +1,134 @@
+"""Prefix-cached batched greedy decoding against the full-recompute oracle.
+
+The corpus and the model shape are those of criterion 8: 2,000 sessions split
+1,600/200/200, d_model 64, 4 heads, 2 layers, d_ff 128, 24 decode steps.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import oracle_greedy_decode
+
+from srl_rewriter.core import RewriterError
+from srl_rewriter.generator import GeneratorConfig, sample_corpus, split_corpus
+from srl_rewriter.masks import MaskVariant
+from srl_rewriter.model import (
+    ModelConfig,
+    PrefixCache,
+    RewriterModel,
+    decode_batch,
+    greedy_decode,
+)
+from srl_rewriter.packing import BOS_ID, PAD_ID, build_vocabulary
+from srl_rewriter.srl import TripleMode, TripleSource
+from srl_rewriter.training import (
+    _DECODE_BATCH,
+    TrainConfig,
+    decode_corpus,
+    prepare_instances,
+    train,
+)
+
+MAX_STEPS = 24
+SOURCES = {
+    MaskVariant.NO_SRL: TripleSource(TripleMode.NONE),
+    MaskVariant.BI_MASK: TripleSource(TripleMode.GOLD),
+    MaskVariant.TRIPLE_MASK: TripleSource(TripleMode.GOLD),
+}
+
+
+@pytest.fixture(scope="module")
+def splits():
+    corpus = sample_corpus(GeneratorConfig(n_sessions=2000, seed=0, cross_turn_rate=0.3))
+    train_set, dev_set, test_set = split_corpus(corpus)
+    return train_set, dev_set, test_set, build_vocabulary(corpus)
+
+
+def model_config(vocab, variant):
+    return ModelConfig(
+        vocab_size=len(vocab), d_model=64, n_heads=4, n_layers=2, d_ff=128,
+        max_position=64, mask_variant=variant,
+    )
+
+
+@pytest.fixture(scope="module")
+def models(splits):
+    """Random-init and briefly trained weights for every mask variant; the
+    trained ones stop on EOS at different lengths."""
+    train_set, dev_set, _, vocab = splits
+    out = {}
+    for variant, source in SOURCES.items():
+        out[variant, "random"] = RewriterModel(model_config(vocab, variant), seed=5)
+        config = TrainConfig(
+            batch_size=32, lr=3e-3, max_steps=40, eval_every=40, triple_source=source,
+            mask_variant=variant, max_decode_steps=MAX_STEPS,
+        )
+        model = RewriterModel(model_config(vocab, variant), seed=6)
+        out[variant, "trained"] = train(model, train_set, dev_set[:4], vocab, config).final_model
+    return out
+
+
+def prefixes(splits, variant, split):
+    examples = {"dev": splits[1], "test": splits[2]}[split]
+    return prepare_instances(examples, splits[3], SOURCES[variant], 0, include_reference=False)
+
+
+@pytest.mark.parametrize("weights", ["random", "trained"])
+@pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("split", ["dev", "test"])
+def test_cached_decode_matches_full_recompute(splits, models, variant, weights, split):
+    model = models[variant, weights]
+    packs = prefixes(splits, variant, split)
+    expected = [oracle_greedy_decode(p, model, MAX_STEPS) for p in packs]
+    assert decode_corpus(model, packs, MAX_STEPS) == [hyp for hyp, _ in expected]
+
+    # feed each row the oracle's tokens and compare the logits of every step
+    worst = 0.0
+    for lo in range(0, len(packs), _DECODE_BATCH):
+        chunk = expected[lo : lo + _DECODE_BATCH]
+        cache = PrefixCache(model, packs[lo : lo + _DECODE_BATCH], MAX_STEPS)
+        for t in range(max(len(logits) for _, logits in chunk)):
+            fed = [BOS_ID if t == 0 else (hyp[t - 1] if t <= len(hyp) else PAD_ID)
+                   for hyp, _ in chunk]
+            got = cache.step(np.array(fed))
+            for b, (_, logits) in enumerate(chunk):
+                if t < len(logits):
+                    worst = max(worst, float(np.max(np.abs(got[b] - logits[t]))))
+    assert worst < 1e-9, f"step logits differ by {worst:.2e}"
+
+
+def test_batched_decode_equals_one_at_a_time(splits, models):
+    model = models[MaskVariant.TRIPLE_MASK, "trained"]
+    packs = sorted(prefixes(splits, MaskVariant.TRIPLE_MASK, "dev"), key=len)
+    singles = {id(p): greedy_decode(p, model, MAX_STEPS) for p in packs}
+    by_length: dict[int, list] = {}
+    for p in packs:
+        by_length.setdefault(len(singles[id(p)]), []).append(p)
+    assert len(by_length) > 1, "the trained model must stop at different lengths"
+    # shortest and longest prefixes together, and rows that stop at different steps
+    chunks = [
+        [packs[0], packs[-1], packs[1], packs[-2]],
+        [group[0] for group in by_length.values()],
+        packs[: 3 * _DECODE_BATCH + 1],
+    ]
+    for chunk in chunks:
+        assert decode_batch(chunk, model, MAX_STEPS) == [singles[id(p)] for p in chunk]
+    assert len(packs[0]) < len(packs[-1])
+    assert decode_corpus(model, packs, MAX_STEPS) == [singles[id(p)] for p in packs]
+
+
+def test_budget_hits_stop_every_row_at_max_steps(splits, models):
+    model = models[MaskVariant.BI_MASK, "random"]
+    packs = prefixes(splits, MaskVariant.BI_MASK, "test")[:_DECODE_BATCH]
+    hyps = decode_batch(packs, model, 3)
+    assert [len(h) for h in hyps] == [3] * len(packs)
+    assert hyps == [oracle_greedy_decode(p, model, 3)[0] for p in packs]
+
+
+def test_decode_refuses_a_prefix_with_a_rewrite_region(splits, models):
+    model = models[MaskVariant.TRIPLE_MASK, "random"]
+    train_set, _, _, vocab = splits
+    full = prepare_instances(train_set[:2], vocab, SOURCES[MaskVariant.TRIPLE_MASK], 0)
+    with pytest.raises(RewriterError) as err:
+        decode_batch(full, model, MAX_STEPS)
+    assert err.value.code == "SHAPE_MISMATCH"
