@@ -18,8 +18,9 @@ from typing import Optional
 from .core import (
     RewriterError,
     example_to_record,
+    read_decoded,
     read_examples,
-    read_records,
+    record_tokens,
     write_records,
 )
 from .generator import GeneratorConfig, default_rules, sample_corpus, split_corpus
@@ -281,18 +282,10 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    hyp_records = read_records(args.input)
-    ref_records = read_records(args.ref) if args.ref else hyp_records
-    if len(hyp_records) != len(ref_records):
+    hyps = read_decoded(args.input, lambda rec: record_tokens(rec, "hypothesis", "reference"))
+    refs = read_decoded(args.ref or args.input, lambda rec: record_tokens(rec, "reference"))
+    if len(hyps) != len(refs):
         raise RewriterError("LENGTH_MISMATCH", "hypothesis and reference files differ in length")
-    hyps, refs = [], []
-    for i, (hrec, rrec) in enumerate(zip(hyp_records, ref_records)):
-        hyp = hrec.get("hypothesis", hrec.get("reference"))
-        ref = rrec.get("reference")
-        if hyp is None or ref is None:
-            raise RewriterError("BAD_RECORD", f"record {i} lacks hypothesis/reference tokens")
-        hyps.append(list(hyp))
-        refs.append(list(ref))
     report = evaluate_corpus(hyps, refs, smooth_bleu=args.smooth_bleu)
     print(REPORT_HEADER)
     print(report.row())

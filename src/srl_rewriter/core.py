@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 PAD_TOKEN = "[PAD]"
 EOS_TOKEN = "[EOS]"
@@ -260,6 +260,16 @@ def _token_list(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def record_tokens(record, *keys: str) -> list[str]:
+    """The token list under the first of ``keys`` that a record holds."""
+    if not isinstance(record, dict):
+        raise RewriterError("BAD_RECORD", "record is not a JSON object")
+    for key in keys:
+        if key in record:
+            return list(_token_list(record[key], key))
+    raise RewriterError("BAD_RECORD", f"record lacks {' or '.join(keys)} tokens")
+
+
 def example_from_record(record: dict) -> RewriteExample:
     """Decode one record.  Fields of the wrong type, sessions without
     utterances, reserved tokens in the text and spans that point outside
@@ -313,14 +323,22 @@ def read_records(path: str) -> list[dict]:
     return records
 
 
-def read_examples(path: str) -> list[RewriteExample]:
-    examples = []
+T = TypeVar("T")
+
+
+def read_decoded(path: str, decode: Callable[[object], T]) -> list[T]:
+    """``decode`` of every record of a file; a refusal names the file and record."""
+    out = []
     for idx, record in enumerate(read_records(path)):
         try:
-            examples.append(example_from_record(record))
+            out.append(decode(record))
         except RewriterError as err:
             raise RewriterError(err.code, f"{path}: record {idx}: {err.message}") from err
-    return examples
+    return out
+
+
+def read_examples(path: str) -> list[RewriteExample]:
+    return read_decoded(path, example_from_record)
 
 
 def write_records(path: str, records: Iterable[dict]) -> None:

@@ -29,31 +29,28 @@ class MaskVariant(Enum):
     TRIPLE_MASK = "triple-mask"
 
 
+_Z, _C, _R = range(3)
+_KIND_CODE = {RegionKind.TRIPLE: _Z, RegionKind.CONTEXT: _C, RegionKind.REWRITE: _R}
+
+
 def build_mask(region_tags: Sequence[RegionTag], variant: MaskVariant) -> np.ndarray:
     """Boolean visibility matrix; M[i, j] means token i may attend token j."""
     n = len(region_tags)
-    kinds = np.array([tag.kind.value for tag in region_tags])
-    is_z = kinds == RegionKind.TRIPLE.value
-    is_c = kinds == RegionKind.CONTEXT.value
-    is_r = kinds == RegionKind.REWRITE.value
-    if variant is MaskVariant.NO_SRL and is_z.any():
+    kinds = np.fromiter((_KIND_CODE[tag.kind] for tag in region_tags), dtype=np.int8, count=n)
+    if variant is MaskVariant.NO_SRL and (kinds == _Z).any():
         raise RewriterError("VARIANT_MISMATCH", "no-srl variant with a non-empty triple region")
-
-    mask = np.zeros((n, n), dtype=bool)
-    # rows from the rewrite: everything before, causal within the rewrite
+    row, col = kinds[:, None], kinds[None, :]
     pos = np.arange(n)
-    mask[np.ix_(is_r, is_z | is_c)] = True
-    mask[np.ix_(is_r, is_r)] = pos[is_r][:, None] >= pos[is_r][None, :]
-    # rows from the context: full view of context and triples
-    mask[np.ix_(is_c, is_c | is_z)] = True
-    # rows from the triples: context always, triple block per variant
-    mask[np.ix_(is_z, is_c)] = True
+    # rewrite and context rows see triples and context; rewrite rows are causal
+    mask = (row != _Z) & (col != _R)
+    mask |= (row == _R) & (col == _R) & (pos[:, None] >= pos[None, :])
+    # triple rows see context, and triples of their block per variant
+    mask |= (row == _Z) & (col == _C)
+    triples = (row == _Z) & (col == _Z)
     if variant is MaskVariant.TRIPLE_MASK:
-        triple_idx = np.array([tag.index if tag.kind is RegionKind.TRIPLE else -1 for tag in region_tags])
-        same = triple_idx[is_z][:, None] == triple_idx[is_z][None, :]
-        mask[np.ix_(is_z, is_z)] = same
-    else:
-        mask[np.ix_(is_z, is_z)] = True
+        index = np.fromiter((tag.index for tag in region_tags), dtype=np.int64, count=n)
+        triples &= index[:, None] == index[None, :]
+    mask |= triples
     np.fill_diagonal(mask, True)
     return mask
 

@@ -152,34 +152,50 @@ class RewriterModel:
         return p["tok_emb"][ids] + p["seg_emb"][segs] + p["pos_emb"][poss]
 
     def forward_batch(
-        self, batch: dict, need_cache: bool = False
+        self, batch: dict, need_cache: bool = False, rows: Optional[tuple] = None
     ) -> tuple[np.ndarray, Optional[list]]:
-        """Logits [B, L, V] for a made batch; cache retained only when asked."""
+        """Logits [B, L, V] for a made batch; cache retained only when asked.
+
+        ``rows``, an index over the batch and row axes that picks R distinct
+        rows of every example, runs the last layer and the logits head on
+        those rows only and returns logits [B, R, V].
+        """
         ids, segs, poss, bias = batch["ids"], batch["segs"], batch["poss"], batch["bias"]
         if bias.shape[-1] != ids.shape[-1] or bias.shape[-2] != ids.shape[-1]:
             raise RewriterError("SHAPE_MISMATCH", "mask side does not match sequence length")
         x = self.embed_ids(ids, segs, poss)
         caches: list = []
+        last = self.config.n_layers - 1
         for i in range(self.config.n_layers):
-            x_in = x
-            x, cache = self._layer(i, x, bias)
+            x, cache = self._layer(i, x, bias, rows=rows if i == last else None)
             if need_cache:
-                caches.append(dict(cache, x_in=x_in))
+                caches.append(cache)
         logits = x @ self._out_weight() + self.params["out.b"]
         if need_cache:
             return logits, [ids, segs, poss, caches, x]
         return logits, None
 
     def _layer(
-        self, i: int, x: np.ndarray, bias: np.ndarray, kv: Optional[tuple] = None, at: int = 0
+        self,
+        i: int,
+        x: np.ndarray,
+        bias: np.ndarray,
+        kv: Optional[tuple] = None,
+        at: int = 0,
+        rows: Optional[tuple] = None,
     ) -> tuple[np.ndarray, dict]:
-        """One post-norm block over query rows x [B, Lq, d] under bias [B, Lq, Lk].
+        """One post-norm block over rows x [B, L, d].
 
-        Without ``kv`` the rows attend each other (Lk == Lq).  With ``kv`` =
+        Keys and values come from every row of x; queries, attention, layer
+        norms and FFN run on the query rows only: all of x when ``rows`` is
+        None, else x[rows] [B, R, d], R distinct rows of every example.
+        ``bias`` [B, L, Lk] holds one row per row of x.
+        Without ``kv`` the rows attend each other (Lk == L).  With ``kv`` =
         (K, V), buffers [B, H, L_max, dh] whose first ``at`` columns hold the
         keys and values of earlier rows, the rows' own keys and values are
-        written to columns [at, at + Lq) and attention spans [0, at + Lq).
-        Returns the block output and the activations the backward pass reads.
+        written to columns [at, at + L) and attention spans [0, at + L).
+        Returns the block output [B, R, d] and the activations the backward
+        pass reads.
         """
         p = self.params
         pre = f"layers.{i}."
@@ -188,9 +204,12 @@ class RewriterModel:
         dh = d // H
 
         def heads(m: np.ndarray) -> np.ndarray:
-            return m.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+            return m.reshape(B, m.shape[1], H, dh).transpose(0, 2, 1, 3)
 
-        qh = heads(x @ p[pre + "attn.Wq"] + p[pre + "attn.bq"])
+        xq = x
+        if rows is not None:
+            xq, bias = x[rows], bias[rows]
+        qh = heads(xq @ p[pre + "attn.Wq"] + p[pre + "attn.bq"])
         kh = heads(x @ p[pre + "attn.Wk"] + p[pre + "attn.bk"])
         vh = heads(x @ p[pre + "attn.Wv"] + p[pre + "attn.bv"])
         if kv is not None:
@@ -202,27 +221,34 @@ class RewriterModel:
         scores -= scores.max(axis=-1, keepdims=True)
         attn = np.exp(scores, out=scores)
         attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, L, d)
-        res1 = x + (ctx @ p[pre + "attn.Wo"] + p[pre + "attn.bo"])
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, xq.shape[1], d)
+        res1 = xq + (ctx @ p[pre + "attn.Wo"] + p[pre + "attn.bo"])
         x1, ln1_cache = _layer_norm_forward(res1, p[pre + "ln1.g"], p[pre + "ln1.b"])
         h_pre = x1 @ p[pre + "ff.W1"] + p[pre + "ff.b1"]
         h_act, gelu_cache = _gelu_forward(h_pre)
         res2 = x1 + (h_act @ p[pre + "ff.W2"] + p[pre + "ff.b2"])
         x2, ln2_cache = _layer_norm_forward(res2, p[pre + "ln2.g"], p[pre + "ln2.b"])
         cache = dict(
-            attn=attn, qh=qh, kh=kh, vh=vh, ctx=ctx, ln1=ln1_cache,
+            x=x, xq=xq, rows=rows, attn=attn, qh=qh, kh=kh, vh=vh, ctx=ctx, ln1=ln1_cache,
             x1=x1, h_act=h_act, gelu=gelu_cache, ln2=ln2_cache,
         )
         return x2, cache
 
     def loss_and_grads(self, batch: dict, loss_scale: float = 1.0) -> tuple[float, int]:
         """Summed NLL over target positions; analytic gradients accumulate into
-        ``self.grads`` scaled by ``loss_scale``.  Returns (loss, target count)."""
+        ``self.grads`` scaled by ``loss_scale``.  Returns (loss, target count).
+
+        The last layer and the logits head run only on a window of R rows per
+        example, R the widest target span of the batch: rows without a target
+        get no loss, so no gradient flows from them.
+        """
         target_mask, target_ids = batch["target_mask"], batch["target_ids"]
         n_targets = int(target_mask.sum())
         if n_targets == 0:
             raise RewriterError("NO_REFERENCE", "batch contains no loss targets")
-        logits, cache = self.forward_batch(batch, need_cache=True)
+        rows = _target_windows(target_mask)
+        target_mask, target_ids = target_mask[rows], target_ids[rows]
+        logits, cache = self.forward_batch(batch, need_cache=True, rows=rows)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         norm = exp.sum(axis=-1, keepdims=True)
@@ -234,16 +260,16 @@ class RewriterModel:
         dlogits = probs * target_mask[:, :, None]
         dlogits[bi, li, target_ids[bi, li]] -= 1.0
         dlogits *= loss_scale
-        self._backward(dlogits, batch, cache)
+        self._backward(dlogits, cache)
         return loss, n_targets
 
     # -- backward -----------------------------------------------------------
 
-    def _backward(self, dlogits: np.ndarray, batch: dict, cache: list) -> None:
+    def _backward(self, dlogits: np.ndarray, cache: list) -> None:
+        """Gradients of the logits ``dlogits`` [B, R, V] of a cached forward."""
         cfg = self.config
         p, g = self.params, self.grads
         ids, segs, poss, layer_caches, x_final = cache
-        B, L = ids.shape
         H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         scale = 1.0 / np.sqrt(dh)
 
@@ -257,6 +283,7 @@ class RewriterModel:
         for i in reversed(range(cfg.n_layers)):
             pre = f"layers.{i}."
             c = layer_caches[i]
+            B, R = dx.shape[:2]
             dres2, dg2, db2 = _layer_norm_backward(dx, c["ln2"])
             g[pre + "ln2.g"] += dg2
             g[pre + "ln2.b"] += db2
@@ -272,28 +299,43 @@ class RewriterModel:
             g[pre + "ln1.b"] += db1
             g[pre + "attn.bo"] += dres1.sum(axis=(0, 1))
             g[pre + "attn.Wo"] += np.tensordot(c["ctx"], dres1, axes=([0, 1], [0, 1]))
-            dctx = (dres1 @ p[pre + "attn.Wo"].T).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+            dctx = (dres1 @ p[pre + "attn.Wo"].T).reshape(B, R, H, dh).transpose(0, 2, 1, 3)
             dattn = dctx @ c["vh"].transpose(0, 1, 3, 2)
             dvh = c["attn"].transpose(0, 1, 3, 2) @ dctx
             dscores = c["attn"] * (dattn - (dattn * c["attn"]).sum(axis=-1, keepdims=True))
             dqh = dscores @ c["kh"] * scale
             dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"] * scale
-            dq = dqh.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-            dk = dkh.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-            dv = dvh.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
-            x_in = c["x_in"]
-            for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
+            x_in = c["x"]
+            dq = dqh.transpose(0, 2, 1, 3).reshape(B, R, cfg.d_model)
+            dk = dkh.transpose(0, 2, 1, 3).reshape(x_in.shape)
+            dv = dvh.transpose(0, 2, 1, 3).reshape(x_in.shape)
+            for name, dmat, x_of in (("q", dq, c["xq"]), ("k", dk, x_in), ("v", dv, x_in)):
                 g[pre + f"attn.b{name}"] += dmat.sum(axis=(0, 1))
-                g[pre + f"attn.W{name}"] += np.tensordot(x_in, dmat, axes=([0, 1], [0, 1]))
-            dx = (
-                dres1
-                + dq @ p[pre + "attn.Wq"].T
-                + dk @ p[pre + "attn.Wk"].T
-                + dv @ p[pre + "attn.Wv"].T
-            )
+                g[pre + f"attn.W{name}"] += np.tensordot(x_of, dmat, axes=([0, 1], [0, 1]))
+            dx = dres1 + dq @ p[pre + "attn.Wq"].T
+            if c["rows"] is not None:  # the query rows' gradient, back into all rows
+                dx_all = np.zeros_like(x_in)
+                dx_all[c["rows"]] += dx
+                dx = dx_all
+            dx = dx + dk @ p[pre + "attn.Wk"].T + dv @ p[pre + "attn.Wv"].T
         np.add.at(g["tok_emb"], ids, dx)
         np.add.at(g["seg_emb"], segs, dx)
         np.add.at(g["pos_emb"], poss, dx)
+
+
+def _target_windows(target_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one window of R rows per example that covers its targets.
+
+    R is the widest target span in the batch.  A window starts at the
+    example's first target, or earlier where it would run past the last row,
+    so its R rows are distinct and in range.
+    """
+    B, L = target_mask.shape
+    first = np.argmax(target_mask, axis=1)
+    last = L - 1 - np.argmax(target_mask[:, ::-1], axis=1)
+    span = np.where(target_mask.any(axis=1), last - first + 1, 0)
+    R = int(span.max())
+    return np.arange(B)[:, None], np.minimum(first, L - R)[:, None] + np.arange(R)
 
 
 def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -355,9 +397,8 @@ def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> d
         bias[b, :n, :n] = mask_to_additive(build_mask(packed.region_tags, variant))
         if packed.len_r > 0:
             start = packed.len_z + packed.len_c  # BOS position
-            for pos in range(start, n - 1):
-                target_mask[b, pos] = True
-                target_ids[b, pos] = packed.token_ids[pos + 1]
+            target_mask[b, start : n - 1] = True
+            target_ids[b, start : n - 1] = packed.token_ids[start + 1 :]
     return {
         "ids": ids,
         "segs": segs,
@@ -393,9 +434,11 @@ class PrefixCache:
             self.bias[b, 0, len(packed) : L] = NEG_BIAS
         self.prefix_len = L
         self.steps = 0
+        # no step reads the prefix's last-layer output: that layer only writes K and V
         x = model.embed_ids(batch["ids"], batch["segs"], batch["poss"])
         for i, kv in enumerate(self.kv):
-            x = model._layer(i, x, batch["bias"], kv)[0]
+            rows = np.s_[:, :0] if i == cfg.n_layers - 1 else None
+            x = model._layer(i, x, batch["bias"], kv, rows=rows)[0]
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Logits [B, V] of the next rewrite row, which holds ``token_ids``."""

@@ -9,8 +9,10 @@ against these, so the two code paths must never share logic.
 import math
 from itertools import combinations
 
+import numpy as np
+
 from srl_rewriter.masks import MaskVariant
-from srl_rewriter.model import make_batch
+from srl_rewriter.model import _gelu_backward, _layer_norm_backward, make_batch
 from srl_rewriter.packing import EOS_ID, RegionKind, append_rewrite_token, start_decode
 
 
@@ -162,3 +164,80 @@ def oracle_greedy_decode(packed_zc, model, max_steps):
             break
         packed = append_rewrite_token(packed, next_id)
     return emitted, step_logits
+
+
+def oracle_loss_and_grads(model, batch, loss_scale=1.0):
+    """Summed NLL and its gradients with every layer and the logits head run
+    on every row, rows without a target included.  Returns (loss, target
+    count, gradients by parameter name); ``model.grads`` is left alone.
+
+    It runs the library's full-row forward and its layer-norm and GELU
+    backward helpers (criterion 3 checks those against finite differences);
+    the rest of the backward is the full-row one that loss-row training
+    replaced.
+    """
+    cfg, p = model.config, model.params
+    target_mask, target_ids = batch["target_mask"], batch["target_ids"]
+    logits, cache = model.forward_batch(batch, need_cache=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    norm = exp.sum(axis=-1, keepdims=True)
+    probs = exp / norm
+    logp = shifted - np.log(norm)
+    bi, li = np.nonzero(target_mask)
+    loss = float(-logp[bi, li, target_ids[bi, li]].sum())
+    dlogits = probs * target_mask[:, :, None]
+    dlogits[bi, li, target_ids[bi, li]] -= 1.0
+    dlogits *= loss_scale
+
+    g = {name: np.zeros_like(value) for name, value in p.items()}
+    ids, segs, poss, layer_caches, x_final = cache
+    B, L = ids.shape
+    H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    scale = 1.0 / np.sqrt(dh)
+    out_w = p["tok_emb"].T if cfg.tie_embeddings else p["out.W"]
+    g["out.b"] += dlogits.sum(axis=(0, 1))
+    if cfg.tie_embeddings:
+        g["tok_emb"] += np.tensordot(dlogits, x_final, axes=([0, 1], [0, 1]))
+    else:
+        g["out.W"] += np.tensordot(x_final, dlogits, axes=([0, 1], [0, 1]))
+    dx = dlogits @ out_w.T
+    for i in reversed(range(cfg.n_layers)):
+        pre = f"layers.{i}."
+        c = layer_caches[i]
+        dres2, dg2, db2 = _layer_norm_backward(dx, c["ln2"])
+        g[pre + "ln2.g"] += dg2
+        g[pre + "ln2.b"] += db2
+        g[pre + "ff.b2"] += dres2.sum(axis=(0, 1))
+        g[pre + "ff.W2"] += np.tensordot(c["h_act"], dres2, axes=([0, 1], [0, 1]))
+        dh_pre = _gelu_backward(dres2 @ p[pre + "ff.W2"].T, c["gelu"])
+        g[pre + "ff.b1"] += dh_pre.sum(axis=(0, 1))
+        g[pre + "ff.W1"] += np.tensordot(c["x1"], dh_pre, axes=([0, 1], [0, 1]))
+        dx1 = dres2 + dh_pre @ p[pre + "ff.W1"].T
+        dres1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
+        g[pre + "ln1.g"] += dg1
+        g[pre + "ln1.b"] += db1
+        g[pre + "attn.bo"] += dres1.sum(axis=(0, 1))
+        g[pre + "attn.Wo"] += np.tensordot(c["ctx"], dres1, axes=([0, 1], [0, 1]))
+        dctx = (dres1 @ p[pre + "attn.Wo"].T).reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+        dattn = dctx @ c["vh"].transpose(0, 1, 3, 2)
+        dvh = c["attn"].transpose(0, 1, 3, 2) @ dctx
+        dscores = c["attn"] * (dattn - (dattn * c["attn"]).sum(axis=-1, keepdims=True))
+        dqh = dscores @ c["kh"] * scale
+        dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"] * scale
+        dq = dqh.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
+        dk = dkh.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
+        dv = dvh.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
+        for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
+            g[pre + f"attn.b{name}"] += dmat.sum(axis=(0, 1))
+            g[pre + f"attn.W{name}"] += np.tensordot(c["x"], dmat, axes=([0, 1], [0, 1]))
+        dx = (
+            dres1
+            + dq @ p[pre + "attn.Wq"].T
+            + dk @ p[pre + "attn.Wk"].T
+            + dv @ p[pre + "attn.Wv"].T
+        )
+    np.add.at(g["tok_emb"], ids, dx)
+    np.add.at(g["seg_emb"], segs, dx)
+    np.add.at(g["pos_emb"], poss, dx)
+    return loss, int(target_mask.sum()), g

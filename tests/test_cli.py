@@ -200,6 +200,34 @@ def test_evaluate_reference_against_itself_is_perfect(ws, capsys):
     assert row == ["100.00"] * 7
 
 
+@pytest.mark.parametrize("line", [
+    "5",
+    '["a"]',
+    '{"hypothesis": 5, "reference": ["a"]}',
+    '{"hypothesis": "abc", "reference": ["a"]}',
+    '{"hypothesis": ["a", 1], "reference": ["a"]}',
+    '{"hypothesis": ["a"], "reference": "a"}',
+    '{"hypothesis": ["a"]}',
+])
+def test_evaluate_refuses_malformed_records(ws, capsys, tmp_path, line):
+    hyps = read_lines(ws["hyps"])
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([hyps[0], line]) + "\n")
+    assert main(["evaluate", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert "error[BAD_RECORD]" in err and f"{path}: record 1: " in err
+
+
+def test_evaluate_refuses_a_malformed_reference_file(ws, capsys, tmp_path):
+    path = str(tmp_path / "refs.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"reference": ["a"]}\n{"reference": "abc"}\n{"reference": ["b"]}\n')
+    assert main(["evaluate", "--input", ws["hyps"], "--ref", path]) == 1
+    err = capsys.readouterr().err
+    assert "error[BAD_RECORD]" in err and f"{path}: record 1: reference" in err
+
+
 # -- triple scoring ----------------------------------------------------------------
 
 
@@ -369,8 +397,10 @@ RESERVED = st.sampled_from(["[PAD]", "[EOS]", "[BOS]"])
 @st.composite
 def mutated_record(draw, records):
     record = copy.deepcopy(draw(st.sampled_from(records)))
-    kind = draw(st.sampled_from(["type", "span", "reserved"]))
-    if kind == "type":
+    kind = draw(st.sampled_from(["record", "type", "span", "reserved"]))
+    if kind == "record":
+        record = draw(WRONG_TYPES.filter(lambda value: value is not DROP))
+    elif kind == "type":
         path = draw(st.sampled_from([p for p in record_paths(record) if p]))
         set_path(record, path, draw(WRONG_TYPES))
     elif kind == "span" and record.get("triples"):
@@ -386,7 +416,9 @@ def mutated_record(draw, records):
 
 @pytest.fixture(scope="module")
 def valid_records(ws):
-    return [json.loads(line) for line in read_lines(f"{ws['prefix']}.dev.jsonl")]
+    """Dev records and rewrite outputs, which add a hypothesis field."""
+    return [json.loads(line) for path in (f"{ws['prefix']}.dev.jsonl", ws["hyps"])
+            for line in read_lines(path)]
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +438,7 @@ def test_malformed_records_never_crash(ws, valid_records, fuzz_dir, data):
         ["stats", "--input", path, "--lint"],
         ["rewrite", "--model", ws["ckpt"], "--input", path,
          "--out", str(fuzz_dir / "out.jsonl")],
+        ["evaluate", "--input", path],
     ):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)
