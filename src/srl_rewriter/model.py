@@ -24,6 +24,7 @@ _LN_EPS = 1e-5
 
 CHECKPOINT_MAGIC = b"SRLW"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_DTYPE = "<f4"  # weights are stored as little-endian float32
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,13 @@ class RewriterModel:
         clone.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         return clone
 
+    def stored_copy(self) -> "RewriterModel":
+        """A copy with the weights a checkpoint of this model stores and loads."""
+        clone = self.copy()
+        for v in clone.params.values():
+            v[...] = v.astype(_CHECKPOINT_DTYPE)
+        return clone
+
     def _out_weight(self) -> np.ndarray:
         return self.params["tok_emb"].T if self.config.tie_embeddings else self.params["out.W"]
 
@@ -149,7 +157,10 @@ class RewriterModel:
                 f"position id {poss.max(initial=0)} outside max_position {cfg.max_position}",
             )
         p = self.params
-        return p["tok_emb"][ids] + p["seg_emb"][segs] + p["pos_emb"][poss]
+        x = p["tok_emb"][ids]
+        x += p["seg_emb"][segs]
+        x += p["pos_emb"][poss]
+        return x
 
     def forward_batch(
         self, batch: dict, need_cache: bool = False, rows: Optional[tuple] = None
@@ -170,7 +181,7 @@ class RewriterModel:
             x, cache = self._layer(i, x, bias, rows=rows if i == last else None)
             if need_cache:
                 caches.append(cache)
-        logits = x @ self._out_weight() + self.params["out.b"]
+        logits = _affine(x, self._out_weight(), self.params["out.b"])
         if need_cache:
             return logits, [ids, segs, poss, caches, x]
         return logits, None
@@ -195,7 +206,7 @@ class RewriterModel:
         keys and values of earlier rows, the rows' own keys and values are
         written to columns [at, at + L) and attention spans [0, at + L).
         Returns the block output [B, R, d] and the activations the backward
-        pass reads.
+        pass reads.  Arrays are written in place only before they are cached.
         """
         p = self.params
         pre = f"layers.{i}."
@@ -209,24 +220,27 @@ class RewriterModel:
         xq = x
         if rows is not None:
             xq, bias = x[rows], bias[rows]
-        qh = heads(xq @ p[pre + "attn.Wq"] + p[pre + "attn.bq"])
-        kh = heads(x @ p[pre + "attn.Wk"] + p[pre + "attn.bk"])
-        vh = heads(x @ p[pre + "attn.Wv"] + p[pre + "attn.bv"])
+        qh = heads(_affine(xq, p[pre + "attn.Wq"], p[pre + "attn.bq"]))
+        kh = heads(_affine(x, p[pre + "attn.Wk"], p[pre + "attn.bk"]))
+        vh = heads(_affine(x, p[pre + "attn.Wv"], p[pre + "attn.bv"]))
         if kv is not None:
             K, V = kv
             K[:, :, at : at + L] = kh
             V[:, :, at : at + L] = vh
             kh, vh = K[:, :, : at + L], V[:, :, : at + L]
-        scores = qh @ kh.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh)) + bias[:, None, :, :]
-        scores -= scores.max(axis=-1, keepdims=True)
-        attn = np.exp(scores, out=scores)
+        attn = qh @ kh.transpose(0, 1, 3, 2)  # the scores, turned into softmax in place
+        attn *= 1.0 / np.sqrt(dh)
+        attn += bias[:, None, :, :]
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, xq.shape[1], d)
-        res1 = xq + (ctx @ p[pre + "attn.Wo"] + p[pre + "attn.bo"])
+        res1 = _affine(ctx, p[pre + "attn.Wo"], p[pre + "attn.bo"])
+        res1 += xq
         x1, ln1_cache = _layer_norm_forward(res1, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        h_pre = x1 @ p[pre + "ff.W1"] + p[pre + "ff.b1"]
-        h_act, gelu_cache = _gelu_forward(h_pre)
-        res2 = x1 + (h_act @ p[pre + "ff.W2"] + p[pre + "ff.b2"])
+        h_act, gelu_cache = _gelu_forward(_affine(x1, p[pre + "ff.W1"], p[pre + "ff.b1"]))
+        res2 = _affine(h_act, p[pre + "ff.W2"], p[pre + "ff.b2"])
+        res2 += x1
         x2, ln2_cache = _layer_norm_forward(res2, p[pre + "ln2.g"], p[pre + "ln2.b"])
         cache = dict(
             x=x, xq=xq, rows=rows, attn=attn, qh=qh, kh=kh, vh=vh, ctx=ctx, ln1=ln1_cache,
@@ -249,16 +263,16 @@ class RewriterModel:
         rows = _target_windows(target_mask)
         target_mask, target_ids = target_mask[rows], target_ids[rows]
         logits, cache = self.forward_batch(batch, need_cache=True, rows=rows)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        norm = exp.sum(axis=-1, keepdims=True)
-        probs = exp / norm
-        logp = shifted - np.log(norm)
+        logits -= logits.max(axis=-1, keepdims=True)
+        dlogits = np.exp(logits)  # the softmax, then its loss gradient, in place
+        norm = dlogits.sum(axis=-1, keepdims=True)
+        dlogits /= norm
         bi, li = np.nonzero(target_mask)
-        loss = float(-logp[bi, li, target_ids[bi, li]].sum())
+        ti = target_ids[bi, li]
+        loss = float(-(logits[bi, li, ti] - np.log(norm[bi, li, 0])).sum())
 
-        dlogits = probs * target_mask[:, :, None]
-        dlogits[bi, li, target_ids[bi, li]] -= 1.0
+        dlogits *= target_mask[:, :, None]
+        dlogits[bi, li, ti] -= 1.0
         dlogits *= loss_scale
         self._backward(dlogits, cache)
         return loss, n_targets
@@ -273,12 +287,9 @@ class RewriterModel:
         H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         scale = 1.0 / np.sqrt(dh)
 
-        g["out.b"] += dlogits.sum(axis=(0, 1))
-        if cfg.tie_embeddings:
-            g["tok_emb"] += np.tensordot(dlogits, x_final, axes=([0, 1], [0, 1]))
-        else:
-            g["out.W"] += np.tensordot(x_final, dlogits, axes=([0, 1], [0, 1]))
-        dx = dlogits @ self._out_weight().T
+        out_grad = g["tok_emb"].T if cfg.tie_embeddings else g["out.W"]
+        _affine_grads(out_grad, g["out.b"], x_final, dlogits)
+        dx = _affine(dlogits, self._out_weight().T)
 
         for i in reversed(range(cfg.n_layers)):
             pre = f"layers.{i}."
@@ -287,40 +298,40 @@ class RewriterModel:
             dres2, dg2, db2 = _layer_norm_backward(dx, c["ln2"])
             g[pre + "ln2.g"] += dg2
             g[pre + "ln2.b"] += db2
-            g[pre + "ff.b2"] += dres2.sum(axis=(0, 1))
-            g[pre + "ff.W2"] += np.tensordot(c["h_act"], dres2, axes=([0, 1], [0, 1]))
-            dh_act = dres2 @ p[pre + "ff.W2"].T
-            dh_pre = _gelu_backward(dh_act, c["gelu"])
-            g[pre + "ff.b1"] += dh_pre.sum(axis=(0, 1))
-            g[pre + "ff.W1"] += np.tensordot(c["x1"], dh_pre, axes=([0, 1], [0, 1]))
-            dx1 = dres2 + dh_pre @ p[pre + "ff.W1"].T
+            _affine_grads(g[pre + "ff.W2"], g[pre + "ff.b2"], c["h_act"], dres2)
+            dh_pre = _gelu_backward(_affine(dres2, p[pre + "ff.W2"].T), c["gelu"])
+            _affine_grads(g[pre + "ff.W1"], g[pre + "ff.b1"], c["x1"], dh_pre)
+            dx1 = _affine(dh_pre, p[pre + "ff.W1"].T)
+            dx1 += dres2
             dres1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
             g[pre + "ln1.g"] += dg1
             g[pre + "ln1.b"] += db1
-            g[pre + "attn.bo"] += dres1.sum(axis=(0, 1))
-            g[pre + "attn.Wo"] += np.tensordot(c["ctx"], dres1, axes=([0, 1], [0, 1]))
-            dctx = (dres1 @ p[pre + "attn.Wo"].T).reshape(B, R, H, dh).transpose(0, 2, 1, 3)
-            dattn = dctx @ c["vh"].transpose(0, 1, 3, 2)
-            dvh = c["attn"].transpose(0, 1, 3, 2) @ dctx
-            dscores = c["attn"] * (dattn - (dattn * c["attn"]).sum(axis=-1, keepdims=True))
-            dqh = dscores @ c["kh"] * scale
-            dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"] * scale
+            _affine_grads(g[pre + "attn.Wo"], g[pre + "attn.bo"], c["ctx"], dres1)
+            dctx = _affine(dres1, p[pre + "attn.Wo"].T).reshape(B, R, H, dh).transpose(0, 2, 1, 3)
+            attn = c["attn"]
+            dvh = attn.transpose(0, 1, 3, 2) @ dctx
+            dscores = dctx @ c["vh"].transpose(0, 1, 3, 2)  # dattn, then the scores' in place
+            dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+            dscores *= attn
+            dscores *= scale
+            dqh = dscores @ c["kh"]
+            dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
             x_in = c["x"]
             dq = dqh.transpose(0, 2, 1, 3).reshape(B, R, cfg.d_model)
             dk = dkh.transpose(0, 2, 1, 3).reshape(x_in.shape)
             dv = dvh.transpose(0, 2, 1, 3).reshape(x_in.shape)
             for name, dmat, x_of in (("q", dq, c["xq"]), ("k", dk, x_in), ("v", dv, x_in)):
-                g[pre + f"attn.b{name}"] += dmat.sum(axis=(0, 1))
-                g[pre + f"attn.W{name}"] += np.tensordot(x_of, dmat, axes=([0, 1], [0, 1]))
-            dx = dres1 + dq @ p[pre + "attn.Wq"].T
+                _affine_grads(g[pre + f"attn.W{name}"], g[pre + f"attn.b{name}"], x_of, dmat)
+            dx = _affine(dq, p[pre + "attn.Wq"].T)
+            dx += dres1
             if c["rows"] is not None:  # the query rows' gradient, back into all rows
                 dx_all = np.zeros_like(x_in)
-                dx_all[c["rows"]] += dx
+                dx_all[c["rows"]] = dx
                 dx = dx_all
-            dx = dx + dk @ p[pre + "attn.Wk"].T + dv @ p[pre + "attn.Wv"].T
-        np.add.at(g["tok_emb"], ids, dx)
-        np.add.at(g["seg_emb"], segs, dx)
-        np.add.at(g["pos_emb"], poss, dx)
+            dx += _affine(dk, p[pre + "attn.Wk"].T)
+            dx += _affine(dv, p[pre + "attn.Wv"].T)
+        for name, index in (("tok_emb", ids), ("seg_emb", segs), ("pos_emb", poss)):
+            _scatter_rows(g[name], index, dx)
 
 
 def _target_windows(target_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,36 +349,91 @@ def _target_windows(target_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(B)[:, None], np.minimum(first, L - R)[:, None] + np.arange(R)
 
 
+# Kernels.  Each writes in place only into arrays it allocated itself; its
+# inputs and whatever it caches for the backward pass are never written again.
+
+
+def _affine(x: np.ndarray, W: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """x [..., n] @ W [n, m] (+ b), one 2-D product over the flattened leading axes."""
+    out = x.reshape(-1, W.shape[0]) @ W
+    if b is not None:
+        out += b
+    return out.reshape(*x.shape[:-1], W.shape[1])
+
+
+def _affine_grads(gW: np.ndarray, gb: np.ndarray, x: np.ndarray, dout: np.ndarray) -> None:
+    """Add the weight and bias gradients of ``_affine(x, W, b)`` into gW and gb."""
+    dout = dout.reshape(-1, gW.shape[1])
+    gW += x.reshape(-1, gW.shape[0]).T @ dout
+    gb += dout.sum(axis=0)
+
+
+def _scatter_rows(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(table, index, rows)``: rows [..., d] summed into the table
+    rows their index names.  One stable sort groups equal indices, and
+    ``np.add.reduceat`` sums each group in its original order."""
+    index = index.ravel()
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    starts = np.flatnonzero(np.concatenate(([True], index[1:] != index[:-1])))
+    table[index[starts]] += np.add.reduceat(rows.reshape(index.size, -1)[order], starts)
+
+
 def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv
-    return xhat * gamma + beta, (xhat, inv, gamma)
+    d = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + _LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out, (xhat, inv, gamma)
 
 
 def _layer_norm_backward(dout: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, inv, gamma = cache
-    dgamma = (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
-    dbeta = dout.sum(axis=tuple(range(dout.ndim - 1)))
-    dxhat = dout * gamma
-    mean1 = dxhat.mean(axis=-1, keepdims=True)
-    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - mean1 - xhat * mean2)
+    d = xhat.shape[-1]
+    prod = dout * xhat
+    dgamma = prod.reshape(-1, d).sum(axis=0)
+    dbeta = dout.reshape(-1, d).sum(axis=0)
+    dx = dout * gamma  # dxhat, then dx in place
+    np.multiply(dx, xhat, out=prod)
+    mean2 = prod.sum(axis=-1, keepdims=True) / d
+    dx -= dx.sum(axis=-1, keepdims=True) / d
+    dx -= np.multiply(xhat, mean2, out=prod)
+    dx *= inv
     return dx, dgamma, dbeta
 
 
 def _gelu_forward(x: np.ndarray):
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), (x, t)
+    t = x * x  # the tanh argument, then the tanh, in place
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
+    return out, (x, t)
 
 
 def _gelu_backward(dout: np.ndarray, cache) -> np.ndarray:
     x, t = cache
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+    dx = x * x  # d tanh-argument / dx, then the whole derivative, in place
+    dx *= 3 * 0.044715
+    dx += 1.0
+    dx *= _GELU_C
+    tail = t * t
+    np.subtract(1.0, tail, out=tail)
+    tail *= x
+    tail *= 0.5
+    dx *= tail
+    np.add(t, 1.0, out=tail)
+    tail *= 0.5
+    dx += tail
+    dx *= dout
+    return dx
 
 
 # -- batch assembly ----------------------------------------------------------
@@ -450,7 +516,7 @@ class PrefixCache:
         for i, kv in enumerate(self.kv):
             x = model._layer(i, x, self.bias[:, :, : at + 1], kv, at)[0]
         self.steps += 1
-        return x[:, 0] @ model._out_weight() + model.params["out.b"]
+        return _affine(x[:, 0], model._out_weight(), model.params["out.b"])
 
 
 def decode_batch(
@@ -510,7 +576,7 @@ def save_checkpoint(model: RewriterModel, path: str) -> None:
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
         for name, _ in _parameter_shapes(model.config):
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(model.params[name], dtype=_CHECKPOINT_DTYPE).tobytes())
 
 
 def load_checkpoint(path: str) -> RewriterModel:
@@ -535,6 +601,6 @@ def load_checkpoint(path: str) -> RewriterModel:
             raw = fh.read(4 * count)
             if len(raw) != 4 * count:
                 raise RewriterError("CHECKPOINT_MISMATCH", f"truncated array for {name}")
-            model.params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+            model.params[name] = np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE).astype(np.float64).reshape(shape)
         model.zero_grads()
     return model

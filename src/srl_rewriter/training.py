@@ -149,7 +149,7 @@ class EvalPoint:
 
 @dataclass
 class TrainResult:
-    model: RewriterModel  # weights at the best dev exact-match step
+    model: RewriterModel  # float32-rounded weights at the best dev exact-match step
     final_model: RewriterModel
     best_step: int
     best_em: float
@@ -198,10 +198,13 @@ def train(
     last_loss = math.inf
     stop = False
 
-    def run_eval() -> EvalPoint:
-        hyps = decode_corpus(model, dev_packs, config.max_decode_steps, vocab=vocab)
+    def run_eval() -> tuple[EvalPoint, RewriterModel]:
+        # dev is scored on the weights a checkpoint stores, so a reloaded best
+        # model reproduces the best dev exact match
+        scored = model.stored_copy()
+        hyps = decode_corpus(scored, dev_packs, config.max_decode_steps, vocab=vocab)
         report = evaluate_corpus(hyps, dev_refs)
-        return EvalPoint(step=step, train_loss=last_loss, report=report)
+        return EvalPoint(step=step, train_loss=last_loss, report=report), scored
 
     while step < config.max_steps and not stop:
         perm = order_rng.permutation(len(train_packs))
@@ -219,12 +222,12 @@ def train(
             step += 1
 
             if step % config.eval_every == 0 or step >= config.max_steps:
-                point = run_eval()
+                point, scored = run_eval()
                 history.append(point)
                 if point.report.em > best_em:
                     best_em = point.report.em
                     best_step = step
-                    best_model = model.copy()
+                    best_model = scored
                 conditions = []
                 if config.stop_loss is not None:
                     conditions.append(last_loss < config.stop_loss)
@@ -236,9 +239,9 @@ def train(
                 break
 
     if not history:  # max_steps smaller than eval_every never fires above
-        point = run_eval()
+        point, best_model = run_eval()
         history.append(point)
-        best_em, best_step, best_model = point.report.em, step, model.copy()
+        best_em, best_step = point.report.em, step
 
     return TrainResult(
         model=best_model,

@@ -159,6 +159,25 @@ def test_train_writes_checkpoint_vocab_manifest(ws):
     assert set(manifest["outputs"]) == {ws["ckpt"], ws["ckpt"] + ".vocab"}
 
 
+def test_rewrite_of_dev_reproduces_the_best_dev_em(tmp_path, capsys):
+    # the printed best dev-EM is scored on the weights the checkpoint stores
+    prefix = str(tmp_path / "corpus")
+    assert main(["gen-corpus", "--n-sessions", "120", "--seed", "3", "--split",
+                 "--out-prefix", prefix]) == 0
+    ckpt, hyps = str(tmp_path / "model.ckpt"), str(tmp_path / "dev.hyps.jsonl")
+    assert main([
+        "train", "--train", f"{prefix}.train.jsonl", "--dev", f"{prefix}.dev.jsonl",
+        "--out", ckpt, "--d-model", "32", "--n-heads", "2", "--n-layers", "1", "--d-ff", "48",
+        "--batch-size", "16", "--lr", "0.005", "--max-steps", "150", "--eval-every", "50",
+    ]) == 0
+    best = capsys.readouterr().out.splitlines()[-1].split()
+    assert best[:2] == ["best", "dev-EM"] and 0.0 < float(best[2]) < 100.0
+    assert main(["rewrite", "--model", ckpt, "--input", f"{prefix}.dev.jsonl", "--out", hyps]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--input", hyps]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == best[2]
+
+
 def test_rewrite_attaches_hypotheses(ws):
     records = [json.loads(line) for line in read_lines(ws["hyps"])]
     assert len(records) == 3

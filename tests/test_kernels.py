@@ -1,0 +1,187 @@
+"""The model's numerical kernels against their textbook formulas.
+
+The layer norm, GELU and embedding-scatter kernels work in place on arrays
+they allocate; here they are checked against the oracle formulas, against
+central differences and against ``np.add.at``, and the whole model is checked
+for writes into arrays it does not own: the batch, the parameters and the
+activations cached for the backward pass.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from oracles import (
+    oracle_forward,
+    oracle_gelu_backward,
+    oracle_gelu_forward,
+    oracle_layer_norm_backward,
+    oracle_layer_norm_forward,
+)
+
+from srl_rewriter.generator import GeneratorConfig, sample_corpus, split_corpus
+from srl_rewriter.masks import MaskVariant
+from srl_rewriter.model import (
+    ModelConfig,
+    RewriterModel,
+    _gelu_backward,
+    _gelu_forward,
+    _layer_norm_backward,
+    _layer_norm_forward,
+    _scatter_rows,
+    make_batch,
+)
+from srl_rewriter.packing import build_vocabulary
+from srl_rewriter.srl import TripleMode, TripleSource
+from srl_rewriter.training import prepare_instances
+
+
+def assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert float(np.abs(got - want).max()) <= rtol * float(np.abs(want).max())
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(7)
+
+
+# -- embedding scatter ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["repeated", "one_index", "segments", "unused_rows"])
+def test_scatter_rows_matches_add_at(case, rng):
+    table_rows, shape = {
+        "repeated": (50, (8, 12)),
+        "one_index": (5, (6, 9)),
+        "segments": (3, (32, 36)),
+        "unused_rows": (64, (4, 10)),
+    }[case]
+    index = {
+        "repeated": rng.integers(0, 6, size=shape),
+        "one_index": np.full(shape, 3),
+        "segments": rng.integers(0, 3, size=shape),
+        "unused_rows": rng.integers(10, 20, size=shape),
+    }[case]
+    rows = rng.normal(size=(*shape, 16))
+    start = rng.normal(size=(table_rows, 16))
+    want = start.copy()
+    np.add.at(want, index, rows)
+    got = start.copy()
+    _scatter_rows(got, index, rows)
+    assert_close(got, want)
+    untouched = np.setdiff1d(np.arange(table_rows), index)
+    assert np.array_equal(got[untouched], start[untouched])
+
+
+# -- layer norm and GELU --------------------------------------------------------
+
+
+def test_layer_norm_matches_oracle(rng):
+    x = rng.normal(size=(4, 9, 32)) * 3 + 1
+    gamma, beta = rng.normal(size=32), rng.normal(size=32)
+    dout = rng.normal(size=x.shape)
+    out, cache = _layer_norm_forward(x, gamma, beta)
+    want, want_cache = oracle_layer_norm_forward(x, gamma, beta)
+    assert_close(out, want)
+    for got, expected in zip(_layer_norm_backward(dout, cache),
+                             oracle_layer_norm_backward(dout, want_cache)):
+        assert_close(got, expected)
+
+
+def test_gelu_matches_oracle(rng):
+    x = rng.normal(size=(4, 9, 32)) * 3
+    dout = rng.normal(size=x.shape)
+    out, cache = _gelu_forward(x)
+    want, want_cache = oracle_gelu_forward(x)
+    assert_close(out, want)
+    assert_close(_gelu_backward(dout, cache), oracle_gelu_backward(dout, want_cache))
+
+
+def test_gelu_backward_matches_central_differences(rng):
+    x = rng.normal(size=(3, 5, 8)) * 3
+    dout = rng.normal(size=x.shape)
+    h = 1e-6
+    numeric = dout * (_gelu_forward(x + h)[0] - _gelu_forward(x - h)[0]) / (2 * h)
+    assert_close(_gelu_backward(dout, _gelu_forward(x)[1]), numeric, rtol=1e-7)
+
+
+def test_layer_norm_backward_matches_central_differences(rng):
+    x = rng.normal(size=(2, 3, 8)) * 2 + 0.5
+    gamma, beta = rng.normal(size=8), rng.normal(size=8)
+    dout = rng.normal(size=x.shape)
+    dx, dgamma, dbeta = _layer_norm_backward(dout, _layer_norm_forward(x, gamma, beta)[1])
+    h = 1e-6
+    for value, grad in ((x, dx), (gamma, dgamma), (beta, dbeta)):
+        numeric = np.zeros_like(value)
+        for idx in np.ndindex(value.shape):
+            saved = value[idx]
+            value[idx] = saved + h
+            up = float((dout * _layer_norm_forward(x, gamma, beta)[0]).sum())
+            value[idx] = saved - h
+            down = float((dout * _layer_norm_forward(x, gamma, beta)[0]).sum())
+            value[idx] = saved
+            numeric[idx] = (up - down) / (2 * h)
+        assert_close(grad, numeric, rtol=1e-7)
+
+
+# -- no aliasing ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def batch_and_model():
+    corpus = sample_corpus(GeneratorConfig(n_sessions=200, seed=0, cross_turn_rate=0.3))
+    vocab = build_vocabulary(corpus)
+    packs = prepare_instances(
+        split_corpus(corpus)[0][:16], vocab, TripleSource(TripleMode.GOLD), master_seed=0
+    )
+    config = ModelConfig(vocab_size=len(vocab), mask_variant=MaskVariant.TRIPLE_MASK)
+    return make_batch(packs, MaskVariant.TRIPLE_MASK), RewriterModel(config, seed=3)
+
+
+def cached_arrays(layer_caches):
+    """Every cached activation, by layer and name, with tuples flattened."""
+    out = {}
+    for i, cache in enumerate(layer_caches):
+        for name, value in cache.items():
+            values = value if isinstance(value, tuple) else (value,)
+            for j, array in enumerate(values):
+                if isinstance(array, np.ndarray):
+                    out[i, name, j] = array
+    return out
+
+
+def test_kernels_write_no_array_they_do_not_own(batch_and_model):
+    batch, model = batch_and_model
+    batch_before = copy.deepcopy(batch)
+    params_before = copy.deepcopy(model.params)
+    runs = []
+    for _ in range(2):
+        model.zero_grads()
+        loss, _ = model.loss_and_grads(batch, loss_scale=0.01)
+        runs.append((loss, copy.deepcopy(model.grads)))
+    assert runs[0][0] == runs[1][0]
+    for name in model.grads:
+        assert np.array_equal(runs[0][1][name], runs[1][1][name]), name
+    for key, value in batch.items():
+        assert np.array_equal(value, batch_before[key]), key
+    for name, value in model.params.items():
+        assert np.array_equal(value, params_before[name]), name
+
+    plain, _ = model.forward_batch(batch)
+    logits, cache = model.forward_batch(batch, need_cache=True)
+    assert np.array_equal(plain, logits)
+
+    # the forward pass caches what the oracle computes, and the backward
+    # pass leaves every cached activation as it found it
+    cached = cached_arrays(cache[3])
+    snapshot = copy.deepcopy(cached)
+    oracle = cached_arrays(oracle_forward(model, batch)[1])
+    for key, want in oracle.items():
+        assert_close(cached[key], want)
+    model.zero_grads()
+    model._backward(np.ones_like(logits) * 1e-3, cache)
+    for key, value in cached.items():
+        assert np.array_equal(value, snapshot[key]), key

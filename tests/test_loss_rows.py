@@ -1,14 +1,16 @@
-"""Loss-row training against the full-row oracle.
+"""The forward pass and loss-row training against the full-row oracles.
 
 ``loss_and_grads`` runs the last layer and the logits head only on a window
 of rows around each example's targets; ``oracle_loss_and_grads`` runs them
-on every row.  The corpus and the model shape are those of criterion 8.
+on every row, through ``oracle_forward`` and textbook backward formulas that
+share no kernel with the library.  The corpus and the model shape are those
+of criterion 8.
 """
 
 import numpy as np
 import pytest
 
-from oracles import oracle_loss_and_grads
+from oracles import oracle_forward, oracle_loss_and_grads
 
 from srl_rewriter.generator import GeneratorConfig, sample_corpus, split_corpus
 from srl_rewriter.masks import MaskVariant
@@ -69,6 +71,19 @@ def criterion_8_model(vocab, variant):
         max_position=64, mask_variant=variant,
     )
     return RewriterModel(config, seed=5)
+
+
+@pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)
+def test_forward_matches_oracle_forward(corpus, variant):
+    train_set, vocab = corpus
+    packs = prepare_instances(train_set[:64], vocab, SOURCES[variant], master_seed=0)
+    model = criterion_8_model(vocab, variant)
+    for seqs in (packs[:1], packs[1:9], packs[32:64]):
+        batch = make_batch(seqs, variant)
+        want = oracle_forward(model, batch)[0]
+        got = model.forward_batch(batch)[0]
+        assert got.shape == want.shape
+        assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max())
 
 
 @pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)

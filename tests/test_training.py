@@ -6,7 +6,7 @@ import pytest
 from srl_rewriter.core import RewriterError
 from srl_rewriter.generator import GeneratorConfig, default_rules, sample_corpus
 from srl_rewriter.masks import MaskVariant
-from srl_rewriter.model import ModelConfig, RewriterModel
+from srl_rewriter.model import ModelConfig, RewriterModel, load_checkpoint, save_checkpoint
 from srl_rewriter.packing import build_vocabulary
 from srl_rewriter.srl import TripleMode, TripleSource
 from srl_rewriter.training import (
@@ -205,6 +205,19 @@ def test_best_checkpoint_is_earliest_max(micro_setup):
     top = max(em for _, em in ems)
     assert result.best_em == top
     assert result.best_step == min(step for step, em in ems if em == top)
+
+
+def test_best_model_holds_the_weights_its_checkpoint_stores(micro_setup, tmp_path):
+    corpus, vocab, config = micro_setup
+    result = train(
+        RewriterModel(config, seed=2), corpus[:6], corpus[6:], vocab, micro_train_config()
+    )
+    path = str(tmp_path / "best.ckpt")
+    save_checkpoint(result.model, path)
+    loaded = load_checkpoint(path)
+    for name, value in result.model.params.items():
+        assert np.array_equal(value, value.astype(np.float32)), name
+        assert np.array_equal(loaded.params[name], value), name
 
 
 def test_eval_fires_at_final_step_even_off_schedule(micro_setup):
