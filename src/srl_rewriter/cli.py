@@ -97,18 +97,24 @@ def _clip(value: float) -> Optional[float]:
     return None if value == 0 else value
 
 
+_VARIANTS = [v.value for v in MaskVariant]
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", help="flat key = value file of defaults")
     sub.add_argument("--manifest", help="manifest path override")
 
 
+def _add_token_mode(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--token-mode", choices=["char", "word"], default="char",
+                     help="lexicon for heuristic rules")
+
+
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--source", choices=[m.value for m in TripleMode], default="gold")
     sub.add_argument("--scope", choices=[s.value for s in TripleScope], default="full")
-    sub.add_argument("--variant", choices=[v.value for v in MaskVariant], default="triple-mask")
-    sub.add_argument("--token-mode", choices=["char", "word"], default="char",
-                     help="lexicon for heuristic rules")
+    _add_token_mode(sub)
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -144,15 +150,14 @@ def _model_config(args: argparse.Namespace, vocab_size: int, variant: MaskVarian
     )
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
+def _train_config(args: argparse.Namespace, **fields) -> TrainConfig:
     return TrainConfig(
+        **fields,
         batch_size=args.batch_size,
         lr=args.lr,
         max_steps=args.max_steps,
         eval_every=args.eval_every,
         seed=args.seed,
-        triple_source=_source(args),
-        mask_variant=MaskVariant(args.variant),
         clip_norm=_clip(args.clip_norm),
         stop_loss=args.stop_loss,
         stop_dev_em=args.stop_dev_em,
@@ -245,7 +250,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     vocab = build_vocabulary([*train_examples, *dev_examples])
     variant = MaskVariant(args.variant)
     model = RewriterModel(_model_config(args, len(vocab), variant), seed=args.seed)
-    config = _train_config(args)
+    config = _train_config(args, triple_source=_source(args))
     result = train(model, train_examples, dev_examples, vocab, config, _rules(args))
     for point in result.history:
         rep = point.report
@@ -264,6 +269,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_rewrite(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.model)
+    variant = model.config.mask_variant.value
+    if args.variant not in (None, variant):
+        raise RewriterError(
+            "VARIANT_MISMATCH", f"--variant {args.variant} against a {variant} checkpoint"
+        )
+    args.variant = variant  # the manifest records the variant the decode ran under
     vocab = Vocabulary.load(args.vocab or args.model + ".vocab")
     examples = read_examples(args.input)
     packs = prepare_instances(
@@ -417,12 +428,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--dump", action="store_true", help="print the packed token table")
     sub.add_argument("--dump-mask", action="store_true", help="print visibility rows as 0/1")
     _add_source_flags(sub)
+    sub.add_argument("--variant", choices=_VARIANTS, default="triple-mask",
+                     help="mask of --dump-mask")
 
     sub = register("train", cmd_train, "train a rewriter")
     sub.add_argument("--train", required=True)
     sub.add_argument("--dev", required=True)
     sub.add_argument("--out", required=True, help="checkpoint path")
     _add_source_flags(sub)
+    sub.add_argument("--variant", choices=_VARIANTS, default="triple-mask")
     _add_model_flags(sub)
     _add_train_flags(sub)
 
@@ -433,6 +447,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--out", required=True)
     sub.add_argument("--max-decode-steps", type=int, default=32)
     _add_source_flags(sub)
+    sub.add_argument("--variant", choices=_VARIANTS,
+                     help="must match the checkpoint's, which is the default")
 
     sub = register("evaluate", cmd_evaluate, "score hypotheses against references")
     sub.add_argument("--input", required=True, help="records with hypothesis tokens")
@@ -452,7 +468,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--seeds", default="0,1,2")
     sub.add_argument("--cells", default=",".join(cell.label for cell in DEFAULT_GRID))
     sub.add_argument("--out", required=True, help="JSON results path")
-    _add_source_flags(sub)
+    _add_token_mode(sub)
     _add_model_flags(sub)
     _add_train_flags(sub)
 
@@ -475,10 +491,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             args = parser.parse_args(argv)
         return args.func(args)
     except RewriterError as err:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
+        print(f"error[{err.code}]: {err.message}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 0
+    except OSError as err:  # a path that is missing, a directory or not writable
+        print(f"error[IO_ERROR]: {err}", file=sys.stderr)
+        return 1
     except SystemExit:
         raise
     except Exception:

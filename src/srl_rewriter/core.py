@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 PAD_TOKEN = "[PAD]"
 EOS_TOKEN = "[EOS]"
@@ -224,8 +224,16 @@ def _span_to_obj(span: Span) -> dict:
     return {"turn": span.turn_index, "start": span.start, "end": span.end}
 
 
+def _offset(value) -> int:
+    if type(value) is not int:  # a bool passes isinstance(value, int); a float would truncate
+        raise TypeError(f"span offset {value!r} is not an integer")
+    return value
+
+
 def _span_from_obj(obj: dict) -> Span:
-    return Span(turn_index=int(obj["turn"]), start=int(obj["start"]), end=int(obj["end"]))
+    return Span(
+        turn_index=_offset(obj["turn"]), start=_offset(obj["start"]), end=_offset(obj["end"])
+    )
 
 
 def example_to_record(example: RewriteExample, hypothesis: Optional[Iterable[str]] = None) -> dict:
@@ -309,17 +317,26 @@ def example_from_record(record: dict) -> RewriteExample:
     return example
 
 
+def text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a UTF-8 text file; other bytes are refused with a
+    coded error that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise RewriterError("BAD_ENCODING", f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
 def read_records(path: str) -> list[dict]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise RewriterError("BAD_RECORD", f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise RewriterError("BAD_RECORD", f"{path}:{lineno}: {exc}") from exc
     return records
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .core import RewriterError
+from .core import RewriterError, text_lines
 
 
 def file_digest(path: str) -> str:
@@ -69,19 +69,18 @@ def parse_config_file(path: str) -> dict:
     bool/int/float when they parse, strings otherwise.  Hyphens in keys are
     normalized to underscores so keys mirror the long CLI flags."""
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise RewriterError("BAD_CONFIG", f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not key or not value:
-                raise RewriterError("BAD_CONFIG", f"{path}:{lineno}: empty key or value")
-            if key in out:
-                raise RewriterError("BAD_CONFIG", f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = _typed(value)
+    for lineno, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise RewriterError("BAD_CONFIG", f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        value = value.strip()
+        if not key or not value:
+            raise RewriterError("BAD_CONFIG", f"{path}:{lineno}: empty key or value")
+        if key in out:
+            raise RewriterError("BAD_CONFIG", f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = _typed(value)
     return out

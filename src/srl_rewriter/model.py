@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import RewriterError
-from .masks import NEG_BIAS, MaskVariant, build_mask, mask_to_additive
+from .masks import NEG_BIAS, MaskVariant, build_batch_mask, mask_to_additive
 from .packing import BOS_ID, EOS_ID, PackedSequence, SegmentType
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -443,33 +443,29 @@ def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> d
     """Pad packed sequences into model-ready arrays under a mask variant, with
     next-token loss targets over each rewrite region.
 
-    Padding columns are invisible to every real position, so batched and
+    The bias follows the padding rule of ``build_batch_mask``, so batched and
     single-sequence execution agree exactly.
     """
-    length = max(len(s) for s in packed_seqs)
-    B = len(packed_seqs)
-    ids = np.zeros((B, length), dtype=np.int64)
-    segs = np.zeros((B, length), dtype=np.int64)
-    poss = np.zeros((B, length), dtype=np.int64)
-    bias = np.full((B, length, length), NEG_BIAS, dtype=np.float64)
-    target_mask = np.zeros((B, length), dtype=bool)
-    target_ids = np.zeros((B, length), dtype=np.int64)
-    for b, packed in enumerate(packed_seqs):
-        n = len(packed)
-        ids[b, :n] = packed.token_ids
-        segs[b, :n] = [int(s) for s in packed.segment_ids]
-        poss[b, :n] = packed.position_ids
-        np.fill_diagonal(bias[b], 0.0)  # padding rows attend themselves only
-        bias[b, :n, :n] = mask_to_additive(build_mask(packed.region_tags, variant))
-        if packed.len_r > 0:
-            start = packed.len_z + packed.len_c  # BOS position
-            target_mask[b, start : n - 1] = True
-            target_ids[b, start : n - 1] = packed.token_ids[start + 1 :]
+    lengths = np.array([len(s) for s in packed_seqs])
+    cols = np.arange(lengths.max())
+    real = cols < lengths[:, None]
+
+    def padded(field: str) -> np.ndarray:
+        out = np.zeros(real.shape, dtype=np.int64)
+        out[real] = np.concatenate([getattr(s, field) for s in packed_seqs])
+        return out
+
+    ids = padded("token_ids")
+    # targets run from each rewrite's BOS column up to its last-but-one token
+    bos = np.array([s.len_z + s.len_c for s in packed_seqs])
+    target_mask = (cols >= bos[:, None]) & (cols < lengths[:, None] - 1)
+    target_ids = np.zeros_like(ids)
+    target_ids[:, :-1] = np.where(target_mask[:, :-1], ids[:, 1:], 0)
     return {
         "ids": ids,
-        "segs": segs,
-        "poss": poss,
-        "bias": bias,
+        "segs": padded("segment_ids"),
+        "poss": padded("position_ids"),
+        "bias": mask_to_additive(build_batch_mask([s.region_tags for s in packed_seqs], variant)),
         "target_mask": target_mask,
         "target_ids": target_ids,
     }

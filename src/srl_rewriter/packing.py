@@ -23,6 +23,7 @@ from .core import (
     RewriteExample,
     RewriterError,
     SemanticRole,
+    text_lines,
 )
 
 # Role markers sit between predicate and argument tokens so each triple is
@@ -89,8 +90,7 @@ class Vocabulary:
 
     @staticmethod
     def load(path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        tokens = [line.rstrip("\n") for _, line in text_lines(path) if line.rstrip("\n")]
         expected = [PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN]
         if tokens[: len(expected)] != expected:
             raise RewriterError("VOCAB_OVERFLOW", f"{path} lacks the reserved token prefix")

@@ -47,7 +47,6 @@ class TrainConfig:
     eval_every: int = 100
     seed: int = 0
     triple_source: TripleSource = TripleSource(TripleMode.GOLD)
-    mask_variant: MaskVariant = MaskVariant.TRIPLE_MASK
     clip_norm: Optional[float] = 1.0
     stop_loss: Optional[float] = None
     stop_dev_em: Optional[float] = None
@@ -64,11 +63,6 @@ class TrainConfig:
             raise RewriterError("CONFIG_INVALID", f"eval_every {self.eval_every} < 1")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise RewriterError("CONFIG_INVALID", f"clip_norm {self.clip_norm} must be positive")
-        if self.mask_variant is MaskVariant.NO_SRL and self.triple_source.mode is not TripleMode.NONE:
-            raise RewriterError(
-                "VARIANT_MISMATCH",
-                "the variant without a triple region requires the empty triple source",
-            )
 
 
 @dataclass
@@ -167,15 +161,17 @@ def train(
 ) -> TrainResult:
     """Minimize rewrite NLL; keep the weights with the best dev exact match.
 
-    Ties on dev exact match keep the earliest step.  Dev quality is measured
-    by greedy decoding against the stored references.
+    Batches are masked under the model's own variant.  Ties on dev exact match
+    keep the earliest step.  Dev quality is measured by greedy decoding
+    against the stored references.
     """
     if not train_examples:
         raise RewriterError("EMPTY_CORPUS", "no training examples")
     if not dev_examples:
         raise RewriterError("EMPTY_CORPUS", "no dev examples")
-    if config.mask_variant is not model.config.mask_variant:
-        raise RewriterError("VARIANT_MISMATCH", "train and model mask variants differ")
+    variant = model.config.mask_variant
+    if variant is MaskVariant.NO_SRL and config.triple_source.mode is not TripleMode.NONE:
+        raise RewriterError("VARIANT_MISMATCH", "no-srl needs the empty triple source")
     model.config.check_decode_budget(config.max_decode_steps)
 
     train_packs = prepare_instances(
@@ -210,7 +206,7 @@ def train(
         perm = order_rng.permutation(len(train_packs))
         for lo in range(0, len(perm), config.batch_size):
             idxs = perm[lo : lo + config.batch_size]
-            batch = make_batch([train_packs[i] for i in idxs], config.mask_variant)
+            batch = make_batch([train_packs[i] for i in idxs], variant)
             n_targets = int(batch["target_mask"].sum())
             model.zero_grads()
             loss_sum, _ = model.loss_and_grads(batch, loss_scale=1.0 / n_targets)
@@ -327,12 +323,8 @@ def run_ablation_grid(
     runs: dict[str, list[CellRun]] = {cell.label: [] for cell in grid}
     for cell in grid:
         for seed in seeds:
-            cfg = replace(
-                model_config, vocab_size=len(vocab), mask_variant=cell.variant
-            )
-            tcfg = replace(
-                train_config, seed=seed, triple_source=cell.source, mask_variant=cell.variant
-            )
+            cfg = replace(model_config, vocab_size=len(vocab), mask_variant=cell.variant)
+            tcfg = replace(train_config, seed=seed, triple_source=cell.source)
             model = RewriterModel(cfg, seed=derive_seed(seed, f"init:{cell.label}"))
             result = train(
                 model, train_examples, dev_examples, vocab, tcfg,

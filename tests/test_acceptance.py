@@ -162,7 +162,7 @@ def test_criterion_04_overfit():
     )
     config = TrainConfig(
         batch_size=32, lr=1e-3, max_steps=2000, eval_every=50,
-        triple_source=TripleSource(TripleMode.GOLD), mask_variant=MaskVariant.TRIPLE_MASK,
+        triple_source=TripleSource(TripleMode.GOLD),
         stop_loss=0.01, stop_dev_em=1.0, max_decode_steps=24,
     )
     result = train(model, corpus, corpus, vocab, config)

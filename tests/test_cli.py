@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from srl_rewriter.cli import main
+from srl_rewriter.cli import build_parser, main
 from srl_rewriter.model import load_checkpoint
 
 TINY_MODEL = [
@@ -201,6 +201,19 @@ def test_rewrite_reports_decode_budget_hits(ws, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == lines[-1]
 
 
+def test_rewrite_refuses_a_variant_its_checkpoint_was_not_trained_with(ws, capsys, tmp_path):
+    out = str(tmp_path / "hyps.jsonl")
+    argv = ["rewrite", "--model", ws["ckpt"], "--input", f"{ws['prefix']}.test.jsonl",
+            "--out", out]
+    assert main([*argv, "--variant", "bi-mask"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[VARIANT_MISMATCH]: --variant bi-mask against a triple-mask checkpoint\n"
+    for flags in ([], ["--variant", "triple-mask"]):
+        assert main([*argv, *flags]) == 0
+        manifest = json.loads(open(out + ".manifest.json", encoding="utf-8").read())
+        assert manifest["config"]["variant"] == "triple-mask"
+
+
 def test_evaluate_hypotheses(ws, capsys, tmp_path):
     report_path = str(tmp_path / "report.json")
     assert main(["evaluate", "--input", ws["hyps"], "--json-out", report_path]) == 0
@@ -327,6 +340,76 @@ def test_ablate_seeds_from_config_file(ws, capsys, tmp_path):
     ]) == 1
     err = capsys.readouterr().err
     assert "error[CONFIG_INVALID]" in err and "unknown cells" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("ablate", ["--source", "heuristic"]),
+    ("ablate", ["--scope", "last"]),
+    ("ablate", ["--variant", "no-srl"]),
+    ("score-srl", ["--variant", "bi-mask"]),
+])
+def test_commands_refuse_flags_they_would_ignore(ws, tmp_path, command, flags):
+    test = f"{ws['prefix']}.test.jsonl"
+    argv = {
+        "ablate": ["ablate", "--train", f"{ws['prefix']}.train.jsonl", "--dev", test,
+                   "--test", test, "--seeds", "0", "--cells", "no-srl",
+                   "--out", str(tmp_path / "x.json"), *TINY_MODEL, *TINY_TRAIN],
+        "score-srl": ["score-srl", "--input", test, "--source", "heuristic"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flags])
+    assert exc.value.code == 2
+
+
+def test_ablate_cells_set_source_and_variant(ws, tmp_path):
+    # --cells alone picks each cell's triple source and mask variant
+    out = str(tmp_path / "grid.json")
+    test = f"{ws['prefix']}.test.jsonl"
+    assert main([
+        "ablate", "--train", f"{ws['prefix']}.train.jsonl", "--dev", test, "--test", test,
+        "--seeds", "0", "--cells", "no-srl", "--seed", "7", "--out", out,
+        *TINY_MODEL, *TINY_TRAIN,
+    ]) == 0
+    manifest = json.loads(open(out + ".manifest.json", encoding="utf-8").read())
+    assert not {"source", "scope", "variant"} & set(manifest["config"])
+
+
+COMMON_FLAGS = ["--config", "--manifest", "--seed"]
+SOURCE_FLAGS = ["--scope", "--source", "--token-mode"]
+MODEL_FLAGS = ["--d-ff", "--d-model", "--max-position", "--n-heads", "--n-layers",
+               "--tie-embeddings"]
+TRAIN_FLAGS = ["--batch-size", "--clip-norm", "--eval-every", "--lr", "--max-decode-steps",
+               "--max-steps", "--stop-dev-em", "--stop-loss"]
+COMMAND_FLAGS = {
+    "gen-corpus": ["--cross-turn-rate", "--include-negation-triples", "--loc-rate",
+                   "--n-sessions", "--neg-rate", "--omission-rate", "--out-prefix",
+                   "--pronoun-rate", "--split", "--tmp-rate", "--token-mode"],
+    "stats": ["--input", "--lint"],
+    "pack": ["--dump", "--dump-mask", "--index", "--input", "--variant", "--vocab",
+             *SOURCE_FLAGS],
+    "train": ["--dev", "--out", "--train", "--variant", *SOURCE_FLAGS, *MODEL_FLAGS,
+              *TRAIN_FLAGS],
+    "rewrite": ["--input", "--max-decode-steps", "--model", "--out", "--variant", "--vocab",
+                *SOURCE_FLAGS],
+    "evaluate": ["--input", "--json-out", "--ref", "--smooth-bleu"],
+    "score-srl": ["--input", "--pred", *SOURCE_FLAGS],
+    "ablate": ["--cells", "--dev", "--out", "--seeds", "--test", "--token-mode", "--train",
+               *MODEL_FLAGS, *TRAIN_FLAGS],
+}
+
+
+def test_each_command_declares_exactly_its_flags():
+    _, registry = build_parser()
+    declared = {
+        name: sorted(
+            flag for action in sub._actions for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        )
+        for name, sub in registry.items()
+    }
+    assert declared == {
+        name: sorted([*COMMON_FLAGS, *flags]) for name, flags in COMMAND_FLAGS.items()
+    }
 
 
 # -- manifests ---------------------------------------------------------------------
@@ -500,7 +583,30 @@ def test_missing_required_flag_is_a_usage_error():
     assert exc.value.code == 2
 
 
-def test_unexpected_failures_exit_2(tmp_path, capsys):
-    missing = str(tmp_path / "nope.jsonl")
-    assert main(["evaluate", "--input", missing]) == 2
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "model", "out-dir"])
+def test_file_errors_exit_1_with_a_coded_line(ws, tmp_path, capsys, case):
+    test = f"{ws['prefix']}.test.jsonl"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    missing, out = str(tmp_path / "nope.jsonl"), str(tmp_path / "no" / "dir" / "o.jsonl")
+    argv, code, path = {
+        "missing": (["pack", "--input", missing], "IO_ERROR", missing),
+        "directory": (["stats", "--input", str(tmp_path)], "IO_ERROR", str(tmp_path)),
+        "not-utf8": (["pack", "--input", str(bad)], "BAD_ENCODING", str(bad)),
+        "model": (["rewrite", "--model", missing, "--input", test, "--out", out],
+                  "IO_ERROR", missing),
+        "out-dir": (["rewrite", "--model", ws["ckpt"], "--input", test, "--out", out],
+                    "IO_ERROR", out),
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{code}]: ") and path in err and "Traceback" not in err
+
+
+def test_unexpected_failures_exit_2(ws, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr("srl_rewriter.cli.evaluate_corpus", broken)
+    assert main(["evaluate", "--input", ws["hyps"]]) == 2
     assert "Traceback" in capsys.readouterr().err

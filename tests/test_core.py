@@ -142,6 +142,14 @@ def test_bad_record_raises_coded_error(session):
             example_from_record({**good, "triples": [triple]})
         assert err.value.code == "BAD_RECORD"
         assert f"triple 0: {field} {words}" in err.value.message
+    # a bool is an int to Python, so true/false once packed as offsets 1/0
+    for span, offset in (({"turn": 2, "start": False, "end": True}, "False"),
+                         ({"turn": True, "start": 0, "end": 1}, "True"),
+                         ({"turn": 2, "start": 0, "end": 1.0}, "1.0")):
+        with pytest.raises(RewriterError) as err:
+            example_from_record({**good, "triples": [{**good["triples"][0], "predicate": span}]})
+        assert err.value.code == "BAD_RECORD"
+        assert f"span offset {offset} is not an integer" in err.value.message
 
 
 @pytest.mark.parametrize("field,value,words", [

@@ -61,7 +61,7 @@ def models(splits):
         out[variant, "random"] = RewriterModel(model_config(vocab, variant), seed=5)
         config = TrainConfig(
             batch_size=32, lr=3e-3, max_steps=40, eval_every=40, triple_source=source,
-            mask_variant=variant, max_decode_steps=MAX_STEPS,
+            max_decode_steps=MAX_STEPS,
         )
         model = RewriterModel(model_config(vocab, variant), seed=6)
         out[variant, "trained"] = train(model, train_set, dev_set[:4], vocab, config).final_model

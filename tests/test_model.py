@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import oracle_mask
 from srl_rewriter.core import RewriterError
-from srl_rewriter.masks import MaskVariant
+from srl_rewriter.masks import NEG_BIAS, MaskVariant
 from srl_rewriter.model import (
     ModelConfig,
     RewriterModel,
@@ -123,6 +124,37 @@ def test_batched_and_single_forward_agree(model, packed_instances):
         alone, _ = model.forward_batch(make_batch([packed], MaskVariant.TRIPLE_MASK))
         n = len(packed)
         assert np.max(np.abs(stacked[b, :n] - alone[0, :n])) < 1e-12
+
+
+@pytest.mark.parametrize("variant", list(MaskVariant))
+@pytest.mark.parametrize("with_reference", [True, False])
+def test_make_batch_matches_the_pairwise_oracle(tiny_corpus, tiny_vocab, variant, with_reference):
+    packs = [
+        pack(ex, () if variant is MaskVariant.NO_SRL else ex.triples, tiny_vocab, seed=i,
+             include_reference=with_reference)
+        for i, ex in enumerate(tiny_corpus)
+    ]
+    for chunk in (packs, packs[:1], packs[3:8]):
+        batch = make_batch(chunk, variant)
+        L = max(len(packed) for packed in chunk)
+        assert len(chunk) == 1 or len({len(packed) for packed in chunk}) > 1
+        for b, packed in enumerate(chunk):
+            n = len(packed)
+            bias = batch["bias"][b]
+            want = np.where(oracle_mask(packed.region_tags, variant), 0.0, NEG_BIAS)
+            assert np.array_equal(bias[:n, :n], want)
+            assert (bias[:n, n:] == NEG_BIAS).all()  # no row sees a padding column
+            assert np.array_equal(bias[n:], np.where(np.eye(L, dtype=bool)[n:], 0.0, NEG_BIAS))
+            for key, field in (("ids", "token_ids"), ("segs", "segment_ids"),
+                               ("poss", "position_ids")):
+                assert batch[key][b].tolist() == [*getattr(packed, field), *[0] * (L - n)]
+            start = packed.len_z + packed.len_c  # the BOS column
+            targets = list(packed.token_ids[start + 1 :])
+            assert with_reference == bool(targets)
+            marked = batch["target_mask"][b]
+            assert np.flatnonzero(marked).tolist() == list(range(start, start + len(targets)))
+            assert batch["target_ids"][b][marked].tolist() == targets
+            assert not batch["target_ids"][b][~marked].any()
 
 
 # -- loss and gradients -----------------------------------------------------------

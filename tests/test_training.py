@@ -1,5 +1,7 @@
 """Optimizer behavior, training loop control flow, and the ablation grid."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,20 +59,16 @@ def test_train_config_rejects_bad_values():
         assert err.value.code == "CONFIG_INVALID"
 
 
-def test_no_triple_variant_requires_empty_source():
-    with pytest.raises(RewriterError) as err:
-        TrainConfig(mask_variant=MaskVariant.NO_SRL, triple_source=GOLD)
-    assert err.value.code == "VARIANT_MISMATCH"
-    TrainConfig(mask_variant=MaskVariant.NO_SRL, triple_source=TripleSource(TripleMode.NONE))
-
-
-def test_train_rejects_model_variant_mismatch(micro_setup):
+def test_no_triple_variant_requires_empty_source(micro_setup):
     corpus, vocab, config = micro_setup
-    model = RewriterModel(config)  # TRIPLE_MASK default
+    model = RewriterModel(replace(config, mask_variant=MaskVariant.NO_SRL), seed=1)
+    before = {k: v.copy() for k, v in model.params.items()}
     with pytest.raises(RewriterError) as err:
-        train(model, corpus[:6], corpus[6:], vocab, micro_train_config(
-            mask_variant=MaskVariant.BI_MASK))
+        train(model, corpus[:6], corpus[6:], vocab, micro_train_config(triple_source=GOLD))
     assert err.value.code == "VARIANT_MISMATCH"
+    assert all(np.array_equal(model.params[k], v) for k, v in before.items())
+    empty = micro_train_config(triple_source=TripleSource(TripleMode.NONE))
+    assert train(model, corpus[:6], corpus[6:], vocab, empty).steps_run == 4
 
 
 def test_train_rejects_decode_budget_beyond_position_table(micro_setup):
