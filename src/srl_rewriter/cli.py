@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 on success, 1 for validation failures (bad inputs, bad config),
-2 for unexpected internal errors.  Every command takes --seed and --config;
-a config file supplies flat key = value defaults that explicit flags override.
+Exit codes: 0 on success, 1 for validation failures (bad inputs, bad config,
+bad flags), 2 for unexpected internal errors.  Every command takes --seed and
+--config; a config file supplies flat key = value defaults that explicit flags
+override.
 Commands that write files also write a manifest with content digests, so a
 rerun over identical inputs is byte-identical, manifest included.
 """
@@ -389,8 +390,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are coded ``USAGE`` failures
+    (exit 1) rather than argparse's exit 2; its subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        raise RewriterError("USAGE", f"{self.prog}: {message}")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="srl-rewriter",
         description="SRL-guided multi-turn dialogue rewriting toolkit",
     )

@@ -10,6 +10,7 @@ analytic gradients are hand-written over float64 numpy; shapes follow the
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +40,12 @@ class ModelConfig:
     tie_embeddings: bool = False
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_position"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise RewriterError(
+                    "CONFIG_INVALID", f"{name} must be a positive integer, got {value!r}"
+                )
         if self.d_model % self.n_heads != 0:
             raise RewriterError(
                 "CONFIG_INVALID", f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -471,6 +478,12 @@ def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> d
     }
 
 
+# Prefixes per prefix pass.  The pass keeps every layer's activations for all
+# its rows alive at once, so a wide decode batch runs it in slices of this
+# many prefixes; the keys and values, which the steps need, are batch-wide.
+_PREFIX_SLICE = 4
+
+
 class PrefixCache:
     """Keys and values of a padded batch of z+c prefixes at every layer, with
     room for ``max_steps`` rewrite rows per example.
@@ -491,16 +504,18 @@ class PrefixCache:
         shape = (B, cfg.n_heads, L + max_steps, cfg.d_model // cfg.n_heads)
         self.kv = [(np.empty(shape), np.empty(shape)) for _ in range(cfg.n_layers)]
         # a rewrite row sees its own prefix and every rewrite row up to itself
-        self.bias = np.zeros((B, 1, L + max_steps))
-        for b, packed in enumerate(prefixes):
-            self.bias[b, 0, len(packed) : L] = NEG_BIAS
+        cols = np.arange(L + max_steps)
+        lengths = np.array([len(packed) for packed in prefixes])[:, None, None]
+        self.bias = np.where((cols >= lengths) & (cols < L), NEG_BIAS, 0.0)
         self.prefix_len = L
         self.steps = 0
         # no step reads the prefix's last-layer output: that layer only writes K and V
-        x = model.embed_ids(batch["ids"], batch["segs"], batch["poss"])
-        for i, kv in enumerate(self.kv):
-            rows = np.s_[:, :0] if i == cfg.n_layers - 1 else None
-            x = model._layer(i, x, batch["bias"], kv, rows=rows)[0]
+        for lo in range(0, B, _PREFIX_SLICE):
+            s = slice(lo, lo + _PREFIX_SLICE)
+            x = model.embed_ids(batch["ids"][s], batch["segs"][s], batch["poss"][s])
+            for i, (K, V) in enumerate(self.kv):
+                rows = np.s_[:, :0] if i == cfg.n_layers - 1 else None
+                x = model._layer(i, x, batch["bias"][s], (K[s], V[s]), rows=rows)[0]
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Logits [B, V] of the next rewrite row, which holds ``token_ids``."""
@@ -586,17 +601,23 @@ def load_checkpoint(path: str) -> RewriterModel:
             header = json.loads(fh.read(int.from_bytes(fh.read(8), "little")))
             config = ModelConfig.from_dict(header["config"])
             declared = [(name, tuple(shape)) for name, shape in header["params"]]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RewriterError) as exc:
             raise RewriterError("CHECKPOINT_MISMATCH", f"{path}: bad header: {exc!r}") from exc
-        model = RewriterModel(config, seed=0)
         expected = _parameter_shapes(config)
         if declared != expected:
             raise RewriterError("CHECKPOINT_MISMATCH", "parameter table does not match config")
-        for name, shape in expected:
-            count = int(np.prod(shape)) if shape else 1
+        # the arrays must fill the rest of the file exactly; checked before the
+        # model, whose size the header sets, is allocated
+        counts = [int(np.prod(shape)) for _, shape in expected]
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 4 * sum(counts):
+            raise RewriterError(
+                "CHECKPOINT_MISMATCH",
+                f"{path}: {size} bytes of weights where the header declares {4 * sum(counts)}",
+            )
+        model = RewriterModel(config, seed=0)
+        for (name, shape), count in zip(expected, counts):
             raw = fh.read(4 * count)
-            if len(raw) != 4 * count:
-                raise RewriterError("CHECKPOINT_MISMATCH", f"truncated array for {name}")
             model.params[name] = np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE).astype(np.float64).reshape(shape)
         model.zero_grads()
     return model

@@ -159,6 +159,19 @@ def test_train_writes_checkpoint_vocab_manifest(ws):
     assert set(manifest["outputs"]) == {ws["ckpt"], ws["ckpt"] + ".vocab"}
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--n-heads", "0"), ("--d-ff", "-1"), ("--n-layers", "0"), ("--d-model", "0"),
+    ("--max-position", "0"),
+])
+def test_train_refuses_non_positive_model_sizes(ws, capsys, tmp_path, flag, value):
+    assert main([
+        "train", "--train", f"{ws['prefix']}.train.jsonl", "--dev", f"{ws['prefix']}.dev.jsonl",
+        "--out", str(tmp_path / "m.ckpt"), *TINY_MODEL, *TINY_TRAIN, flag, value,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[CONFIG_INVALID]: ") and flag[2:].replace("-", "_") in err
+
+
 def test_rewrite_of_dev_reproduces_the_best_dev_em(tmp_path, capsys):
     # the printed best dev-EM is scored on the weights the checkpoint stores
     prefix = str(tmp_path / "corpus")
@@ -348,7 +361,7 @@ def test_ablate_seeds_from_config_file(ws, capsys, tmp_path):
     ("ablate", ["--variant", "no-srl"]),
     ("score-srl", ["--variant", "bi-mask"]),
 ])
-def test_commands_refuse_flags_they_would_ignore(ws, tmp_path, command, flags):
+def test_commands_refuse_flags_they_would_ignore(ws, tmp_path, capsys, command, flags):
     test = f"{ws['prefix']}.test.jsonl"
     argv = {
         "ablate": ["ablate", "--train", f"{ws['prefix']}.train.jsonl", "--dev", test,
@@ -356,9 +369,10 @@ def test_commands_refuse_flags_they_would_ignore(ws, tmp_path, command, flags):
                    "--out", str(tmp_path / "x.json"), *TINY_MODEL, *TINY_TRAIN],
         "score-srl": ["score-srl", "--input", test, "--source", "heuristic"],
     }[command]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, *flags])
-    assert exc.value.code == 2
+    assert main([*argv, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[USAGE]: srl-rewriter: unrecognized arguments: ")
+    assert flags[0] in err and "Traceback" not in err
 
 
 def test_ablate_cells_set_source_and_variant(ws, tmp_path):
@@ -577,10 +591,16 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "error[BAD_CONFIG]" in capsys.readouterr().err
 
 
-def test_missing_required_flag_is_a_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-corpus"])
-    assert exc.value.code == 2
+def test_missing_required_flag_is_a_usage_error(capsys):
+    assert main(["gen-corpus"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error[USAGE]: srl-rewriter gen-corpus: the following arguments are required:"
+        " --out-prefix\n"
+    )
+    with pytest.raises(SystemExit) as exc:  # help is not an error
+        main(["gen-corpus", "--help"])
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "model", "out-dir"])

@@ -11,8 +11,9 @@ from oracles import oracle_greedy_decode
 
 from srl_rewriter.core import RewriterError
 from srl_rewriter.generator import GeneratorConfig, sample_corpus, split_corpus
-from srl_rewriter.masks import MaskVariant
+from srl_rewriter.masks import NEG_BIAS, MaskVariant
 from srl_rewriter.model import (
+    _PREFIX_SLICE,
     ModelConfig,
     PrefixCache,
     RewriterModel,
@@ -73,6 +74,21 @@ def prefixes(splits, variant, split):
     return prepare_instances(examples, splits[3], SOURCES[variant], 0, include_reference=False)
 
 
+def worst_step_logit_error(model, packs, expected):
+    """Largest gap between the cached step logits of one batch of ``packs``
+    and the oracle's, each row fed the oracle's tokens."""
+    cache = PrefixCache(model, packs, MAX_STEPS)
+    worst = 0.0
+    for t in range(max(len(logits) for _, logits in expected)):
+        fed = [BOS_ID if t == 0 else (hyp[t - 1] if t <= len(hyp) else PAD_ID)
+               for hyp, _ in expected]
+        got = cache.step(np.array(fed))
+        for b, (_, logits) in enumerate(expected):
+            if t < len(logits):
+                worst = max(worst, float(np.max(np.abs(got[b] - logits[t]))))
+    return worst
+
+
 @pytest.mark.parametrize("weights", ["random", "trained"])
 @pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)
 @pytest.mark.parametrize("split", ["dev", "test"])
@@ -80,21 +96,45 @@ def test_cached_decode_matches_full_recompute(splits, models, variant, weights, 
     model = models[variant, weights]
     packs = prefixes(splits, variant, split)
     expected = [oracle_greedy_decode(p, model, MAX_STEPS) for p in packs]
-    assert decode_corpus(model, packs, MAX_STEPS) == [hyp for hyp, _ in expected]
+    hyps = [hyp for hyp, _ in expected]
+    assert decode_corpus(model, packs, MAX_STEPS) == hyps
+    # decode_corpus sorts by prefix length; its output stays in input order
+    shuffled = np.random.default_rng(0).permutation(len(packs))
+    for order in (shuffled, np.arange(len(packs))[::-1]):
+        assert decode_corpus(model, [packs[i] for i in order], MAX_STEPS) == [hyps[i] for i in order]
 
-    # feed each row the oracle's tokens and compare the logits of every step
-    worst = 0.0
-    for lo in range(0, len(packs), _DECODE_BATCH):
-        chunk = expected[lo : lo + _DECODE_BATCH]
-        cache = PrefixCache(model, packs[lo : lo + _DECODE_BATCH], MAX_STEPS)
-        for t in range(max(len(logits) for _, logits in chunk)):
-            fed = [BOS_ID if t == 0 else (hyp[t - 1] if t <= len(hyp) else PAD_ID)
-                   for hyp, _ in chunk]
-            got = cache.step(np.array(fed))
-            for b, (_, logits) in enumerate(chunk):
-                if t < len(logits):
-                    worst = max(worst, float(np.max(np.abs(got[b] - logits[t]))))
+    worst = max(
+        worst_step_logit_error(model, packs[lo : lo + _DECODE_BATCH], expected[lo : lo + _DECODE_BATCH])
+        for lo in range(0, len(packs), _DECODE_BATCH)
+    )
     assert worst < 1e-9, f"step logits differ by {worst:.2e}"
+
+
+@pytest.mark.parametrize("weights", ["random", "trained"])
+def test_prefix_slices_of_one_batch_match_full_recompute(splits, models, weights):
+    # the shortest and the longest prefix run in different prefix-pass slices
+    model = models[MaskVariant.TRIPLE_MASK, weights]
+    packs = sorted(prefixes(splits, MaskVariant.TRIPLE_MASK, "dev"), key=len)
+    batch = [packs[0], *packs[1 : _PREFIX_SLICE + 1], packs[-1]]
+    assert len(batch) > _PREFIX_SLICE and len(batch[0]) < len(batch[-1])
+    expected = [oracle_greedy_decode(p, model, MAX_STEPS) for p in batch]
+    assert decode_batch(batch, model, MAX_STEPS) == [hyp for hyp, _ in expected]
+    worst = worst_step_logit_error(model, batch, expected)
+    assert worst < 1e-9, f"step logits differ by {worst:.2e}"
+
+
+def test_step_bias_masks_each_prefix_padding_only(splits, models):
+    model = models[MaskVariant.TRIPLE_MASK, "random"]
+    packs = sorted(prefixes(splits, MaskVariant.TRIPLE_MASK, "dev"), key=len)
+    batch = [packs[0], packs[len(packs) // 2], packs[-1]]
+    cache = PrefixCache(model, batch, MAX_STEPS)
+    L = len(packs[-1])
+    assert cache.bias.shape == (len(batch), 1, L + MAX_STEPS)
+    for b, packed in enumerate(batch):
+        row = cache.bias[b, 0]
+        assert np.all(row[: len(packed)] == 0.0) and np.all(row[L:] == 0.0)
+        assert np.all(row[len(packed) : L] == NEG_BIAS)
+    assert np.count_nonzero(cache.bias) == sum(L - len(p) for p in batch) > 0
 
 
 def test_batched_decode_equals_one_at_a_time(splits, models):

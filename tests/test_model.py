@@ -12,6 +12,7 @@ from srl_rewriter.masks import NEG_BIAS, MaskVariant
 from srl_rewriter.model import (
     ModelConfig,
     RewriterModel,
+    _parameter_shapes,
     greedy_decode,
     load_checkpoint,
     make_batch,
@@ -386,12 +387,52 @@ def test_checkpoint_rejects_foreign_bytes(tmp_path, model):
         ("no-params", {"config": config}),
         ("unknown-key", {**header, "config": {**config, "bogus": 1}}),
         ("bad-variant", {**header, "config": {**config, "mask_variant": "sideways"}}),
+        ("zero-heads", {**header, "config": {**config, "n_heads": 0}}),
+        ("negative-d-ff", {**header, "config": {**config, "d_ff": -1}}),
+        ("zero-layers", {**header, "config": {**config, "n_layers": 0}}),
+        ("float-vocab", {**header, "config": {**config, "vocab_size": config["vocab_size"] + 0.0}}),
     ):
         bad = tmp_path / f"{name}.ckpt"
         bad.write_bytes(join_checkpoint(blob, bad_header, weights))
         with pytest.raises(RewriterError) as err:
             load_checkpoint(str(bad))
         assert err.value.code == "CHECKPOINT_MISMATCH", name
+
+
+def test_checkpoint_refuses_every_truncation_and_trailing_bytes(tmp_path, config):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(RewriterModel(replace(config, n_layers=1), seed=0), str(path))
+    blob = path.read_bytes()
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    first_array_end = header_end + 4 * config.vocab_size * config.d_model  # tok_emb
+    cut = tmp_path / "cut.ckpt"
+    for end in [*range(first_array_end + 1), len(blob) - 1]:
+        cut.write_bytes(blob[:end])
+        with pytest.raises(RewriterError) as err:
+            load_checkpoint(str(cut))
+        assert err.value.code == "CHECKPOINT_MISMATCH", end
+    cut.write_bytes(blob + b"\0\0\0\0")
+    with pytest.raises(RewriterError) as err:
+        load_checkpoint(str(cut))
+    assert err.value.code == "CHECKPOINT_MISMATCH"
+    assert f"{len(blob) - header_end + 4} bytes of weights" in err.value.message
+
+
+def test_checkpoint_header_sizes_are_checked_before_allocating(tmp_path, model):
+    # a header that declares a vocabulary far beyond any memory, over a small file
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    header, weights = split_checkpoint(blob)
+    huge = replace(model.config, vocab_size=10**15)
+    header = {
+        "config": huge.to_dict(),
+        "params": [[name, list(shape)] for name, shape in _parameter_shapes(huge)],
+    }
+    path.write_bytes(join_checkpoint(blob, header, weights))
+    with pytest.raises(RewriterError) as err:
+        load_checkpoint(str(path))
+    assert err.value.code == "CHECKPOINT_MISMATCH"
 
 
 def test_checkpoint_with_legacy_dropout_key_loads(tmp_path, model, packed_instances):
