@@ -11,7 +11,9 @@ rerun over identical inputs is byte-identical, manifest included.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 import traceback
 from typing import Optional
@@ -22,6 +24,7 @@ from .core import (
     read_decoded,
     read_examples,
     record_tokens,
+    validate_example,
     write_records,
 )
 from .generator import GeneratorConfig, default_rules, sample_corpus, split_corpus
@@ -206,11 +209,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.lint:
         counts: dict[str, int] = {}
         for ex in examples:
-            report = lint_annotations(ex.session, ex.triples)
-            for entry in report.entries:
-                for code in (entry.c1, entry.c2, entry.c3, entry.c4):
-                    if code != "ok":
-                        counts[code] = counts.get(code, 0) + 1
+            # what reading accepts but validate_example flags, such as an empty
+            # utterance or reference; C1 below already counts FUTURE_ARGUMENT
+            codes = [v.code for v in validate_example(ex, require_reference=False).violations]
+            for entry in lint_annotations(ex.session, ex.triples).entries:
+                codes += (entry.c1, entry.c2, entry.c3, entry.c4)
+            for code in codes:
+                if code not in ("ok", "FUTURE_ARGUMENT"):
+                    counts[code] = counts.get(code, 0) + 1
         if counts:
             for code, n in sorted(counts.items()):
                 print(f"lint {code}: {n}")
@@ -484,7 +490,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
+def _keep_freed_memory_mapped() -> None:
+    """Keep freed numpy temporaries mapped from one training step to the next:
+    pin glibc's mmap and trim thresholds at the ceilings its adaptive ones reach.
+    Process-wide, so set here and not at import; a no-op without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out that cannot be written before any work is done."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise RewriterError("IO_ERROR", f"cannot write --out {path}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    _keep_freed_memory_mapped()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
@@ -498,6 +525,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise RewriterError("BAD_CONFIG", f"unknown config keys {unknown}")
             sub.set_defaults(**overrides)
             args = parser.parse_args(argv)
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except RewriterError as err:
         print(f"error[{err.code}]: {err.message}", file=sys.stderr)

@@ -133,12 +133,18 @@ class RewriterModel:
         for g in self.grads.values():
             g[...] = 0.0
 
+    @classmethod
+    def _from_params(cls, config: ModelConfig, params: dict[str, np.ndarray]) -> "RewriterModel":
+        """A model that takes ``params`` as its weights, with zero gradients."""
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = params
+        model.grads = {k: np.zeros_like(v) for k, v in params.items()}
+        return model
+
     def copy(self) -> "RewriterModel":
-        clone = RewriterModel.__new__(RewriterModel)
-        clone.config = self.config
-        clone.params = {k: v.copy() for k, v in self.params.items()}
-        clone.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        return clone
+        params = {k: v.copy() for k, v in self.params.items()}
+        return RewriterModel._from_params(self.config, params)
 
     def stored_copy(self) -> "RewriterModel":
         """A copy with the weights a checkpoint of this model stores and loads."""
@@ -615,9 +621,9 @@ def load_checkpoint(path: str) -> RewriterModel:
                 "CHECKPOINT_MISMATCH",
                 f"{path}: {size} bytes of weights where the header declares {4 * sum(counts)}",
             )
-        model = RewriterModel(config, seed=0)
-        for (name, shape), count in zip(expected, counts):
-            raw = fh.read(4 * count)
-            model.params[name] = np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE).astype(np.float64).reshape(shape)
-        model.zero_grads()
-    return model
+        params = {
+            name: np.frombuffer(fh.read(4 * count), dtype=_CHECKPOINT_DTYPE)
+            .astype(np.float64).reshape(shape)
+            for (name, shape), count in zip(expected, counts)
+        }
+    return RewriterModel._from_params(config, params)

@@ -4,10 +4,15 @@ import contextlib
 import copy
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import srl_rewriter
 from srl_rewriter.cli import build_parser, main
 from srl_rewriter.model import load_checkpoint
 
@@ -613,14 +618,35 @@ def test_file_errors_exit_1_with_a_coded_line(ws, tmp_path, capsys, case):
         "missing": (["pack", "--input", missing], "IO_ERROR", missing),
         "directory": (["stats", "--input", str(tmp_path)], "IO_ERROR", str(tmp_path)),
         "not-utf8": (["pack", "--input", str(bad)], "BAD_ENCODING", str(bad)),
-        "model": (["rewrite", "--model", missing, "--input", test, "--out", out],
-                  "IO_ERROR", missing),
+        "model": (["rewrite", "--model", missing, "--input", test,
+                   "--out", str(tmp_path / "o.jsonl")], "IO_ERROR", missing),
         "out-dir": (["rewrite", "--model", ws["ckpt"], "--input", test, "--out", out],
                     "IO_ERROR", out),
     }[case]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error[{code}]: ") and path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "rewrite", "ablate"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unusable_out_fails_before_any_work(ws, tmp_path, monkeypatch, capsys, command, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("train", "run_ablation_grid", "decode_corpus"):
+        monkeypatch.setattr(f"srl_rewriter.cli.{name}", no_work)
+    prefix = ws["prefix"]
+    splits = {f"--{name}": f"{prefix}.{name}.jsonl" for name in ("train", "dev", "test")}
+    argv = {
+        "train": ["train", "--train", splits["--train"], "--dev", splits["--dev"]],
+        "rewrite": ["rewrite", "--model", ws["ckpt"], "--input", splits["--test"]],
+        "ablate": ["ablate", *[x for kv in splits.items() for x in kv]],
+    }[command]
+    out = str(tmp_path / "no" / "out") if where == "missing-dir" else str(tmp_path)
+    assert main([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[IO_ERROR]: ") and out in err and "Traceback" not in err
 
 
 def test_unexpected_failures_exit_2(ws, monkeypatch, capsys):
@@ -630,3 +656,62 @@ def test_unexpected_failures_exit_2(ws, monkeypatch, capsys):
     monkeypatch.setattr("srl_rewriter.cli.evaluate_corpus", broken)
     assert main(["evaluate", "--input", ws["hyps"]]) == 2
     assert "Traceback" in capsys.readouterr().err
+
+
+# -- lint -----------------------------------------------------------------------------
+
+
+def test_stats_lint_counts_what_reading_accepts_but_validation_flags(ws, tmp_path, capsys):
+    record = json.loads(read_lines(f"{ws['prefix']}.dev.jsonl")[1])
+    record["utterances"].append({"speaker": "A", "tokens": []})
+    record["reference"] = []
+    path = tmp_path / "empty.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["stats", "--input", str(path), "--lint"]) == 0
+    lint = [line for line in capsys.readouterr().out.splitlines() if line.startswith("lint")]
+    assert lint == ["lint EMPTY_REFERENCE: 1", "lint EMPTY_UTTERANCE: 1"]
+
+
+# -- memory ---------------------------------------------------------------------------
+
+_HEAP_PROBE = """
+import resource, sys
+from srl_rewriter.cli import main
+work = sys.argv[1]
+prefix = work + "/c"
+assert main(["gen-corpus", "--n-sessions", "200", "--split", "--out-prefix", prefix]) == 0
+argv = ["train", "--train", prefix + ".train.jsonl", "--dev", prefix + ".dev.jsonl",
+        "--out", work + "/m.ckpt", "--max-steps", "10", "--eval-every", "10"]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc mallopt only"
+)
+def test_repeated_train_calls_reuse_the_heap(tmp_path):
+    # a fresh process, so that no earlier main() in this one has set the allocator;
+    # the second 10-step train call (d=64, B=32) faults in about 38k pages when
+    # glibc trims and unmaps the freed temporaries, and under a hundred when not
+    src = os.path.dirname(os.path.dirname(srl_rewriter.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HEAP_PROBE, str(tmp_path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.splitlines()[-1])
+    assert faults < 3000, f"{faults} minor page faults in one train call"
+
+
+@pytest.mark.parametrize("fault", [AttributeError, OSError, TypeError])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, fault):
+    def libc(name):
+        if fault is AttributeError:
+            return object()  # a C library without mallopt
+        raise fault("no C library to call")
+
+    monkeypatch.setattr("srl_rewriter.cli.ctypes.CDLL", libc)
+    assert main(["gen-corpus", "--n-sessions", "5", "--out-prefix", str(tmp_path / "c")]) == 0

@@ -345,6 +345,23 @@ def test_checkpoint_double_round_trip_is_exact(tmp_path, model):
         assert np.array_equal(again.params[name], p)
 
 
+def test_load_checkpoint_draws_no_random_init(tmp_path, config, monkeypatch):
+    model = RewriterModel(replace(config, n_layers=1), seed=3)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+
+    def no_init(*args):
+        raise AssertionError("load_checkpoint initialised weights it overwrites")
+
+    monkeypatch.setattr("srl_rewriter.model._init_parameter", no_init)
+    loaded, want = load_checkpoint(path), model.stored_copy()
+    assert loaded.config == want.config and loaded.params.keys() == want.params.keys()
+    for name, p in want.params.items():
+        assert loaded.params[name].dtype == np.float64
+        assert np.array_equal(loaded.params[name], p)
+        assert np.array_equal(loaded.grads[name], np.zeros_like(p))
+
+
 def split_checkpoint(blob):
     """(header dict, weight bytes) of a checkpoint file's bytes."""
     size = int.from_bytes(blob[8:16], "little")
