@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Optional, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .core import (
     BOS_TOKEN,
@@ -150,37 +152,6 @@ def linearize_triples(
     return out
 
 
-def assign_segments(region_tags: Sequence[RegionTag], session: DialogueSession) -> list[SegmentType]:
-    """Segment per token: E_SRL over triples, E_A/E_B over context by speaker
-    parity with the rewriting speaker, E_A over the whole rewrite region."""
-    target_speaker = session.target_speaker
-    segments = []
-    for tag in region_tags:
-        if tag.kind is RegionKind.TRIPLE:
-            segments.append(SegmentType.E_SRL)
-        elif tag.kind is RegionKind.CONTEXT:
-            speaker = session.utterances[tag.index].speaker
-            segments.append(SegmentType.E_A if speaker is target_speaker else SegmentType.E_B)
-        else:
-            segments.append(SegmentType.E_A)
-    return segments
-
-
-def assign_positions(region_tags: Sequence[RegionTag]) -> list[int]:
-    """Positions restart at 0 inside every triple, every context utterance
-    (its EOS included), and at the rewrite BOS."""
-    positions = []
-    prev: Optional[RegionTag] = None
-    counter = 0
-    for tag in region_tags:
-        if tag != prev:
-            counter = 0
-            prev = tag
-        positions.append(counter)
-        counter += 1
-    return positions
-
-
 def pack(
     example: RewriteExample,
     triples: Sequence[PATriple],
@@ -190,44 +161,55 @@ def pack(
 ) -> PackedSequence:
     """Build the full training/decoding instance.
 
+    Each triple, each context utterance (its EOS included) and the rewrite is
+    one region with one tag; positions restart at 0 in every region, and
+    segments are E_SRL over triples, E_A/E_B over context by speaker parity
+    with the rewriting speaker and E_A over the rewrite.  Adjacent utterances
+    that share a turn index share a tag and count positions on across both.
     Deterministic given (example, triples, vocab, seed).
     """
     if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
         raise RewriterError("VOCAB_OVERFLOW", "vocabulary lacks reserved tokens")
     session = example.session
     tokens: list[str] = []
+    segments: list[SegmentType] = []
+    positions: list[int] = []
     tags: list[RegionTag] = []
 
-    for tok, triple_idx in linearize_triples(triples, session, seed):
-        tokens.append(tok)
-        tags.append(RegionTag(RegionKind.TRIPLE, triple_idx))
+    def region(run: Sequence[str], segment: SegmentType, tag: RegionTag) -> None:
+        start = positions[-1] + 1 if tags and tags[-1] == tag else 0
+        tokens.extend(run)
+        segments.extend([segment] * len(run))
+        positions.extend(range(start, start + len(run)))
+        tags.extend([tag] * len(run))
+
+    linear = linearize_triples(triples, session, seed)
+    for triple_idx, run in groupby(linear, key=itemgetter(1)):
+        region([tok for tok, _ in run], SegmentType.E_SRL, RegionTag(RegionKind.TRIPLE, triple_idx))
     len_z = len(tokens)
 
+    target_speaker = session.target_speaker
     for utt in session.utterances:
-        for tok in utt.tokens:
-            tokens.append(tok)
-            tags.append(RegionTag(RegionKind.CONTEXT, utt.turn_index))
-        tokens.append(EOS_TOKEN)
-        tags.append(RegionTag(RegionKind.CONTEXT, utt.turn_index))
+        # the turn the tag names; in a valid session that is this utterance
+        speaker = session.utterances[utt.turn_index].speaker
+        segment = SegmentType.E_A if speaker is target_speaker else SegmentType.E_B
+        region([*utt.tokens, EOS_TOKEN], segment, RegionTag(RegionKind.CONTEXT, utt.turn_index))
     len_c = len(tokens) - len_z
 
-    len_r = 0
     if include_reference:
         if example.reference is None:
             raise RewriterError("NO_REFERENCE", "cannot pack a reference-less example for training")
-        rewrite = [BOS_TOKEN, *example.reference, EOS_TOKEN]
-        tokens.extend(rewrite)
-        tags.extend(RegionTag(RegionKind.REWRITE, 0) for _ in rewrite)
-        len_r = len(rewrite)
+        region([BOS_TOKEN, *example.reference, EOS_TOKEN], SegmentType.E_A,
+               RegionTag(RegionKind.REWRITE, 0))
 
     return PackedSequence(
         token_ids=tuple(vocab.encode(tokens)),
-        segment_ids=tuple(assign_segments(tags, session)),
-        position_ids=tuple(assign_positions(tags)),
+        segment_ids=tuple(segments),
+        position_ids=tuple(positions),
         region_tags=tuple(tags),
         len_z=len_z,
         len_c=len_c,
-        len_r=len_r,
+        len_r=len(tokens) - len_z - len_c,
     )
 
 

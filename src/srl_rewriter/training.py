@@ -7,10 +7,14 @@ configured seed, so a rerun with the same inputs reproduces the same weights.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
 import math
 import statistics
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +29,11 @@ from .srl import HeuristicRules, TripleMode, TripleSource, acquire_triples, scor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# OpenBLAS's thread-count functions in the builds numpy links: scipy-openblas
+# (numpy 2 wheels), then ILP64 and LP64 OpenBLAS
+_OPENBLAS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+             "openblas_{}_num_threads")
 
 # Prefixes decoded together against one prefix cache.  Wider batches take
 # fewer step calls; the prefix pass runs in slices, so its working set does
@@ -103,6 +112,54 @@ def adam_update(model: RewriterModel, state: AdamState, lr: float) -> None:
         v += (1.0 - ADAM_BETA2) * g * g
         if lr != 0.0:  # guarantee the zero-rate run never rewrites a float
             p -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Hold OpenBLAS at one thread, restoring its count on exit; yields whether
+    it could.  dlsym on numpy's extension module also searches its libraries."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        name = next(n for n in _OPENBLAS if hasattr(lib, n.format("get")))
+    except (AttributeError, OSError, StopIteration):
+        name = None
+    if name is None:
+        yield False
+        return
+    get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
+
+
+def _batch_loss_and_grads(model, twin, packs, pool=None) -> tuple[float, int]:
+    """Summed loss and target count of a batch of packs with references; its
+    gradients, scaled by 1 / target count, land in ``model.grads``.  The first
+    ceil(B/2) packs run here into ``model``, the rest into ``twin``, which
+    shares the weights, on ``pool`` meanwhile or here after them.  The twin's
+    share is added last, so the sums do not depend on which finished first."""
+    variant = model.config.mask_variant
+    n_targets = sum(p.len_r - 1 for p in packs)  # make_batch's: BOS to last-but-one
+    half = (len(packs) + 1) // 2
+
+    def shard(m: RewriterModel, part) -> float:
+        m.zero_grads()
+        return m.loss_and_grads(make_batch(part, variant), loss_scale=1.0 / n_targets)[0]
+
+    if half == len(packs):
+        return shard(model, packs), n_targets
+    if pool is None:
+        loss, rest = shard(model, packs[:half]), shard(twin, packs[half:])
+    else:  # a copy of this context carries numpy's error state to the worker
+        future = pool.submit(contextvars.copy_context().run, shard, twin, packs[half:])
+        loss, rest = shard(model, packs[:half]), future.result()
+    for name, g in model.grads.items():
+        g += twin.grads[name]
+    return loss + rest, n_targets
 
 
 def prepare_instances(
@@ -208,37 +265,39 @@ def train(
         report = evaluate_corpus(hyps, dev_refs)
         return EvalPoint(step=step, train_loss=last_loss, report=report), scored
 
-    while step < config.max_steps and not stop:
-        perm = order_rng.permutation(len(train_packs))
-        for lo in range(0, len(perm), config.batch_size):
-            idxs = perm[lo : lo + config.batch_size]
-            batch = make_batch([train_packs[i] for i in idxs], variant)
-            n_targets = int(batch["target_mask"].sum())
-            model.zero_grads()
-            loss_sum, _ = model.loss_and_grads(batch, loss_scale=1.0 / n_targets)
-            last_loss = loss_sum / n_targets
-            if not math.isfinite(last_loss):
-                raise RewriterError("DIVERGENCE", f"non-finite loss at step {step + 1}")
-            clip_gradients(model.grads, config.clip_norm)
-            adam_update(model, opt, config.lr)
-            step += 1
+    twin = RewriterModel._from_params(model.config, model.params)  # shares the weights
+    # two single-threaded shards side by side; two 2-thread BLAS calls would contend
+    with _one_blas_thread() as held, ThreadPoolExecutor(max_workers=1) as pool:
+        while step < config.max_steps and not stop:
+            perm = order_rng.permutation(len(train_packs))
+            for lo in range(0, len(perm), config.batch_size):
+                idxs = perm[lo : lo + config.batch_size]
+                loss_sum, n_targets = _batch_loss_and_grads(
+                    model, twin, [train_packs[i] for i in idxs], pool if held else None
+                )
+                last_loss = loss_sum / n_targets
+                if not math.isfinite(last_loss):
+                    raise RewriterError("DIVERGENCE", f"non-finite loss at step {step + 1}")
+                clip_gradients(model.grads, config.clip_norm)
+                adam_update(model, opt, config.lr)
+                step += 1
 
-            if step % config.eval_every == 0 or step >= config.max_steps:
-                point, scored = run_eval()
-                history.append(point)
-                if point.report.em > best_em:
-                    best_em = point.report.em
-                    best_step = step
-                    best_model = scored
-                conditions = []
-                if config.stop_loss is not None:
-                    conditions.append(last_loss < config.stop_loss)
-                if config.stop_dev_em is not None:
-                    conditions.append(point.report.em >= config.stop_dev_em)
-                if conditions and all(conditions):
-                    stop = True
-            if step >= config.max_steps or stop:
-                break
+                if step % config.eval_every == 0 or step >= config.max_steps:
+                    point, scored = run_eval()
+                    history.append(point)
+                    if point.report.em > best_em:
+                        best_em = point.report.em
+                        best_step = step
+                        best_model = scored
+                    conditions = []
+                    if config.stop_loss is not None:
+                        conditions.append(last_loss < config.stop_loss)
+                    if config.stop_dev_em is not None:
+                        conditions.append(point.report.em >= config.stop_dev_em)
+                    if conditions and all(conditions):
+                        stop = True
+                if step >= config.max_steps or stop:
+                    break
 
     if not history:  # max_steps smaller than eval_every never fires above
         point, best_model = run_eval()
@@ -324,6 +383,10 @@ def run_ablation_grid(
     only the triple source and the visibility rules differ.  Heuristic cells
     also score their acquired triples against the stored gold ones.
     """
+    splits = (("train", train_examples), ("dev", dev_examples), ("test", test_examples))
+    for split, examples in splits:
+        if not examples:  # refused before any cell trains
+            raise RewriterError("EMPTY_CORPUS", f"no {split} examples")
     if vocab is None:
         vocab = build_vocabulary([*train_examples, *dev_examples, *test_examples])
     runs: dict[str, list[CellRun]] = {cell.label: [] for cell in grid}

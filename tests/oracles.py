@@ -11,9 +11,19 @@ from itertools import combinations
 
 import numpy as np
 
+from srl_rewriter.core import BOS_TOKEN, EOS_TOKEN, RewriterError
 from srl_rewriter.masks import MaskVariant
 from srl_rewriter.model import make_batch
-from srl_rewriter.packing import EOS_ID, RegionKind, append_rewrite_token, start_decode
+from srl_rewriter.packing import (
+    EOS_ID,
+    PackedSequence,
+    RegionKind,
+    RegionTag,
+    SegmentType,
+    append_rewrite_token,
+    linearize_triples,
+    start_decode,
+)
 
 
 def grams(seq, k):
@@ -131,6 +141,58 @@ def oracle_visible(tags, i, j, variant):
 def oracle_mask(tags, variant):
     n = len(tags)
     return [[oracle_visible(tags, i, j, variant) for j in range(n)] for i in range(n)]
+
+
+def oracle_pack(example, triples, vocab, seed, include_reference=True):
+    """``pack`` token by token: a fresh tag per token, then one walk over the
+    tags for segments and one for positions, which restart wherever a tag
+    differs from the one before."""
+    if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
+        raise RewriterError("VOCAB_OVERFLOW", "vocabulary lacks reserved tokens")
+    session = example.session
+    tokens, tags = [], []
+    for tok, triple_idx in linearize_triples(triples, session, seed):
+        tokens.append(tok)
+        tags.append(RegionTag(RegionKind.TRIPLE, triple_idx))
+    len_z = len(tokens)
+    for utt in session.utterances:
+        for tok in [*utt.tokens, EOS_TOKEN]:
+            tokens.append(tok)
+            tags.append(RegionTag(RegionKind.CONTEXT, utt.turn_index))
+    len_c = len(tokens) - len_z
+    if include_reference:
+        if example.reference is None:
+            raise RewriterError("NO_REFERENCE", "cannot pack a reference-less example for training")
+        for tok in [BOS_TOKEN, *example.reference, EOS_TOKEN]:
+            tokens.append(tok)
+            tags.append(RegionTag(RegionKind.REWRITE, 0))
+
+    target_speaker = session.target_speaker
+    segments = []
+    for tag in tags:
+        if tag.kind is RegionKind.TRIPLE:
+            segments.append(SegmentType.E_SRL)
+        elif tag.kind is RegionKind.CONTEXT:
+            speaker = session.utterances[tag.index].speaker
+            segments.append(SegmentType.E_A if speaker is target_speaker else SegmentType.E_B)
+        else:
+            segments.append(SegmentType.E_A)
+    positions = []
+    prev, counter = None, 0
+    for tag in tags:
+        if tag != prev:
+            prev, counter = tag, 0
+        positions.append(counter)
+        counter += 1
+    return PackedSequence(
+        token_ids=tuple(vocab.encode(tokens)),
+        segment_ids=tuple(segments),
+        position_ids=tuple(positions),
+        region_tags=tuple(tags),
+        len_z=len_z,
+        len_c=len_c,
+        len_r=len(tokens) - len_z - len_c,
+    )
 
 
 def oracle_argmax(row):

@@ -393,6 +393,25 @@ def test_ablate_cells_set_source_and_variant(ws, tmp_path):
     assert not {"source", "scope", "variant"} & set(manifest["config"])
 
 
+@pytest.mark.parametrize("split", ["train", "dev", "test"])
+def test_ablate_refuses_an_empty_split_before_training(ws, tmp_path, monkeypatch, capsys, split):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the splits were checked")
+
+    monkeypatch.setattr("srl_rewriter.training.train", no_training)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    paths = {name: f"{ws['prefix']}.{name}.jsonl" for name in ("train", "dev", "test")}
+    paths[split] = str(empty)
+    assert main([
+        "ablate", *[x for name, path in paths.items() for x in (f"--{name}", path)],
+        "--seeds", "0", "--cells", "no-srl", "--out", str(tmp_path / "x.json"),
+        *TINY_MODEL, *TINY_TRAIN,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[EMPTY_CORPUS]: no {split} examples")
+
+
 COMMON_FLAGS = ["--config", "--manifest", "--seed"]
 SOURCE_FLAGS = ["--scope", "--source", "--token-mode"]
 MODEL_FLAGS = ["--d-ff", "--d-model", "--max-position", "--n-heads", "--n-layers",
