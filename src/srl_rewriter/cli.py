@@ -34,6 +34,7 @@ from .metrics import REPORT_HEADER, evaluate_corpus
 from .model import (
     ModelConfig,
     RewriterModel,
+    decode_corpus,
     load_checkpoint,
     save_checkpoint,
 )
@@ -50,7 +51,6 @@ from .srl import (
 from .training import (
     DEFAULT_GRID,
     TrainConfig,
-    decode_corpus,
     prepare_instances,
     run_ablation_grid,
     train,

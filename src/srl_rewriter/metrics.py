@@ -163,10 +163,6 @@ def exact_match_count(hypotheses: Sequence[Tokens], references: Sequence[Tokens]
     )
 
 
-def exact_match(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:
-    return exact_match_count(hypotheses, references) / len(hypotheses)
-
-
 def evaluate_corpus(
     hypotheses: Sequence[Tokens],
     references: Sequence[Tokens],

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import RewriterError
 from .masks import NEG_BIAS, MaskVariant, build_batch_mask, mask_to_additive
-from .packing import BOS_ID, EOS_ID, PackedSequence, SegmentType
+from .packing import BOS_ID, EOS_ID, PackedSequence, SegmentType, Vocabulary
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _LN_EPS = 1e-5
@@ -484,6 +484,10 @@ def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> d
     }
 
 
+# Prefixes decoded together against one prefix cache.  Wider batches take
+# fewer step calls; the prefix pass runs in slices, so its working set does
+# not grow with the batch, but the key and value buffers do.
+_DECODE_BATCH = 16
 # Prefixes per prefix pass.  The pass keeps every layer's activations for all
 # its rows alive at once, so a wide decode batch runs it in slices of this
 # many prefixes; the keys and values, which the steps need, are batch-wide.
@@ -536,45 +540,36 @@ class PrefixCache:
         return _affine(x[:, 0], model._out_weight(), model.params["out.b"])
 
 
-def decode_batch(
-    prefixes: Sequence[PackedSequence], model: RewriterModel, max_steps: int
-) -> list[list[int]]:
-    """Greedy argmax decoding of a batch of z+c prefixes against one prefix cache.
+def decode_corpus(
+    model: RewriterModel, packs: Sequence[PackedSequence], max_steps: int, vocab: Vocabulary
+) -> list[list[str]]:
+    """Greedy argmax hypotheses of z+c prefixes, as tokens in input order.
 
-    Each hypothesis stops at EOS, which is never emitted, or after
-    ``max_steps`` tokens; ties break toward the lowest token id.  Rows that
-    have stopped ride along until the whole batch has.
+    The packs are sorted stably by prefix length, so a batch pads its
+    prefixes little, and decoded in batches of ``_DECODE_BATCH``, each
+    against one ``PrefixCache``.  Each hypothesis stops at EOS, which is never
+    emitted, or after ``max_steps`` tokens; ties break toward the lowest token
+    id.  Rows that have stopped ride along until their whole batch has.
     """
     if max_steps < 1:
         raise RewriterError("CONFIG_INVALID", "max_steps must be >= 1")
     model.config.check_decode_budget(max_steps)
-    cache = PrefixCache(model, prefixes, max_steps)
-    emitted: list[list[int]] = [[] for _ in prefixes]
-    live = np.ones(len(prefixes), dtype=bool)
-    next_ids = np.full(len(prefixes), BOS_ID)
-    for _ in range(max_steps):
-        next_ids = np.argmax(cache.step(next_ids), axis=-1)
-        live &= next_ids != EOS_ID
-        for b in np.flatnonzero(live):
-            emitted[b].append(int(next_ids[b]))
-        if not live.any():
-            break
-    return emitted
-
-
-def greedy_decode(
-    packed_zc: PackedSequence,
-    model: RewriterModel,
-    max_steps: int = 32,
-    vocab=None,
-) -> list:
-    """Greedy decoding of one z+c prefix: ``decode_batch`` on a batch of one.
-
-    Returns emitted token ids (or tokens when a vocabulary is given) without
-    BOS/EOS.
-    """
-    emitted = decode_batch([packed_zc], model, max_steps)[0]
-    return vocab.decode(emitted) if vocab is not None else emitted
+    order = sorted(range(len(packs)), key=lambda i: len(packs[i]))
+    emitted: list[list[int]] = [[] for _ in packs]
+    for lo in range(0, len(order), _DECODE_BATCH):
+        chunk = order[lo : lo + _DECODE_BATCH]
+        cache = PrefixCache(model, [packs[i] for i in chunk], max_steps)
+        live = np.ones(len(chunk), dtype=bool)
+        next_ids = np.full(len(chunk), BOS_ID)
+        for _ in range(max_steps):
+            next_ids = np.argmax(cache.step(next_ids), axis=-1)
+            live &= next_ids != EOS_ID
+            for b in np.flatnonzero(live):
+                emitted[chunk[b]].append(int(next_ids[b]))
+            if not live.any():
+                break
+        del cache  # its K/V buffers go before the next batch's prefix pass starts
+    return [vocab.decode(ids) for ids in emitted]
 
 
 # -- checkpointing -----------------------------------------------------------

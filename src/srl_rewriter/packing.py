@@ -190,9 +190,7 @@ def pack(
 
     target_speaker = session.target_speaker
     for utt in session.utterances:
-        # the turn the tag names; in a valid session that is this utterance
-        speaker = session.utterances[utt.turn_index].speaker
-        segment = SegmentType.E_A if speaker is target_speaker else SegmentType.E_B
+        segment = SegmentType.E_A if utt.speaker is target_speaker else SegmentType.E_B
         region([*utt.tokens, EOS_TOKEN], segment, RegionTag(RegionKind.CONTEXT, utt.turn_index))
     len_c = len(tokens) - len_z
 
@@ -211,24 +209,3 @@ def pack(
         len_c=len_c,
         len_r=len(tokens) - len_z - len_c,
     )
-
-
-def append_rewrite_token(packed: PackedSequence, token_id: int) -> PackedSequence:
-    """Extend the rewrite region by one emitted token (incremental decoding)."""
-    tag = RegionTag(RegionKind.REWRITE, 0)
-    return PackedSequence(
-        token_ids=packed.token_ids + (token_id,),
-        segment_ids=packed.segment_ids + (SegmentType.E_A,),
-        position_ids=packed.position_ids + (packed.len_r,),
-        region_tags=packed.region_tags + (tag,),
-        len_z=packed.len_z,
-        len_c=packed.len_c,
-        len_r=packed.len_r + 1,
-    )
-
-
-def start_decode(packed_zc: PackedSequence) -> PackedSequence:
-    """Seed the rewrite region of a context-only pack with BOS."""
-    if packed_zc.len_r != 0:
-        raise RewriterError("SHAPE_MISMATCH", "decode prefix already has a rewrite region")
-    return append_rewrite_token(packed_zc, BOS_ID)

@@ -21,7 +21,7 @@ import numpy as np
 from .core import RewriteExample, RewriterError
 from .masks import MaskVariant
 from .metrics import EvalReport, evaluate_corpus
-from .model import ModelConfig, RewriterModel, decode_batch, make_batch
+from .model import ModelConfig, RewriterModel, decode_corpus, make_batch
 from .packing import PackedSequence, Vocabulary, build_vocabulary, pack
 from .seeding import derive_seed, substream
 from .srl import HeuristicRules, TripleMode, TripleSource, acquire_triples, score_srl_corpus
@@ -34,11 +34,6 @@ ADAM_EPS = 1e-8
 # (numpy 2 wheels), then ILP64 and LP64 OpenBLAS
 _OPENBLAS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
              "openblas_{}_num_threads")
-
-# Prefixes decoded together against one prefix cache.  Wider batches take
-# fewer step calls; the prefix pass runs in slices, so its working set does
-# not grow with the batch, but the key and value buffers do.
-_DECODE_BATCH = 16
 
 
 @dataclass
@@ -179,24 +174,6 @@ def prepare_instances(
     return packs
 
 
-def decode_corpus(
-    model: RewriterModel,
-    packs: Sequence[PackedSequence],
-    max_steps: int,
-    vocab: Optional[Vocabulary] = None,
-) -> list[list]:
-    """Greedy hypotheses for every pack, in input order.  The packs are
-    decoded in batches of ``_DECODE_BATCH`` after a stable sort by prefix
-    length, so a batch pads its prefixes little."""
-    order = sorted(range(len(packs)), key=lambda i: len(packs[i]))
-    hyps: list = [None] * len(packs)
-    for lo in range(0, len(order), _DECODE_BATCH):
-        chunk = order[lo : lo + _DECODE_BATCH]
-        for i, hyp in zip(chunk, decode_batch([packs[i] for i in chunk], model, max_steps)):
-            hyps[i] = hyp
-    return [vocab.decode(h) for h in hyps] if vocab is not None else hyps
-
-
 @dataclass
 class EvalPoint:
     step: int
@@ -250,7 +227,7 @@ def train(
     opt = AdamState.init(model)
     order_rng = substream(config.seed, "batch-order")
     history: list[EvalPoint] = []
-    best_model = model.copy()
+    best_model = model  # the first eval replaces it: the last step always evaluates
     best_em = -1.0
     best_step = 0
     step = 0
@@ -298,11 +275,6 @@ def train(
                         stop = True
                 if step >= config.max_steps or stop:
                     break
-
-    if not history:  # max_steps smaller than eval_every never fires above
-        point, best_model = run_eval()
-        history.append(point)
-        best_em, best_step = point.report.em, step
 
     return TrainResult(
         model=best_model,

@@ -15,14 +15,13 @@ from srl_rewriter.core import BOS_TOKEN, EOS_TOKEN, RewriterError
 from srl_rewriter.masks import MaskVariant
 from srl_rewriter.model import make_batch
 from srl_rewriter.packing import (
+    BOS_ID,
     EOS_ID,
     PackedSequence,
     RegionKind,
     RegionTag,
     SegmentType,
-    append_rewrite_token,
     linearize_triples,
-    start_decode,
 )
 
 
@@ -150,15 +149,17 @@ def oracle_pack(example, triples, vocab, seed, include_reference=True):
     if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
         raise RewriterError("VOCAB_OVERFLOW", "vocabulary lacks reserved tokens")
     session = example.session
-    tokens, tags = [], []
+    tokens, tags, speakers = [], [], []  # speakers: each context token's utterance's
     for tok, triple_idx in linearize_triples(triples, session, seed):
         tokens.append(tok)
         tags.append(RegionTag(RegionKind.TRIPLE, triple_idx))
+        speakers.append(None)
     len_z = len(tokens)
     for utt in session.utterances:
         for tok in [*utt.tokens, EOS_TOKEN]:
             tokens.append(tok)
             tags.append(RegionTag(RegionKind.CONTEXT, utt.turn_index))
+            speakers.append(utt.speaker)
     len_c = len(tokens) - len_z
     if include_reference:
         if example.reference is None:
@@ -166,14 +167,14 @@ def oracle_pack(example, triples, vocab, seed, include_reference=True):
         for tok in [BOS_TOKEN, *example.reference, EOS_TOKEN]:
             tokens.append(tok)
             tags.append(RegionTag(RegionKind.REWRITE, 0))
+            speakers.append(None)
 
     target_speaker = session.target_speaker
     segments = []
-    for tag in tags:
+    for tag, speaker in zip(tags, speakers):
         if tag.kind is RegionKind.TRIPLE:
             segments.append(SegmentType.E_SRL)
         elif tag.kind is RegionKind.CONTEXT:
-            speaker = session.utterances[tag.index].speaker
             segments.append(SegmentType.E_A if speaker is target_speaker else SegmentType.E_B)
         else:
             segments.append(SegmentType.E_A)
@@ -202,6 +203,26 @@ def oracle_argmax(row):
         if row[j] > row[best]:
             best = j
     return best
+
+
+def append_rewrite_token(packed, token_id):
+    """``packed`` with its rewrite region one token longer."""
+    return PackedSequence(
+        token_ids=packed.token_ids + (token_id,),
+        segment_ids=packed.segment_ids + (SegmentType.E_A,),
+        position_ids=packed.position_ids + (packed.len_r,),
+        region_tags=packed.region_tags + (RegionTag(RegionKind.REWRITE, 0),),
+        len_z=packed.len_z,
+        len_c=packed.len_c,
+        len_r=packed.len_r + 1,
+    )
+
+
+def start_decode(packed_zc):
+    """A context-only pack with its rewrite region opened by BOS."""
+    if packed_zc.len_r != 0:
+        raise RewriterError("SHAPE_MISMATCH", "decode prefix already has a rewrite region")
+    return append_rewrite_token(packed_zc, BOS_ID)
 
 
 def oracle_greedy_decode(packed_zc, model, max_steps):

@@ -30,7 +30,7 @@ from srl_rewriter.generator import (
     split_corpus,
 )
 from srl_rewriter.masks import MaskVariant, build_mask
-from srl_rewriter.metrics import bleu_n, exact_match, exact_match_count, rouge_l, rouge_n
+from srl_rewriter.metrics import bleu_n, evaluate_corpus, exact_match_count, rouge_l, rouge_n
 from srl_rewriter.model import ModelConfig, RewriterModel, make_batch
 from srl_rewriter.packing import build_vocabulary, pack
 from srl_rewriter.srl import (
@@ -186,7 +186,7 @@ def test_criterion_05_metric_oracles():
             assert abs(rouge_n(hyps, refs, n) - oracle_rouge_n(hyps, refs, n)) < 1e-9
         direct = sum(1 for h, r in zip(hyps, refs) if list(h) == list(r))
         assert exact_match_count(hyps, refs) == direct
-        assert exact_match(hyps, refs) == direct / len(hyps)
+        assert evaluate_corpus(hyps, refs).em == direct / len(hyps)
     for _ in range(100):
         hyps, refs = random_corpus(rng, max_len=8)  # exhaustive oracle territory
         assert abs(rouge_l(hyps, refs) - oracle_rouge_l(hyps, refs)) < 1e-9

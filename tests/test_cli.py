@@ -219,6 +219,25 @@ def test_rewrite_reports_decode_budget_hits(ws, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == lines[-1]
 
 
+@pytest.mark.parametrize("steps, code", [("0", "CONFIG_INVALID"), ("99", "TOO_LONG")])
+@pytest.mark.parametrize("records", ["empty", "test"])
+def test_rewrite_checks_the_decode_budget_even_with_nothing_to_decode(
+    ws, capsys, tmp_path, steps, code, records
+):
+    # the checkpoint's position table holds 64 rewrite positions
+    test = f"{ws['prefix']}.test.jsonl"
+    if records == "empty":
+        test = str(tmp_path / "empty.jsonl")
+        open(test, "w").close()
+    out = str(tmp_path / "hyps.jsonl")
+    argv = ["rewrite", "--model", ws["ckpt"], "--input", test, "--out", out,
+            "--max-decode-steps", steps]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{code}]: ") and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_rewrite_refuses_a_variant_its_checkpoint_was_not_trained_with(ws, capsys, tmp_path):
     out = str(tmp_path / "hyps.jsonl")
     argv = ["rewrite", "--model", ws["ckpt"], "--input", f"{ws['prefix']}.test.jsonl",

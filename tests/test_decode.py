@@ -13,22 +13,16 @@ from srl_rewriter.core import RewriterError
 from srl_rewriter.generator import GeneratorConfig, sample_corpus, split_corpus
 from srl_rewriter.masks import NEG_BIAS, MaskVariant
 from srl_rewriter.model import (
+    _DECODE_BATCH,
     _PREFIX_SLICE,
     ModelConfig,
     PrefixCache,
     RewriterModel,
-    decode_batch,
-    greedy_decode,
+    decode_corpus,
 )
 from srl_rewriter.packing import BOS_ID, PAD_ID, build_vocabulary
 from srl_rewriter.srl import TripleMode, TripleSource
-from srl_rewriter.training import (
-    _DECODE_BATCH,
-    TrainConfig,
-    decode_corpus,
-    prepare_instances,
-    train,
-)
+from srl_rewriter.training import TrainConfig, prepare_instances, train
 
 MAX_STEPS = 24
 SOURCES = {
@@ -74,6 +68,11 @@ def prefixes(splits, variant, split):
     return prepare_instances(examples, splits[3], SOURCES[variant], 0, include_reference=False)
 
 
+def oracle_tokens(vocab, expected):
+    """The oracle's hypotheses as the tokens ``decode_corpus`` returns."""
+    return [vocab.decode(hyp) for hyp, _ in expected]
+
+
 def worst_step_logit_error(model, packs, expected):
     """Largest gap between the cached step logits of one batch of ``packs``
     and the oracle's, each row fed the oracle's tokens."""
@@ -93,15 +92,16 @@ def worst_step_logit_error(model, packs, expected):
 @pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)
 @pytest.mark.parametrize("split", ["dev", "test"])
 def test_cached_decode_matches_full_recompute(splits, models, variant, weights, split):
-    model = models[variant, weights]
+    model, vocab = models[variant, weights], splits[3]
     packs = prefixes(splits, variant, split)
     expected = [oracle_greedy_decode(p, model, MAX_STEPS) for p in packs]
-    hyps = [hyp for hyp, _ in expected]
-    assert decode_corpus(model, packs, MAX_STEPS) == hyps
+    hyps = oracle_tokens(vocab, expected)
+    assert decode_corpus(model, packs, MAX_STEPS, vocab) == hyps
     # decode_corpus sorts by prefix length; its output stays in input order
     shuffled = np.random.default_rng(0).permutation(len(packs))
     for order in (shuffled, np.arange(len(packs))[::-1]):
-        assert decode_corpus(model, [packs[i] for i in order], MAX_STEPS) == [hyps[i] for i in order]
+        reordered = [packs[i] for i in order]
+        assert decode_corpus(model, reordered, MAX_STEPS, vocab) == [hyps[i] for i in order]
 
     worst = max(
         worst_step_logit_error(model, packs[lo : lo + _DECODE_BATCH], expected[lo : lo + _DECODE_BATCH])
@@ -118,7 +118,8 @@ def test_prefix_slices_of_one_batch_match_full_recompute(splits, models, weights
     batch = [packs[0], *packs[1 : _PREFIX_SLICE + 1], packs[-1]]
     assert len(batch) > _PREFIX_SLICE and len(batch[0]) < len(batch[-1])
     expected = [oracle_greedy_decode(p, model, MAX_STEPS) for p in batch]
-    assert decode_batch(batch, model, MAX_STEPS) == [hyp for hyp, _ in expected]
+    assert len(batch) <= _DECODE_BATCH  # one batch, one prefix cache
+    assert decode_corpus(model, batch, MAX_STEPS, splits[3]) == oracle_tokens(splits[3], expected)
     worst = worst_step_logit_error(model, batch, expected)
     assert worst < 1e-9, f"step logits differ by {worst:.2e}"
 
@@ -137,10 +138,12 @@ def test_step_bias_masks_each_prefix_padding_only(splits, models):
     assert np.count_nonzero(cache.bias) == sum(L - len(p) for p in batch) > 0
 
 
-def test_batched_decode_equals_one_at_a_time(splits, models):
-    model = models[MaskVariant.TRIPLE_MASK, "trained"]
+def test_batched_decode_equals_one_at_a_time(splits, models, monkeypatch):
+    model, vocab = models[MaskVariant.TRIPLE_MASK, "trained"], splits[3]
     packs = sorted(prefixes(splits, MaskVariant.TRIPLE_MASK, "dev"), key=len)
-    singles = {id(p): greedy_decode(p, model, MAX_STEPS) for p in packs}
+    with monkeypatch.context() as patch:  # every pack a batch of its own
+        patch.setattr("srl_rewriter.model._DECODE_BATCH", 1)
+        singles = dict(zip(map(id, packs), decode_corpus(model, packs, MAX_STEPS, vocab)))
     by_length: dict[int, list] = {}
     for p in packs:
         by_length.setdefault(len(singles[id(p)]), []).append(p)
@@ -149,20 +152,23 @@ def test_batched_decode_equals_one_at_a_time(splits, models):
     chunks = [
         [packs[0], packs[-1], packs[1], packs[-2]],
         [group[0] for group in by_length.values()],
-        packs[: 3 * _DECODE_BATCH + 1],
     ]
     for chunk in chunks:
-        assert decode_batch(chunk, model, MAX_STEPS) == [singles[id(p)] for p in chunk]
+        assert len(chunk) <= _DECODE_BATCH
+        assert decode_corpus(model, chunk, MAX_STEPS, vocab) == [singles[id(p)] for p in chunk]
     assert len(packs[0]) < len(packs[-1])
-    assert decode_corpus(model, packs, MAX_STEPS) == [singles[id(p)] for p in packs]
+    assert decode_corpus(model, packs, MAX_STEPS, vocab) == [singles[id(p)] for p in packs]
+    with monkeypatch.context() as patch:  # all of them one batch, many prefix slices
+        patch.setattr("srl_rewriter.model._DECODE_BATCH", len(packs))
+        assert decode_corpus(model, packs, MAX_STEPS, vocab) == [singles[id(p)] for p in packs]
 
 
 def test_budget_hits_stop_every_row_at_max_steps(splits, models):
     model = models[MaskVariant.BI_MASK, "random"]
     packs = prefixes(splits, MaskVariant.BI_MASK, "test")[:_DECODE_BATCH]
-    hyps = decode_batch(packs, model, 3)
+    hyps = decode_corpus(model, packs, 3, splits[3])
     assert [len(h) for h in hyps] == [3] * len(packs)
-    assert hyps == [oracle_greedy_decode(p, model, 3)[0] for p in packs]
+    assert hyps == oracle_tokens(splits[3], [oracle_greedy_decode(p, model, 3) for p in packs])
 
 
 def test_decode_refuses_a_prefix_with_a_rewrite_region(splits, models):
@@ -170,5 +176,5 @@ def test_decode_refuses_a_prefix_with_a_rewrite_region(splits, models):
     train_set, _, _, vocab = splits
     full = prepare_instances(train_set[:2], vocab, SOURCES[MaskVariant.TRIPLE_MASK], 0)
     with pytest.raises(RewriterError) as err:
-        decode_batch(full, model, MAX_STEPS)
+        decode_corpus(model, full, MAX_STEPS, vocab)
     assert err.value.code == "SHAPE_MISMATCH"

@@ -12,7 +12,6 @@ from srl_rewriter.metrics import (
     RewriterError,
     bleu_n,
     evaluate_corpus,
-    exact_match,
     exact_match_count,
     lcs_length,
     rouge_l,
@@ -85,7 +84,7 @@ def test_empty_pair_conventions():
     # no tokens on either side: vacuously perfect on every pair metric
     assert rouge_n([[]], [[]], 1) == 1.0
     assert rouge_l([[]], [[]]) == 1.0
-    assert exact_match([[]], [[]]) == 1.0
+    assert evaluate_corpus([[]], [[]]).em == 1.0
     # one-sided emptiness is a miss
     assert rouge_n([[]], [["a"]], 1) == 0.0
     assert rouge_l([["a"]], [[]]) == 0.0
@@ -93,7 +92,7 @@ def test_empty_pair_conventions():
 
 def test_exact_match_ignores_reserved_tokens():
     assert exact_match_count([["[EOS]", "a"]], [["a"]]) == 1
-    assert exact_match([["a", "b"]], [["a"]]) == 0.0
+    assert evaluate_corpus([["a", "b"]], [["a"]]).em == 0.0
 
 
 def test_length_mismatch_and_empty_corpus_errors():

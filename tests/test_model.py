@@ -13,7 +13,7 @@ from srl_rewriter.model import (
     ModelConfig,
     RewriterModel,
     _parameter_shapes,
-    greedy_decode,
+    decode_corpus,
     load_checkpoint,
     make_batch,
     save_checkpoint,
@@ -280,7 +280,7 @@ def test_decode_stops_on_eos_without_emitting(config, tiny_corpus, tiny_vocab):
     model = surgery_model(config, **{str(EOS_ID): 5.0})
     example = tiny_corpus[0]
     packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
-    assert greedy_decode(packed, model, max_steps=8) == []
+    assert decode_corpus(model, [packed], 8, tiny_vocab) == [[]]
 
 
 def test_decode_tie_breaks_toward_lowest_id(config, tiny_corpus, tiny_vocab):
@@ -288,7 +288,7 @@ def test_decode_tie_breaks_toward_lowest_id(config, tiny_corpus, tiny_vocab):
     model = surgery_model(config)
     example = tiny_corpus[0]
     packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
-    assert greedy_decode(packed, model, max_steps=4) == [PAD_ID] * 4
+    assert decode_corpus(model, [packed], 4, tiny_vocab) == [[tiny_vocab.token_of(PAD_ID)] * 4]
 
 
 def test_decode_respects_max_steps(config, tiny_corpus, tiny_vocab):
@@ -296,13 +296,13 @@ def test_decode_respects_max_steps(config, tiny_corpus, tiny_vocab):
     model = surgery_model(config, **{str(tok): 5.0})
     example = tiny_corpus[0]
     packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
-    out = greedy_decode(packed, model, max_steps=3, vocab=tiny_vocab)
-    assert out == [tiny_vocab.token_of(tok)] * 3
+    assert decode_corpus(model, [packed], 3, tiny_vocab) == [[tiny_vocab.token_of(tok)] * 3]
 
 
-def test_decode_rejects_zero_budget(model, packed_instances):
+@pytest.mark.parametrize("n_packs", [1, 0])
+def test_decode_rejects_zero_budget(model, packed_instances, tiny_vocab, n_packs):
     with pytest.raises(RewriterError) as err:
-        greedy_decode(packed_instances[0], model, max_steps=0)
+        decode_corpus(model, packed_instances[:n_packs], 0, tiny_vocab)
     assert err.value.code == "CONFIG_INVALID"
 
 
@@ -311,10 +311,11 @@ def test_decode_budget_beyond_position_table_fails_up_front(config, tiny_corpus,
     model = surgery_model(replace(config, max_position=16), **{"20": 5.0})
     example = tiny_corpus[0]
     packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
-    assert len(greedy_decode(packed, model, max_steps=16)) == 16
-    with pytest.raises(RewriterError) as err:
-        greedy_decode(packed, model, max_steps=40)
-    assert err.value.code == "TOO_LONG"
+    assert len(decode_corpus(model, [packed], 16, tiny_vocab)[0]) == 16
+    for packs in ([packed], []):
+        with pytest.raises(RewriterError) as err:
+            decode_corpus(model, packs, 40, tiny_vocab)
+        assert err.value.code == "TOO_LONG"
 
 
 # -- checkpoints -------------------------------------------------------------------

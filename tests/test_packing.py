@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import append_rewrite_token, start_decode
 from srl_rewriter.core import (
     BOS_TOKEN,
     EOS_TOKEN,
@@ -9,21 +10,18 @@ from srl_rewriter.core import (
     UNK_TOKEN,
     RewriterError,
 )
-from srl_rewriter.generator import Lexicon, SlotMode, build_session
+from srl_rewriter.generator import GeneratorConfig, Lexicon, SlotMode, build_session, sample_corpus
 from srl_rewriter.packing import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
     ROLE_TOKENS,
     UNK_ID,
-    RegionKind,
     SegmentType,
     Vocabulary,
-    append_rewrite_token,
     build_vocabulary,
     linearize_triples,
     pack,
-    start_decode,
 )
 from srl_rewriter.srl import TripleMode, TripleSource, acquire_triples
 
@@ -245,31 +243,14 @@ def test_gold_acquisition_matches_stored_triples(tiny_corpus):
 # -- incremental decoding -------------------------------------------------------
 
 
-def test_start_decode_appends_bos(fixture_example, fixture_vocab):
-    packed = pack(
-        fixture_example, fixture_example.triples, fixture_vocab, seed=0, include_reference=False
-    )
-    seeded = start_decode(packed)
-    assert seeded.len_r == 1
-    assert seeded.token_ids[-1] == BOS_ID
-    assert seeded.position_ids[-1] == 0
-    assert seeded.region_tags[-1].kind is RegionKind.REWRITE
-
-
-def test_start_decode_rejects_existing_rewrite(fixture_example, fixture_vocab):
-    packed = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=0)
-    with pytest.raises(RewriterError):
-        start_decode(packed)
-
-
-def test_append_rewrite_token_extends_positions(fixture_example, fixture_vocab):
-    packed = pack(
-        fixture_example, fixture_example.triples, fixture_vocab, seed=0, include_reference=False
-    )
-    state = start_decode(packed)
-    tok = fixture_vocab.id_of("粤")
-    state = append_rewrite_token(state, tok)
-    state = append_rewrite_token(state, tok)
-    assert state.len_r == 3
-    assert list(state.position_ids[-3:]) == [0, 1, 2]
-    assert list(state.token_ids[-2:]) == [tok, tok]
+def test_oracle_decode_growth_reproduces_the_reference_pack():
+    """The oracle's decode helpers, fed BOS, the reference and EOS, rebuild
+    what ``pack`` makes with the reference, on the criterion-8 corpus."""
+    corpus = sample_corpus(GeneratorConfig(n_sessions=2000, seed=0, cross_turn_rate=0.3))
+    vocab = build_vocabulary(corpus)
+    for idx, example in enumerate(corpus):
+        packed = pack(example, example.triples, vocab, idx, include_reference=False)
+        grown = start_decode(packed)
+        for token_id in vocab.encode([*example.reference, EOS_TOKEN]):
+            grown = append_rewrite_token(grown, token_id)
+        assert grown == pack(example, example.triples, vocab, idx, include_reference=True), idx

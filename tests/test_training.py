@@ -218,14 +218,17 @@ def test_best_model_holds_the_weights_its_checkpoint_stores(micro_setup, tmp_pat
         assert np.array_equal(loaded.params[name], value), name
 
 
-def test_eval_fires_at_final_step_even_off_schedule(micro_setup):
+@pytest.mark.parametrize("max_steps, eval_every, steps", [(3, 2, [2, 3]), (1, 100, [1])])
+def test_eval_fires_at_final_step_even_off_schedule(micro_setup, max_steps, eval_every, steps):
+    # the last step evaluates, also when max_steps is below eval_every
     corpus, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     result = train(
         model, corpus[:6], corpus[6:], vocab,
-        micro_train_config(max_steps=3, eval_every=2),
+        micro_train_config(max_steps=max_steps, eval_every=eval_every),
     )
-    assert [pt.step for pt in result.history] == [2, 3]
+    assert [pt.step for pt in result.history] == steps
+    assert result.best_step in steps  # with one eval, that eval's step
 
 
 def test_empty_split_is_rejected(micro_setup):
