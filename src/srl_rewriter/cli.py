@@ -283,6 +283,9 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
         )
     args.variant = variant  # the manifest records the variant the decode ran under
     vocab = Vocabulary.load(args.vocab or args.model + ".vocab")
+    if len(vocab) != model.config.vocab_size:
+        message = f"{len(vocab)} vocabulary tokens for a checkpoint of {model.config.vocab_size}"
+        raise RewriterError("CHECKPOINT_MISMATCH", message)
     examples = read_examples(args.input)
     packs = prepare_instances(
         examples, vocab, _source(args), args.seed, heuristic_rules=_rules(args),

@@ -55,6 +55,8 @@ class ModelConfig:
 
     def check_decode_budget(self, max_steps: int) -> None:
         """Rewrite position ids run up to max_steps - 1; the table must hold them."""
+        if max_steps < 1:
+            raise RewriterError("CONFIG_INVALID", f"max_decode_steps {max_steps} < 1")
         if max_steps > self.max_position:
             raise RewriterError(
                 "TOO_LONG", f"{max_steps} decode steps exceed max_position {self.max_position}"
@@ -112,7 +114,7 @@ def _init_parameter(name: str, shape: tuple[int, ...], rng: np.random.Generator)
 
 
 class RewriterModel:
-    """Embedding tables plus transformer stack; parameters carry gradient slots."""
+    """Embedding tables plus transformer stack; its passes only read the weights."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -120,26 +122,18 @@ class RewriterModel:
         self.params: dict[str, np.ndarray] = {
             name: _init_parameter(name, shape, rng) for name, shape in _parameter_shapes(config)
         }
-        self.grads: dict[str, np.ndarray] = {
-            name: np.zeros_like(p) for name, p in self.params.items()
-        }
 
     # -- bookkeeping --------------------------------------------------------
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
     @classmethod
     def _from_params(cls, config: ModelConfig, params: dict[str, np.ndarray]) -> "RewriterModel":
-        """A model that takes ``params`` as its weights, with zero gradients."""
+        """A model that takes ``params`` as its weights."""
         model = cls.__new__(cls)
         model.config = config
         model.params = params
-        model.grads = {k: np.zeros_like(v) for k, v in params.items()}
         return model
 
     def copy(self) -> "RewriterModel":
@@ -261,9 +255,10 @@ class RewriterModel:
         )
         return x2, cache
 
-    def loss_and_grads(self, batch: dict, loss_scale: float = 1.0) -> tuple[float, int]:
-        """Summed NLL over target positions; analytic gradients accumulate into
-        ``self.grads`` scaled by ``loss_scale``.  Returns (loss, target count).
+    def loss_and_grads(self, batch: dict, loss_scale: float = 1.0) -> tuple[float, int, dict]:
+        """Summed NLL over target positions and its analytic gradients, scaled
+        by ``loss_scale``.  Returns (loss, target count, gradients by parameter
+        name in ``params`` order); the model is only read.
 
         The last layer and the logits head run only on a window of R rows per
         example, R the widest target span of the batch: rows without a target
@@ -287,21 +282,23 @@ class RewriterModel:
         dlogits *= target_mask[:, :, None]
         dlogits[bi, li, ti] -= 1.0
         dlogits *= loss_scale
-        self._backward(dlogits, cache)
-        return loss, n_targets
+        return loss, n_targets, self._backward(dlogits, cache)
 
     # -- backward -----------------------------------------------------------
 
-    def _backward(self, dlogits: np.ndarray, cache: list) -> None:
-        """Gradients of the logits ``dlogits`` [B, R, V] of a cached forward."""
+    def _backward(self, dlogits: np.ndarray, cache: list) -> dict[str, np.ndarray]:
+        """Gradients, in ``params`` order, from ``dlogits`` [B, R, V] of a cached forward."""
         cfg = self.config
-        p, g = self.params, self.grads
+        p, g = self.params, {}
         ids, segs, poss, layer_caches, x_final = cache
         H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         scale = 1.0 / np.sqrt(dh)
 
-        out_grad = g["tok_emb"].T if cfg.tie_embeddings else g["out.W"]
-        _affine_grads(out_grad, g["out.b"], x_final, dlogits)
+        out_grad, g["out.b"] = _affine_grads(x_final, dlogits)
+        if cfg.tie_embeddings:  # the head's share first; the embedding scatter adds to it
+            g["tok_emb"] = np.ascontiguousarray(out_grad.T)
+        else:
+            g["out.W"] = out_grad
         dx = _affine(dlogits, self._out_weight().T)
 
         for i in reversed(range(cfg.n_layers)):
@@ -309,17 +306,15 @@ class RewriterModel:
             c = layer_caches[i]
             B, R = dx.shape[:2]
             dres2, dg2, db2 = _layer_norm_backward(dx, c["ln2"])
-            g[pre + "ln2.g"] += dg2
-            g[pre + "ln2.b"] += db2
-            _affine_grads(g[pre + "ff.W2"], g[pre + "ff.b2"], c["h_act"], dres2)
+            g[pre + "ln2.g"], g[pre + "ln2.b"] = dg2, db2
+            g[pre + "ff.W2"], g[pre + "ff.b2"] = _affine_grads(c["h_act"], dres2)
             dh_pre = _gelu_backward(_affine(dres2, p[pre + "ff.W2"].T), c["gelu"])
-            _affine_grads(g[pre + "ff.W1"], g[pre + "ff.b1"], c["x1"], dh_pre)
+            g[pre + "ff.W1"], g[pre + "ff.b1"] = _affine_grads(c["x1"], dh_pre)
             dx1 = _affine(dh_pre, p[pre + "ff.W1"].T)
             dx1 += dres2
             dres1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
-            g[pre + "ln1.g"] += dg1
-            g[pre + "ln1.b"] += db1
-            _affine_grads(g[pre + "attn.Wo"], g[pre + "attn.bo"], c["ctx"], dres1)
+            g[pre + "ln1.g"], g[pre + "ln1.b"] = dg1, db1
+            g[pre + "attn.Wo"], g[pre + "attn.bo"] = _affine_grads(c["ctx"], dres1)
             dctx = _affine(dres1, p[pre + "attn.Wo"].T).reshape(B, R, H, dh).transpose(0, 2, 1, 3)
             attn = c["attn"]
             dvh = attn.transpose(0, 1, 3, 2) @ dctx
@@ -334,7 +329,7 @@ class RewriterModel:
             dk = dkh.transpose(0, 2, 1, 3).reshape(x_in.shape)
             dv = dvh.transpose(0, 2, 1, 3).reshape(x_in.shape)
             for name, dmat, x_of in (("q", dq, c["xq"]), ("k", dk, x_in), ("v", dv, x_in)):
-                _affine_grads(g[pre + f"attn.W{name}"], g[pre + f"attn.b{name}"], x_of, dmat)
+                g[pre + f"attn.W{name}"], g[pre + f"attn.b{name}"] = _affine_grads(x_of, dmat)
             dx = _affine(dq, p[pre + "attn.Wq"].T)
             dx += dres1
             if c["rows"] is not None:  # the query rows' gradient, back into all rows
@@ -344,7 +339,8 @@ class RewriterModel:
             dx += _affine(dk, p[pre + "attn.Wk"].T)
             dx += _affine(dv, p[pre + "attn.Wv"].T)
         for name, index in (("tok_emb", ids), ("seg_emb", segs), ("pos_emb", poss)):
-            _scatter_rows(g[name], index, dx)
+            _scatter_rows(g.setdefault(name, np.zeros_like(p[name])), index, dx)
+        return {name: g[name] for name in p}  # clip_gradients sums the norms in this order
 
 
 def _target_windows(target_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,11 +370,10 @@ def _affine(x: np.ndarray, W: np.ndarray, b: Optional[np.ndarray] = None) -> np.
     return out.reshape(*x.shape[:-1], W.shape[1])
 
 
-def _affine_grads(gW: np.ndarray, gb: np.ndarray, x: np.ndarray, dout: np.ndarray) -> None:
-    """Add the weight and bias gradients of ``_affine(x, W, b)`` into gW and gb."""
-    dout = dout.reshape(-1, gW.shape[1])
-    gW += x.reshape(-1, gW.shape[0]).T @ dout
-    gb += dout.sum(axis=0)
+def _affine_grads(x: np.ndarray, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weight and bias gradients (gW, gb) of ``_affine(x, W, b)``."""
+    dout = dout.reshape(-1, dout.shape[-1])
+    return x.reshape(-1, x.shape[-1]).T @ dout, dout.sum(axis=0)
 
 
 def _scatter_rows(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
@@ -551,8 +546,6 @@ def decode_corpus(
     emitted, or after ``max_steps`` tokens; ties break toward the lowest token
     id.  Rows that have stopped ride along until their whole batch has.
     """
-    if max_steps < 1:
-        raise RewriterError("CONFIG_INVALID", "max_steps must be >= 1")
     model.config.check_decode_budget(max_steps)
     order = sorted(range(len(packs)), key=lambda i: len(packs[i]))
     emitted: list[list[int]] = [[] for _ in packs]

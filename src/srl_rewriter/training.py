@@ -93,13 +93,14 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: Optional[float]) -> f
             g *= scale
     return total
 
-def adam_update(model: RewriterModel, state: AdamState, lr: float) -> None:
+
+def adam_update(model: RewriterModel, grads: dict, state: AdamState, lr: float) -> None:
     state.step += 1
     t = state.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
     for name, p in model.params.items():
-        g = model.grads[name]
+        g = grads[name]
         m, v = state.m[name], state.v[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
@@ -131,30 +132,29 @@ def _one_blas_thread() -> Iterator[bool]:
         set_(before)
 
 
-def _batch_loss_and_grads(model, twin, packs, pool=None) -> tuple[float, int]:
-    """Summed loss and target count of a batch of packs with references; its
-    gradients, scaled by 1 / target count, land in ``model.grads``.  The first
-    ceil(B/2) packs run here into ``model``, the rest into ``twin``, which
-    shares the weights, on ``pool`` meanwhile or here after them.  The twin's
-    share is added last, so the sums do not depend on which finished first."""
+def _batch_loss_and_grads(model, packs, pool=None) -> tuple[float, int, dict]:
+    """Summed loss, target count and gradients, scaled by 1 / target count, of
+    a batch of packs with references.  The first ceil(B/2) packs run here and
+    the rest on ``pool`` meanwhile, or here after them; both shards only read
+    ``model``.  The second shard's gradients are added into the first's, so
+    the sums do not depend on which finished first."""
     variant = model.config.mask_variant
     n_targets = sum(p.len_r - 1 for p in packs)  # make_batch's: BOS to last-but-one
     half = (len(packs) + 1) // 2
 
-    def shard(m: RewriterModel, part) -> float:
-        m.zero_grads()
-        return m.loss_and_grads(make_batch(part, variant), loss_scale=1.0 / n_targets)[0]
+    def shard(part) -> tuple[float, int, dict]:
+        return model.loss_and_grads(make_batch(part, variant), loss_scale=1.0 / n_targets)
 
     if half == len(packs):
-        return shard(model, packs), n_targets
+        return shard(packs)
     if pool is None:
-        loss, rest = shard(model, packs[:half]), shard(twin, packs[half:])
+        (loss, _, grads), (rest, _, more) = shard(packs[:half]), shard(packs[half:])
     else:  # a copy of this context carries numpy's error state to the worker
-        future = pool.submit(contextvars.copy_context().run, shard, twin, packs[half:])
-        loss, rest = shard(model, packs[:half]), future.result()
-    for name, g in model.grads.items():
-        g += twin.grads[name]
-    return loss + rest, n_targets
+        future = pool.submit(contextvars.copy_context().run, shard, packs[half:])
+        (loss, _, grads), (rest, _, more) = shard(packs[:half]), future.result()
+    for name, g in grads.items():
+        g += more[name]
+    return loss + rest, n_targets, grads
 
 
 def prepare_instances(
@@ -242,21 +242,21 @@ def train(
         report = evaluate_corpus(hyps, dev_refs)
         return EvalPoint(step=step, train_loss=last_loss, report=report), scored
 
-    twin = RewriterModel._from_params(model.config, model.params)  # shares the weights
     # two single-threaded shards side by side; two 2-thread BLAS calls would contend
     with _one_blas_thread() as held, ThreadPoolExecutor(max_workers=1) as pool:
         while step < config.max_steps and not stop:
             perm = order_rng.permutation(len(train_packs))
             for lo in range(0, len(perm), config.batch_size):
                 idxs = perm[lo : lo + config.batch_size]
-                loss_sum, n_targets = _batch_loss_and_grads(
-                    model, twin, [train_packs[i] for i in idxs], pool if held else None
+                loss_sum, n_targets, grads = _batch_loss_and_grads(
+                    model, [train_packs[i] for i in idxs], pool if held else None
                 )
                 last_loss = loss_sum / n_targets
                 if not math.isfinite(last_loss):
                     raise RewriterError("DIVERGENCE", f"non-finite loss at step {step + 1}")
-                clip_gradients(model.grads, config.clip_norm)
-                adam_update(model, opt, config.lr)
+                clip_gradients(grads, config.clip_norm)
+                adam_update(model, grads, opt, config.lr)
+                del grads  # released before the next step's shards allocate theirs
                 step += 1
 
                 if step % config.eval_every == 0 or step >= config.max_steps:

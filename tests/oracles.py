@@ -332,7 +332,7 @@ def oracle_forward(model, batch):
 def oracle_loss_and_grads(model, batch, loss_scale=1.0):
     """Summed NLL and its gradients with every layer and the logits head run
     on every row, rows without a target included.  Returns (loss, target
-    count, gradients by parameter name); ``model.grads`` is left alone.
+    count, gradients by parameter name).
 
     It runs ``oracle_forward`` and the textbook backward of every block,
     written with separate products and the oracle's layer-norm and GELU

@@ -112,9 +112,7 @@ def test_criterion_03_gradient_check():
     )
     packed = pack(corpus[0], corpus[0].triples, vocab, seed=0)
     batch = make_batch([packed], MaskVariant.TRIPLE_MASK)
-    model.zero_grads()
-    loss, _ = model.loss_and_grads(batch)
-    grads = {k: v.copy() for k, v in model.grads.items()}
+    loss, _, grads = model.loss_and_grads(batch)
 
     def loss_only() -> float:
         logits, _ = model.forward_batch(batch)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import srl_rewriter
 from srl_rewriter.cli import build_parser, main
 from srl_rewriter.model import load_checkpoint
+from srl_rewriter.packing import ROLE_TOKENS
 
 TINY_MODEL = [
     "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--d-ff", "24",
@@ -177,6 +178,20 @@ def test_train_refuses_non_positive_model_sizes(ws, capsys, tmp_path, flag, valu
     assert err.startswith("error[CONFIG_INVALID]: ") and flag[2:].replace("-", "_") in err
 
 
+def test_train_refuses_a_zero_decode_budget_before_any_step(ws, capsys, tmp_path, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran before the decode budget was checked")
+
+    monkeypatch.setattr("srl_rewriter.training._batch_loss_and_grads", no_step)
+    out = str(tmp_path / "m.ckpt")
+    assert main([
+        "train", "--train", f"{ws['prefix']}.train.jsonl", "--dev", f"{ws['prefix']}.dev.jsonl",
+        "--out", out, *TINY_MODEL, *TINY_TRAIN, "--max-decode-steps", "0",
+    ]) == 1
+    assert capsys.readouterr().err == "error[CONFIG_INVALID]: max_decode_steps 0 < 1\n"
+    assert not os.path.exists(out)
+
+
 def test_rewrite_of_dev_reproduces_the_best_dev_em(tmp_path, capsys):
     # the printed best dev-EM is scored on the weights the checkpoint stores
     prefix = str(tmp_path / "corpus")
@@ -219,10 +234,13 @@ def test_rewrite_reports_decode_budget_hits(ws, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == lines[-1]
 
 
-@pytest.mark.parametrize("steps, code", [("0", "CONFIG_INVALID"), ("99", "TOO_LONG")])
+@pytest.mark.parametrize("steps, code, message", [
+    ("0", "CONFIG_INVALID", "max_decode_steps 0 < 1"),
+    ("99", "TOO_LONG", "99 decode steps exceed max_position 64"),
+])
 @pytest.mark.parametrize("records", ["empty", "test"])
 def test_rewrite_checks_the_decode_budget_even_with_nothing_to_decode(
-    ws, capsys, tmp_path, steps, code, records
+    ws, capsys, tmp_path, steps, code, message, records
 ):
     # the checkpoint's position table holds 64 rewrite positions
     test = f"{ws['prefix']}.test.jsonl"
@@ -234,7 +252,31 @@ def test_rewrite_checks_the_decode_budget_even_with_nothing_to_decode(
             "--max-decode-steps", steps]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error[{code}]: ") and "Traceback" not in err
+    assert err == f"error[{code}]: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("fault", ["cut", "roles-moved"])
+def test_rewrite_refuses_a_vocabulary_the_checkpoint_was_not_trained_with(
+    ws, capsys, tmp_path, monkeypatch, fault
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("packing started before the vocabulary was checked")
+
+    monkeypatch.setattr("srl_rewriter.cli.prepare_instances", no_work)
+    lines = read_lines(ws["ckpt"] + ".vocab")
+    roles = slice(4, 4 + len(ROLE_TOKENS))
+    if fault == "cut":
+        lines = lines[:-5]
+    else:  # the role markers moved to the end: loading skips the wrong lines
+        lines = lines[: roles.start] + lines[roles.stop :] + lines[roles]
+    vocab = tmp_path / "bad.vocab"
+    vocab.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = str(tmp_path / "hyps.jsonl")
+    assert main(["rewrite", "--model", ws["ckpt"], "--input", f"{ws['prefix']}.test.jsonl",
+                 "--vocab", str(vocab), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[CHECKPOINT_MISMATCH]: ") and "Traceback" not in err
     assert not os.path.exists(out)
 
 

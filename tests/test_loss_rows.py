@@ -55,13 +55,12 @@ def assert_matches_oracle(model, seqs):
     batch = make_batch(seqs, model.config.mask_variant)
     n = int(batch["target_mask"].sum())
     want_loss, want_n, want = oracle_loss_and_grads(model, batch, loss_scale=1.0 / n)
-    model.zero_grads()
-    loss, got_n = model.loss_and_grads(batch, loss_scale=1.0 / n)
+    loss, got_n, got = model.loss_and_grads(batch, loss_scale=1.0 / n)
     assert got_n == want_n == n
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     bound = 1e-12 * max(float(np.abs(g).max()) for g in want.values())
     for name, g in want.items():
-        err = float(np.abs(model.grads[name] - g).max())
+        err = float(np.abs(got[name] - g).max())
         assert err <= bound, f"B={len(seqs)} {name}: {err:.3g} > {bound:.3g}"
 
 

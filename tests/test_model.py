@@ -171,12 +171,12 @@ def manual_nll(probs, packed):
 
 def test_loss_matches_probability_table(model, packed_instances):
     packed = packed_instances[0]
-    model.zero_grads()
-    loss, n_targets = model.loss_and_grads(make_batch([packed], MaskVariant.TRIPLE_MASK))
+    loss, n_targets, grads = model.loss_and_grads(make_batch([packed], MaskVariant.TRIPLE_MASK))
     assert n_targets == packed.len_r - 1
     assert loss == pytest.approx(manual_nll(probs_of(model, packed), packed), abs=1e-10)
-    assert set(model.grads) == set(model.params)
-    assert all(np.all(np.isfinite(g)) for g in model.grads.values())
+    # in params order: clip_gradients sums the per-tensor norms in dict order
+    assert list(grads) == list(model.params)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 def test_loss_requires_reference_targets(model, tiny_corpus, tiny_vocab):
@@ -193,9 +193,7 @@ def test_gradient_spot_check_against_finite_differences(tiny_vocab, packed_insta
     )
     model = RewriterModel(cfg, seed=3)
     batch = make_batch(packed_instances[:1], MaskVariant.TRIPLE_MASK)
-    model.zero_grads()
-    model.loss_and_grads(batch)
-    grads = {k: v.copy() for k, v in model.grads.items()}  # grads accumulate across calls
+    grads = model.loss_and_grads(batch)[2]
     eps = 1e-5
     coords = [
         ("tok_emb", (5, 3)),
@@ -208,9 +206,9 @@ def test_gradient_spot_check_against_finite_differences(tiny_vocab, packed_insta
         got = grads[name][idx]
         saved = model.params[name][idx]
         model.params[name][idx] = saved + eps
-        up, _ = model.loss_and_grads(batch)
+        up = model.loss_and_grads(batch)[0]
         model.params[name][idx] = saved - eps
-        down, _ = model.loss_and_grads(batch)
+        down = model.loss_and_grads(batch)[0]
         model.params[name][idx] = saved
         fd = (up - down) / (2 * eps)
         rel = abs(fd - got) / max(1e-8, abs(fd) + abs(got))
@@ -360,7 +358,6 @@ def test_load_checkpoint_draws_no_random_init(tmp_path, config, monkeypatch):
     for name, p in want.params.items():
         assert loaded.params[name].dtype == np.float64
         assert np.array_equal(loaded.params[name], p)
-        assert np.array_equal(loaded.grads[name], np.zeros_like(p))
 
 
 def split_checkpoint(blob):

@@ -1,6 +1,6 @@
 """The two-shard training step: each batch runs as two halves, the second on
-a worker thread into a gradient-only twin, with BLAS held at one thread for
-the whole of ``train``."""
+a worker thread against the same read-only model, with BLAS held at one
+thread for the whole of ``train``."""
 
 import contextlib
 import ctypes
@@ -70,13 +70,10 @@ def test_sharded_step_matches_one_whole_batch(criterion_8, variant, tie):
         max_position=64, mask_variant=variant, tie_embeddings=tie,
     )
     model = RewriterModel(config, seed=5)
-    twin = RewriterModel._from_params(config, model.params)
     for seqs in (packs[:32], packs[32:63], packs[:1]):
         batch = make_batch(seqs, variant)
         n = int(batch["target_mask"].sum())
-        model.zero_grads()
-        want_loss, want_n = model.loss_and_grads(batch, loss_scale=1.0 / n)
-        want = {k: g.copy() for k, g in model.grads.items()}
+        want_loss, want_n, want = model.loss_and_grads(batch, loss_scale=1.0 / n)
         # a key bias adds one constant to a whole row of scores, which the
         # softmax cancels: its exact gradient is 0 and the computed one is
         # rounding noise, so it is bounded by the largest entry of any gradient
@@ -84,11 +81,12 @@ def test_sharded_step_matches_one_whole_batch(criterion_8, variant, tie):
         largest = max(float(np.abs(g).max()) for g in want.values())
         with ThreadPoolExecutor(max_workers=1) as pool:
             for runner in (pool, None):
-                loss, got_n = training._batch_loss_and_grads(model, twin, seqs, runner)
+                loss, got_n, got = training._batch_loss_and_grads(model, seqs, runner)
                 assert got_n == want_n == n
                 assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+                assert list(got) == list(model.params)
                 for name, g in want.items():
-                    err = float(np.abs(model.grads[name] - g).max())
+                    err = float(np.abs(got[name] - g).max())
                     bound = 1e-12 * float(np.abs(g).max() if name not in key_biases else largest)
                     assert err <= bound, f"B={len(seqs)} {name}: {err:.3g} > {bound:.3g}"
 
@@ -102,7 +100,7 @@ def test_a_batch_of_one_pack_starts_no_thread(micro_setup):
         def submit(self, *args):
             raise AssertionError("a one-pack batch went to the worker")
 
-    loss, n = training._batch_loss_and_grads(model, model.copy(), packs, NoPool())
+    loss, n, _ = training._batch_loss_and_grads(model, packs, NoPool())
     assert n == packs[0].len_r - 1 and np.isfinite(loss)
 
 
