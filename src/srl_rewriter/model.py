@@ -282,15 +282,21 @@ class RewriterModel:
         dlogits *= target_mask[:, :, None]
         dlogits[bi, li, ti] -= 1.0
         dlogits *= loss_scale
+        del logits, norm
         return loss, n_targets, self._backward(dlogits, cache)
 
     # -- backward -----------------------------------------------------------
 
     def _backward(self, dlogits: np.ndarray, cache: list) -> dict[str, np.ndarray]:
-        """Gradients, in ``params`` order, from ``dlogits`` [B, R, V] of a cached forward."""
+        """Gradients, in ``params`` order, from ``dlogits`` [B, R, V] of a cached forward.
+
+        Consumes ``cache``: it is emptied on entry, and each activation is
+        released as soon as its last reader has run, layers last to first.
+        """
         cfg = self.config
         p, g = self.params, {}
         ids, segs, poss, layer_caches, x_final = cache
+        cache.clear()
         H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         scale = 1.0 / np.sqrt(dh)
 
@@ -300,44 +306,54 @@ class RewriterModel:
         else:
             g["out.W"] = out_grad
         dx = _affine(dlogits, self._out_weight().T)
+        del out_grad, x_final
 
         for i in reversed(range(cfg.n_layers)):
             pre = f"layers.{i}."
-            c = layer_caches[i]
+            c = layer_caches.pop()
             B, R = dx.shape[:2]
-            dres2, dg2, db2 = _layer_norm_backward(dx, c["ln2"])
+            dres2, dg2, db2 = _layer_norm_backward(dx, c.pop("ln2"))
+            del dx
             g[pre + "ln2.g"], g[pre + "ln2.b"] = dg2, db2
-            g[pre + "ff.W2"], g[pre + "ff.b2"] = _affine_grads(c["h_act"], dres2)
-            dh_pre = _gelu_backward(_affine(dres2, p[pre + "ff.W2"].T), c["gelu"])
-            g[pre + "ff.W1"], g[pre + "ff.b1"] = _affine_grads(c["x1"], dh_pre)
+            g[pre + "ff.W2"], g[pre + "ff.b2"] = _affine_grads(c.pop("h_act"), dres2)
+            dh_pre = _gelu_backward(_affine(dres2, p[pre + "ff.W2"].T), c.pop("gelu"))
+            g[pre + "ff.W1"], g[pre + "ff.b1"] = _affine_grads(c.pop("x1"), dh_pre)
             dx1 = _affine(dh_pre, p[pre + "ff.W1"].T)
             dx1 += dres2
-            dres1, dg1, db1 = _layer_norm_backward(dx1, c["ln1"])
+            del dres2, dh_pre
+            dres1, dg1, db1 = _layer_norm_backward(dx1, c.pop("ln1"))
+            del dx1
             g[pre + "ln1.g"], g[pre + "ln1.b"] = dg1, db1
-            g[pre + "attn.Wo"], g[pre + "attn.bo"] = _affine_grads(c["ctx"], dres1)
+            g[pre + "attn.Wo"], g[pre + "attn.bo"] = _affine_grads(c.pop("ctx"), dres1)
             dctx = _affine(dres1, p[pre + "attn.Wo"].T).reshape(B, R, H, dh).transpose(0, 2, 1, 3)
-            attn = c["attn"]
+            attn = c.pop("attn")
             dvh = attn.transpose(0, 1, 3, 2) @ dctx
-            dscores = dctx @ c["vh"].transpose(0, 1, 3, 2)  # dattn, then the scores' in place
+            dscores = dctx @ c.pop("vh").transpose(0, 1, 3, 2)  # dattn, then the scores' in place
+            del dctx
             dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
             dscores *= attn
+            del attn
             dscores *= scale
-            dqh = dscores @ c["kh"]
-            dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
-            x_in = c["x"]
+            dqh = dscores @ c.pop("kh")
+            dkh = dscores.transpose(0, 1, 3, 2) @ c.pop("qh")
+            del dscores
+            x_in, xq, rows = c.pop("x"), c.pop("xq"), c.pop("rows")
             dq = dqh.transpose(0, 2, 1, 3).reshape(B, R, cfg.d_model)
             dk = dkh.transpose(0, 2, 1, 3).reshape(x_in.shape)
             dv = dvh.transpose(0, 2, 1, 3).reshape(x_in.shape)
-            for name, dmat, x_of in (("q", dq, c["xq"]), ("k", dk, x_in), ("v", dv, x_in)):
+            del dqh, dkh, dvh
+            for name, dmat, x_of in (("q", dq, xq), ("k", dk, x_in), ("v", dv, x_in)):
                 g[pre + f"attn.W{name}"], g[pre + f"attn.b{name}"] = _affine_grads(x_of, dmat)
             dx = _affine(dq, p[pre + "attn.Wq"].T)
             dx += dres1
-            if c["rows"] is not None:  # the query rows' gradient, back into all rows
+            if rows is not None:  # the query rows' gradient, back into all rows
                 dx_all = np.zeros_like(x_in)
-                dx_all[c["rows"]] = dx
+                dx_all[rows] = dx
                 dx = dx_all
+                del dx_all
             dx += _affine(dk, p[pre + "attn.Wk"].T)
             dx += _affine(dv, p[pre + "attn.Wv"].T)
+            del dres1, x_in, xq, dq, dk, dv
         for name, index in (("tok_emb", ids), ("seg_emb", segs), ("pos_emb", poss)):
             _scatter_rows(g.setdefault(name, np.zeros_like(p[name])), index, dx)
         return {name: g[name] for name in p}  # clip_gradients sums the norms in this order
@@ -360,6 +376,8 @@ def _target_windows(target_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Kernels.  Each writes in place only into arrays it allocated itself; its
 # inputs and whatever it caches for the backward pass are never written again.
+# ``_backward`` consumes that cache: it drops each cached array after its last
+# reader, so a training step never holds its whole forward cache to the end.
 
 
 def _affine(x: np.ndarray, W: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:

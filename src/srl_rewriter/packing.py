@@ -34,6 +34,8 @@ from .core import (
 ROLE_TOKENS = {role: f"<{role.value}>" for role in SemanticRole}
 
 PAD_ID, EOS_ID, BOS_ID, UNK_ID = 0, 1, 2, 3
+# the first ids of every vocabulary: the structural tokens, then the role markers
+_RESERVED = (PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN, *(ROLE_TOKENS[r] for r in SemanticRole))
 
 
 class SegmentType(IntEnum):
@@ -58,8 +60,7 @@ class Vocabulary:
     """Token/id bijection with fixed structural ids and role markers first."""
 
     def __init__(self, tokens: Iterable[str]):
-        self._tokens: list[str] = [PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN]
-        self._tokens.extend(ROLE_TOKENS[role] for role in SemanticRole)
+        self._tokens: list[str] = list(_RESERVED)
         seen = set(self._tokens)
         for tok in tokens:
             if tok not in seen:
@@ -92,11 +93,15 @@ class Vocabulary:
 
     @staticmethod
     def load(path: str) -> "Vocabulary":
-        tokens = [line.rstrip("\n") for _, line in text_lines(path) if line.rstrip("\n")]
-        expected = [PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN]
-        if tokens[: len(expected)] != expected:
+        lines = [(n, line.rstrip("\n")) for n, line in text_lines(path) if line.rstrip("\n")]
+        for (lineno, token), want in zip(lines, _RESERVED):
+            if token != want:
+                raise RewriterError(
+                    "VOCAB_OVERFLOW", f"{path}: line {lineno} is {token!r}, not the reserved {want!r}"
+                )
+        if len(lines) < len(_RESERVED):
             raise RewriterError("VOCAB_OVERFLOW", f"{path} lacks the reserved token prefix")
-        return Vocabulary(tokens[len(expected) + len(ROLE_TOKENS) :])
+        return Vocabulary(token for _, token in lines[len(_RESERVED) :])
 
 
 def build_vocabulary(examples: Iterable[RewriteExample]) -> Vocabulary:

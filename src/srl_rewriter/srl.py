@@ -238,11 +238,14 @@ def score_srl(predicted: Iterable[SrlTuple], gold: Iterable[SrlTuple]) -> tuple[
 def score_srl_corpus(
     predicted: Sequence[Sequence[PATriple]], gold: Sequence[Sequence[PATriple]]
 ) -> tuple[float, float, float]:
-    """Micro-average over per-record triple lists (records paired by position)."""
+    """Micro-average over per-record triple lists (records paired by position);
+    a corpus of no records is refused, as ``score_srl`` would score it 1.0."""
     if len(predicted) != len(gold):
         raise RewriterError(
             "LENGTH_MISMATCH", f"{len(predicted)} predicted records vs {len(gold)} gold records"
         )
+    if not gold:
+        raise RewriterError("EMPTY_CORPUS", "no records to score")
     pred_tuples = [triple_to_tuple(t, group=i) for i, ts in enumerate(predicted) for t in ts]
     gold_tuples = [triple_to_tuple(t, group=i) for i, ts in enumerate(gold) for t in ts]
     return score_srl(pred_tuples, gold_tuples)

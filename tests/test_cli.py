@@ -268,7 +268,7 @@ def test_rewrite_refuses_a_vocabulary_the_checkpoint_was_not_trained_with(
     roles = slice(4, 4 + len(ROLE_TOKENS))
     if fault == "cut":
         lines = lines[:-5]
-    else:  # the role markers moved to the end: loading skips the wrong lines
+    else:  # the role markers moved to the end: refused when the file is loaded
         lines = lines[: roles.start] + lines[roles.stop :] + lines[roles]
     vocab = tmp_path / "bad.vocab"
     vocab.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -276,8 +276,25 @@ def test_rewrite_refuses_a_vocabulary_the_checkpoint_was_not_trained_with(
     assert main(["rewrite", "--model", ws["ckpt"], "--input", f"{ws['prefix']}.test.jsonl",
                  "--vocab", str(vocab), "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error[CHECKPOINT_MISMATCH]: ") and "Traceback" not in err
+    code = "CHECKPOINT_MISMATCH" if fault == "cut" else "VOCAB_OVERFLOW"
+    assert err.startswith(f"error[{code}]: ") and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_pack_refuses_a_vocabulary_whose_role_markers_moved(ws, capsys, tmp_path):
+    lines = read_lines(ws["ckpt"] + ".vocab")
+    roles = slice(4, 4 + len(ROLE_TOKENS))
+    vocab = tmp_path / "moved.vocab"
+    vocab.write_text(
+        "".join(line + "\n" for line in lines[: roles.start] + lines[roles.stop :] + lines[roles]),
+        encoding="utf-8",
+    )
+    assert main(["pack", "--input", f"{ws['prefix']}.dev.jsonl", "--vocab", str(vocab),
+                 "--dump"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error[VOCAB_OVERFLOW]: {vocab}: line 5 is {lines[roles.stop]!r}, "
+                   f"not the reserved '<ARG0>'\n")
 
 
 def test_rewrite_refuses_a_variant_its_checkpoint_was_not_trained_with(ws, capsys, tmp_path):
@@ -363,6 +380,17 @@ def test_score_srl_pred_file_identity(ws, capsys):
 def test_score_srl_gold_against_itself_is_refused(ws, capsys):
     assert main(["score-srl", "--input", f"{ws['prefix']}.test.jsonl"]) == 1
     assert "error[CONFIG_INVALID]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pred", [False, True])
+def test_score_srl_refuses_an_empty_corpus(capsys, tmp_path, pred):
+    # score_srl would score no triples at all as precision, recall and F1 of 1.0
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    flags = ["--pred", str(empty)] if pred else ["--source", "heuristic"]
+    assert main(["score-srl", "--input", str(empty), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error[EMPTY_CORPUS]: no records to score\n"
 
 
 # -- ablation ----------------------------------------------------------------------
@@ -640,6 +668,10 @@ def test_malformed_records_never_crash(ws, valid_records, fuzz_dir, data):
         ["rewrite", "--model", ws["ckpt"], "--input", path,
          "--out", str(fuzz_dir / "out.jsonl")],
         ["evaluate", "--input", path],
+        ["score-srl", "--input", path, "--source", "heuristic"],
+        ["train", "--train", path, "--dev", path, "--out", str(fuzz_dir / "m.ckpt"),
+         "--d-model", "8", "--n-heads", "2", "--n-layers", "1", "--d-ff", "8",
+         "--max-steps", "1", "--eval-every", "1", "--max-decode-steps", "4"],
     ):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)

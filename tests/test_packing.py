@@ -1,5 +1,7 @@
 """Vocabulary, triple linearization, and sequence packing."""
 
+from pathlib import Path
+
 import pytest
 
 from oracles import append_rewrite_token, start_decode
@@ -81,6 +83,32 @@ def test_vocab_load_rejects_wrong_prefix(tmp_path):
     with pytest.raises(RewriterError) as err:
         Vocabulary.load(str(path))
     assert err.value.code == "VOCAB_OVERFLOW"
+
+
+@pytest.mark.parametrize("fault", ["moved", "swapped", "cut"])
+def test_vocab_load_names_the_first_line_that_is_not_a_role_marker(tmp_path, fixture_vocab, fault):
+    lines = [fixture_vocab.token_of(i) for i in range(len(fixture_vocab))]
+    roles = slice(4, 4 + len(ROLE_TOKENS))
+    if fault == "moved":  # loading would skip nine corpus tokens and keep the markers at the end
+        lines = lines[: roles.start] + lines[roles.stop :] + lines[roles]
+        want = f"line 5 is {lines[4]!r}, not the reserved '<ARG0>'"
+    elif fault == "swapped":
+        lines[5], lines[6] = lines[6], lines[5]
+        want = f"line 6 is {lines[5]!r}, not the reserved {lines[6]!r}"
+    else:
+        lines = lines[:8]
+        want = "lacks the reserved token prefix"
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(RewriterError) as err:
+        Vocabulary.load(str(path))
+    assert err.value.code == "VOCAB_OVERFLOW"
+    assert str(path) in err.value.message and want in err.value.message
+
+
+def test_committed_benchmark_vocabulary_still_loads():
+    path = Path(__file__).parent.parent / "perfbench" / "weights" / "gold_triple.ckpt.vocab"
+    assert len(Vocabulary.load(str(path))) == 58
 
 
 def test_build_vocabulary_is_sorted_and_deduplicated(tiny_corpus):
