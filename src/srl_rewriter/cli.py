@@ -52,6 +52,7 @@ from .training import (
     DEFAULT_GRID,
     TrainConfig,
     prepare_instances,
+    references,
     run_ablation_grid,
     train,
 )
@@ -154,9 +155,8 @@ def _model_config(args: argparse.Namespace, vocab_size: int, variant: MaskVarian
     )
 
 
-def _train_config(args: argparse.Namespace, **fields) -> TrainConfig:
+def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
-        **fields,
         batch_size=args.batch_size,
         lr=args.lr,
         max_steps=args.max_steps,
@@ -236,15 +236,15 @@ def cmd_pack(args: argparse.Namespace) -> int:
     packed = pack(example, triples, vocab, args.seed)
     if args.dump:
         print(f"{'idx':>4} {'token':<12} {'segment':<6} {'pos':>4} region")
-        for i in range(len(packed)):
-            tag = packed.region_tags[i]
+        kinds = ["triple"] * packed.len_z + ["context"] * packed.len_c + ["rewrite"] * packed.len_r
+        for i, kind in enumerate(kinds):
             print(
                 f"{i:>4} {vocab.token_of(packed.token_ids[i]):<12} "
                 f"{packed.segment_ids[i].name:<6} {packed.position_ids[i]:>4} "
-                f"{tag.kind.value}:{tag.index}"
+                f"{kind}:{packed.region_index[i]}"
             )
     if args.dump_mask:
-        mask = build_mask(packed.region_tags, MaskVariant(args.variant))
+        mask = build_mask(packed, MaskVariant(args.variant))
         for row in mask.astype(int):
             print("".join(str(v) for v in row))
     _save_manifest(args, [args.input], [], None)
@@ -252,13 +252,23 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    variant = MaskVariant(args.variant)
+    if variant is MaskVariant.NO_SRL and args.source != TripleMode.NONE.value:
+        raise RewriterError("VARIANT_MISMATCH", "no-srl needs the empty triple source")
     train_examples = read_examples(args.train)
     dev_examples = read_examples(args.dev)
     vocab = build_vocabulary([*train_examples, *dev_examples])
-    variant = MaskVariant(args.variant)
     model = RewriterModel(_model_config(args, len(vocab), variant), seed=args.seed)
-    config = _train_config(args, triple_source=_source(args))
-    result = train(model, train_examples, dev_examples, vocab, config, _rules(args))
+    config = _train_config(args)
+    source, rules = _source(args), _rules(args)
+    result = train(
+        model,
+        prepare_instances(train_examples, vocab, source, args.seed, rules),
+        prepare_instances(dev_examples, vocab, source, args.seed, rules, include_reference=False),
+        references(dev_examples),
+        vocab,
+        config,
+    )
     for point in result.history:
         rep = point.report
         print(
@@ -330,7 +340,7 @@ def cmd_score_srl(args: argparse.Namespace) -> int:
             raise RewriterError(
                 "CONFIG_INVALID", "scoring gold against itself; pass --pred or --source heuristic"
             )
-        rules = default_rules(GeneratorConfig(token_mode=args.token_mode))
+        rules = _rules(args)
         predicted = [list(acquire_triples(ex, source, rules)) for ex in gold_examples]
     precision, recall, f1 = score_srl_corpus(predicted, gold)
     print(f"precision {precision:.4f}")
@@ -361,17 +371,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         train_examples, dev_examples, test_examples, model_config, train_config,
         grid=grid, seeds=seeds, heuristic_rules=rules,
     )
-    table = result.table()
-    print(table)
-    srl_lines = []
+    print(result.table())
     for label, runs in result.runs.items():
         scores = runs[0].srl_scores
         if scores is not None:
-            srl_lines.append(
-                f"srl {label}: precision {scores[0]:.4f} recall {scores[1]:.4f} f1 {scores[2]:.4f}"
-            )
-    for line in srl_lines:
-        print(line)
+            print(f"srl {label}: precision {scores[0]:.4f} recall {scores[1]:.4f} f1 {scores[2]:.4f}")
     payload = {
         label: [
             {

@@ -491,7 +491,7 @@ def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> d
         "ids": ids,
         "segs": padded("segment_ids"),
         "poss": padded("position_ids"),
-        "bias": mask_to_additive(build_batch_mask([s.region_tags for s in packed_seqs], variant)),
+        "bias": mask_to_additive(build_batch_mask(packed_seqs, variant)),
         "target_mask": target_mask,
         "target_ids": target_ids,
     }

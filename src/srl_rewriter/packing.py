@@ -1,16 +1,17 @@
 """Sequence builder: turns (triples, context, rewrite) into one packed
-self-attention input with segment ids, per-region position ids, and region tags.
+self-attention input with segment ids, per-region position ids, and region
+indices.
 
 Layout is [linearized triples][context utterances + EOS each][BOS rewrite EOS].
-Triple boundaries carry no separator token; region tags hold the structure and
-the attention mask enforces it.
+Triple boundaries carry no separator token; the region lengths and each
+token's region index hold the structure and the attention mask enforces it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -42,18 +43,6 @@ class SegmentType(IntEnum):
     E_A = 0  # rewrite + context turns by the rewriting speaker
     E_B = 1  # context turns by the other speaker
     E_SRL = 2  # linearized triple tokens
-
-
-class RegionKind(Enum):
-    TRIPLE = "triple"
-    CONTEXT = "context"
-    REWRITE = "rewrite"
-
-
-@dataclass(frozen=True)
-class RegionTag:
-    kind: RegionKind
-    index: int  # triple ordinal / utterance turn / 0 for the rewrite
 
 
 class Vocabulary:
@@ -101,6 +90,12 @@ class Vocabulary:
                 )
         if len(lines) < len(_RESERVED):
             raise RewriterError("VOCAB_OVERFLOW", f"{path} lacks the reserved token prefix")
+        first: dict[str, int] = {}
+        for lineno, token in lines:  # a repeat would shift every later token's id
+            if first.setdefault(token, lineno) != lineno:
+                raise RewriterError(
+                    "VOCAB_OVERFLOW", f"{path}: line {lineno} repeats line {first[token]}, {token!r}"
+                )
         return Vocabulary(token for _, token in lines[len(_RESERVED) :])
 
 
@@ -119,14 +114,14 @@ class PackedSequence:
     token_ids: tuple[int, ...]
     segment_ids: tuple[SegmentType, ...]
     position_ids: tuple[int, ...]
-    region_tags: tuple[RegionTag, ...]
+    region_index: tuple[int, ...]  # triple ordinal / utterance turn / 0 over the rewrite
     len_z: int
     len_c: int
     len_r: int
 
     def __post_init__(self):
         n = len(self.token_ids)
-        if not (len(self.segment_ids) == len(self.position_ids) == len(self.region_tags) == n):
+        if not (len(self.segment_ids) == len(self.position_ids) == len(self.region_index) == n):
             raise RewriterError("SHAPE_MISMATCH", "packed parallel lists differ in length")
         if self.len_z + self.len_c + self.len_r != n:
             raise RewriterError("SHAPE_MISMATCH", "region lengths do not add up")
@@ -167,10 +162,10 @@ def pack(
     """Build the full training/decoding instance.
 
     Each triple, each context utterance (its EOS included) and the rewrite is
-    one region with one tag; positions restart at 0 in every region, and
+    one region with one index; positions restart at 0 in every region, and
     segments are E_SRL over triples, E_A/E_B over context by speaker parity
     with the rewriting speaker and E_A over the rewrite.  Adjacent utterances
-    that share a turn index share a tag and count positions on across both.
+    that share a turn index are one region and count positions on across both.
     Deterministic given (example, triples, vocab, seed).
     """
     if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
@@ -179,37 +174,38 @@ def pack(
     tokens: list[str] = []
     segments: list[SegmentType] = []
     positions: list[int] = []
-    tags: list[RegionTag] = []
+    indices: list[int] = []
 
-    def region(run: Sequence[str], segment: SegmentType, tag: RegionTag) -> None:
-        start = positions[-1] + 1 if tags and tags[-1] == tag else 0
+    def region(run: Sequence[str], segment: SegmentType, index: int, start: int = 0) -> None:
         tokens.extend(run)
         segments.extend([segment] * len(run))
         positions.extend(range(start, start + len(run)))
-        tags.extend([tag] * len(run))
+        indices.extend([index] * len(run))
 
     linear = linearize_triples(triples, session, seed)
     for triple_idx, run in groupby(linear, key=itemgetter(1)):
-        region([tok for tok, _ in run], SegmentType.E_SRL, RegionTag(RegionKind.TRIPLE, triple_idx))
+        region([tok for tok, _ in run], SegmentType.E_SRL, triple_idx)
     len_z = len(tokens)
 
     target_speaker = session.target_speaker
+    turn = None
     for utt in session.utterances:
         segment = SegmentType.E_A if utt.speaker is target_speaker else SegmentType.E_B
-        region([*utt.tokens, EOS_TOKEN], segment, RegionTag(RegionKind.CONTEXT, utt.turn_index))
+        start = positions[-1] + 1 if utt.turn_index == turn else 0
+        region([*utt.tokens, EOS_TOKEN], segment, utt.turn_index, start)
+        turn = utt.turn_index
     len_c = len(tokens) - len_z
 
     if include_reference:
         if example.reference is None:
             raise RewriterError("NO_REFERENCE", "cannot pack a reference-less example for training")
-        region([BOS_TOKEN, *example.reference, EOS_TOKEN], SegmentType.E_A,
-               RegionTag(RegionKind.REWRITE, 0))
+        region([BOS_TOKEN, *example.reference, EOS_TOKEN], SegmentType.E_A, 0)
 
     return PackedSequence(
         token_ids=tuple(vocab.encode(tokens)),
         segment_ids=tuple(segments),
         position_ids=tuple(positions),
-        region_tags=tuple(tags),
+        region_index=tuple(indices),
         len_z=len_z,
         len_c=len_c,
         len_r=len(tokens) - len_z - len_c,

@@ -1,8 +1,9 @@
 """Optimization loop: Adam over the analytic gradients, greedy-decode evals,
 best-checkpoint tracking, and the triple-source x mask-variant ablation grid.
 
-Every stochastic choice (packing order, batch order, init) is derived from the
-configured seed, so a rerun with the same inputs reproduces the same weights.
+Every stochastic choice (triple order in packing, batch order, init) is
+derived from a seed, so a rerun with the same inputs reproduces the same
+weights.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class TrainConfig:
     max_steps: int = 1000
     eval_every: int = 100
     seed: int = 0
-    triple_source: TripleSource = TripleSource(TripleMode.GOLD)
     clip_norm: Optional[float] = 1.0
     stop_loss: Optional[float] = None
     stop_dev_em: Optional[float] = None
@@ -174,6 +174,14 @@ def prepare_instances(
     return packs
 
 
+def references(examples: Sequence[RewriteExample]) -> list[list[str]]:
+    """The reference tokens that decoded ``examples`` are scored against."""
+    for idx, example in enumerate(examples):
+        if example.reference is None:
+            raise RewriterError("NO_REFERENCE", f"example {idx} to score carries no reference")
+    return [list(example.reference) for example in examples]
+
+
 @dataclass
 class EvalPoint:
     step: int
@@ -193,36 +201,24 @@ class TrainResult:
 
 def train(
     model: RewriterModel,
-    train_examples: Sequence[RewriteExample],
-    dev_examples: Sequence[RewriteExample],
+    train_packs: Sequence[PackedSequence],
+    dev_packs: Sequence[PackedSequence],
+    dev_refs: Sequence[Sequence[str]],
     vocab: Vocabulary,
     config: TrainConfig,
-    heuristic_rules: Optional[HeuristicRules] = None,
 ) -> TrainResult:
-    """Minimize rewrite NLL; keep the weights with the best dev exact match.
+    """Minimize rewrite NLL on packs with references; keep the weights with
+    the best dev exact match.
 
     Batches are masked under the model's own variant.  Ties on dev exact match
-    keep the earliest step.  Dev quality is measured by greedy decoding
-    against the stored references.
+    keep the earliest step.  Dev quality is measured by greedy decoding the
+    reference-less ``dev_packs`` against ``dev_refs``.
     """
-    if not train_examples:
+    if not train_packs:
         raise RewriterError("EMPTY_CORPUS", "no training examples")
-    if not dev_examples:
+    if not dev_packs:
         raise RewriterError("EMPTY_CORPUS", "no dev examples")
-    variant = model.config.mask_variant
-    if variant is MaskVariant.NO_SRL and config.triple_source.mode is not TripleMode.NONE:
-        raise RewriterError("VARIANT_MISMATCH", "no-srl needs the empty triple source")
     model.config.check_decode_budget(config.max_decode_steps)
-
-    train_packs = prepare_instances(
-        train_examples, vocab, config.triple_source, config.seed,
-        heuristic_rules=heuristic_rules,
-    )
-    dev_packs = prepare_instances(
-        dev_examples, vocab, config.triple_source, config.seed,
-        heuristic_rules=heuristic_rules, include_reference=False,
-    )
-    dev_refs = [list(ex.reference) for ex in dev_examples]
 
     opt = AdamState.init(model)
     order_rng = substream(config.seed, "batch-order")
@@ -352,8 +348,10 @@ def run_ablation_grid(
     """Train every grid cell across seeds on identical splits.
 
     All cells share one model architecture, so parameter counts match exactly;
-    only the triple source and the visibility rules differ.  Heuristic cells
-    also score their acquired triples against the stored gold ones.
+    only the triple source and the visibility rules differ.  The splits are
+    packed once per triple source and seed, for every cell that shares them.
+    Heuristic cells also score their acquired triples against the stored gold
+    ones.
     """
     splits = (("train", train_examples), ("dev", dev_examples), ("test", test_examples))
     for split, examples in splits:
@@ -361,42 +359,37 @@ def run_ablation_grid(
             raise RewriterError("EMPTY_CORPUS", f"no {split} examples")
     if vocab is None:
         vocab = build_vocabulary([*train_examples, *dev_examples, *test_examples])
-    runs: dict[str, list[CellRun]] = {cell.label: [] for cell in grid}
-    for cell in grid:
-        for seed in seeds:
-            cfg = replace(model_config, vocab_size=len(vocab), mask_variant=cell.variant)
-            tcfg = replace(train_config, seed=seed, triple_source=cell.source)
-            model = RewriterModel(cfg, seed=derive_seed(seed, f"init:{cell.label}"))
-            result = train(
-                model, train_examples, dev_examples, vocab, tcfg,
-                heuristic_rules=heuristic_rules,
+    dev_refs, test_refs = references(dev_examples), references(test_examples)
+    done: dict[tuple[int, int], CellRun] = {}  # by grid and seed position
+    for source in dict.fromkeys(cell.source for cell in grid):
+        cells = [(i, cell) for i, cell in enumerate(grid) if cell.source == source]
+        srl_scores = None
+        if source.mode is TripleMode.HEURISTIC:
+            predicted = [list(acquire_triples(ex, source, heuristic_rules)) for ex in test_examples]
+            srl_scores = score_srl_corpus(predicted, [list(ex.triples) for ex in test_examples])
+        for k, seed in enumerate(seeds):
+            train_packs, dev_packs, test_packs = (
+                prepare_instances(examples, vocab, source, seed, heuristic_rules,
+                                  include_reference=split == "train")
+                for split, examples in splits
             )
-            test_packs = prepare_instances(
-                test_examples, vocab, cell.source, seed,
-                heuristic_rules=heuristic_rules, include_reference=False,
-            )
-            hyps = decode_corpus(result.model, test_packs, tcfg.max_decode_steps, vocab=vocab)
-            test_report = evaluate_corpus(hyps, [list(ex.reference) for ex in test_examples])
-            srl_scores = None
-            if cell.source.mode is TripleMode.HEURISTIC:
-                predicted = [
-                    list(acquire_triples(ex, cell.source, heuristic_rules))
-                    for ex in test_examples
-                ]
-                gold = [list(ex.triples) for ex in test_examples]
-                srl_scores = score_srl_corpus(predicted, gold)
-            best_dev = next(
-                p.report for p in result.history if p.step == result.best_step
-            )
-            runs[cell.label].append(
-                CellRun(
+            tcfg = replace(train_config, seed=seed)
+            for i, cell in cells:
+                cfg = replace(model_config, vocab_size=len(vocab), mask_variant=cell.variant)
+                model = RewriterModel(cfg, seed=derive_seed(seed, f"init:{cell.label}"))
+                result = train(model, train_packs, dev_packs, dev_refs, vocab, tcfg)
+                hyps = decode_corpus(result.model, test_packs, tcfg.max_decode_steps, vocab=vocab)
+                best_dev = next(p.report for p in result.history if p.step == result.best_step)
+                done[i, k] = CellRun(
                     seed=seed,
                     steps_run=result.steps_run,
                     best_step=result.best_step,
                     parameter_count=model.parameter_count(),
                     dev_report=best_dev,
-                    test_report=test_report,
+                    test_report=evaluate_corpus(hyps, test_refs),
                     srl_scores=srl_scores,
                 )
-            )
+    runs: dict[str, list[CellRun]] = {cell.label: [] for cell in grid}
+    for i, cell in enumerate(grid):
+        runs[cell.label] += [done[i, k] for k in range(len(seeds))]
     return AblationResult(runs=runs)

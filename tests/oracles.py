@@ -7,6 +7,8 @@ against these, so the two code paths must never share logic.
 """
 
 import math
+from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations
 
 import numpy as np
@@ -17,12 +19,25 @@ from srl_rewriter.model import make_batch
 from srl_rewriter.packing import (
     BOS_ID,
     EOS_ID,
+    PAD_ID,
     PackedSequence,
-    RegionKind,
-    RegionTag,
     SegmentType,
     linearize_triples,
 )
+
+
+class RegionKind(Enum):
+    TRIPLE = "triple"
+    CONTEXT = "context"
+    REWRITE = "rewrite"
+
+
+@dataclass(frozen=True)
+class RegionTag:
+    """One token's region, as the pairwise rule reads it."""
+
+    kind: RegionKind
+    index: int  # triple ordinal / utterance turn / 0 for the rewrite
 
 
 def grams(seq, k):
@@ -142,12 +157,27 @@ def oracle_mask(tags, variant):
     return [[oracle_visible(tags, i, j, variant) for j in range(n)] for i in range(n)]
 
 
-def oracle_pack(example, triples, vocab, seed, include_reference=True):
-    """``pack`` token by token: a fresh tag per token, then one walk over the
-    tags for segments and one for positions, which restart wherever a tag
-    differs from the one before."""
-    if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
-        raise RewriterError("VOCAB_OVERFLOW", "vocabulary lacks reserved tokens")
+def layout_pack(tags):
+    """A pack with the region lengths and indices of a written tag layout
+    [z][c][r], for the code under test; its tokens, segments and positions
+    are zeros."""
+    kinds = [tag.kind for tag in tags]
+    order = list(RegionKind)
+    assert kinds == sorted(kinds, key=order.index), "tags out of [z][c][r] order"
+    n = len(tags)
+    return PackedSequence(
+        token_ids=(PAD_ID,) * n,
+        segment_ids=(SegmentType.E_A,) * n,
+        position_ids=(0,) * n,
+        region_index=tuple(tag.index for tag in tags),
+        len_z=kinds.count(RegionKind.TRIPLE),
+        len_c=kinds.count(RegionKind.CONTEXT),
+        len_r=kinds.count(RegionKind.REWRITE),
+    )
+
+
+def _oracle_layout(example, triples, seed, include_reference):
+    """Tokens, a fresh tag per token, and each context token's speaker."""
     session = example.session
     tokens, tags, speakers = [], [], []  # speakers: each context token's utterance's
     for tok, triple_idx in linearize_triples(triples, session, seed):
@@ -168,8 +198,24 @@ def oracle_pack(example, triples, vocab, seed, include_reference=True):
             tokens.append(tok)
             tags.append(RegionTag(RegionKind.REWRITE, 0))
             speakers.append(None)
+    return tokens, tags, speakers, len_z, len_c
 
-    target_speaker = session.target_speaker
+
+def oracle_tags(example, triples, seed, include_reference=True):
+    """The region tag of every token of ``pack``'s output."""
+    return _oracle_layout(example, triples, seed, include_reference)[1]
+
+
+def oracle_pack(example, triples, vocab, seed, include_reference=True):
+    """``pack`` token by token: a fresh tag per token, then one walk over the
+    tags for segments and one for positions, which restart wherever a tag
+    differs from the one before."""
+    if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
+        raise RewriterError("VOCAB_OVERFLOW", "vocabulary lacks reserved tokens")
+    tokens, tags, speakers, len_z, len_c = _oracle_layout(
+        example, triples, seed, include_reference
+    )
+    target_speaker = example.session.target_speaker
     segments = []
     for tag, speaker in zip(tags, speakers):
         if tag.kind is RegionKind.TRIPLE:
@@ -189,7 +235,7 @@ def oracle_pack(example, triples, vocab, seed, include_reference=True):
         token_ids=tuple(vocab.encode(tokens)),
         segment_ids=tuple(segments),
         position_ids=tuple(positions),
-        region_tags=tuple(tags),
+        region_index=tuple(tag.index for tag in tags),
         len_z=len_z,
         len_c=len_c,
         len_r=len(tokens) - len_z - len_c,
@@ -211,7 +257,7 @@ def append_rewrite_token(packed, token_id):
         token_ids=packed.token_ids + (token_id,),
         segment_ids=packed.segment_ids + (SegmentType.E_A,),
         position_ids=packed.position_ids + (packed.len_r,),
-        region_tags=packed.region_tags + (RegionTag(RegionKind.REWRITE, 0),),
+        region_index=packed.region_index + (0,),
         len_z=packed.len_z,
         len_c=packed.len_c,
         len_r=packed.len_r + 1,

@@ -14,9 +14,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import oracle_bleu, oracle_mask, oracle_rouge_l, oracle_rouge_n
+from oracles import (
+    layout_pack,
+    oracle_bleu,
+    oracle_mask,
+    oracle_rouge_l,
+    oracle_rouge_n,
+    oracle_tags,
+)
 from test_masks import WORKED_LAYOUT, layout, random_layout
 from test_metrics import random_corpus
+from test_training import split_packs
 
 from srl_rewriter.cli import main
 from srl_rewriter.core import SemanticRole, Span
@@ -35,8 +43,6 @@ from srl_rewriter.model import ModelConfig, RewriterModel, make_batch
 from srl_rewriter.packing import build_vocabulary, pack
 from srl_rewriter.srl import (
     SrlTuple,
-    TripleMode,
-    TripleSource,
     compute_statistics,
     f1_score,
     score_srl,
@@ -53,20 +59,22 @@ def test_criterion_01_mask_rule_oracle():
         Lexicon.chinese(), "粤语", "普通话", "算", True, SlotMode.OMIT, SlotMode.OMIT
     )
     vocab = build_vocabulary([example])
-    packed = pack(example, example.triples, vocab, seed=0)
-    packed_bare = pack(example, (), vocab, seed=0)
+    # (pack under test, the oracle's tags of the same tokens)
+    packed = (pack(example, example.triples, vocab, seed=0), oracle_tags(example, example.triples, 0))
+    bare = (pack(example, (), vocab, seed=0), oracle_tags(example, (), 0))
+    written = [(layout_pack(tags), tags) for tags in (layout(0, [], [3, 4, 2], 5), WORKED_LAYOUT)]
     fixtures = {
-        MaskVariant.NO_SRL: [packed_bare.region_tags, layout(0, [], [3, 4, 2], 5)],
-        MaskVariant.BI_MASK: [packed.region_tags, WORKED_LAYOUT],
-        MaskVariant.TRIPLE_MASK: [packed.region_tags, WORKED_LAYOUT],
+        MaskVariant.NO_SRL: [bare, written[0]],
+        MaskVariant.BI_MASK: [packed, written[1]],
+        MaskVariant.TRIPLE_MASK: [packed, written[1]],
     }
     rng = random.Random(1234)
-    for variant, tag_sets in fixtures.items():
-        for tags in tag_sets:
-            assert build_mask(tags, variant).tolist() == oracle_mask(tags, variant)
+    for variant, cases in fixtures.items():
+        for got, tags in cases:
+            assert build_mask(got, variant).tolist() == oracle_mask(tags, variant)
         for _ in range(200):
             tags = random_layout(rng, with_triples=variant is not MaskVariant.NO_SRL)
-            assert build_mask(tags, variant).tolist() == oracle_mask(tags, variant)
+            assert build_mask(layout_pack(tags), variant).tolist() == oracle_mask(tags, variant)
     assert time.perf_counter() - started < 5.0
 
 
@@ -160,10 +168,9 @@ def test_criterion_04_overfit():
     )
     config = TrainConfig(
         batch_size=32, lr=1e-3, max_steps=2000, eval_every=50,
-        triple_source=TripleSource(TripleMode.GOLD),
         stop_loss=0.01, stop_dev_em=1.0, max_decode_steps=24,
     )
-    result = train(model, corpus, corpus, vocab, config)
+    result = train(model, *split_packs(corpus, corpus, vocab), vocab, config)
     last = result.history[-1]
     assert last.train_loss < 0.01
     assert last.report.em == 1.0

@@ -12,8 +12,11 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import oracle_tags
+
 import srl_rewriter
 from srl_rewriter.cli import build_parser, main
+from srl_rewriter.core import read_examples
 from srl_rewriter.model import load_checkpoint
 from srl_rewriter.packing import ROLE_TOKENS
 
@@ -111,6 +114,15 @@ def test_pack_dump_table_and_mask(ws, capsys):
     assert all(r[i] == "1" for i, r in enumerate(mask_rows)), "diagonal must be visible"
 
 
+def test_pack_dump_prints_each_tokens_region_and_index(ws, capsys):
+    path = f"{ws['prefix']}.train.jsonl"
+    assert main(["pack", "--input", path, "--dump"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    example = read_examples(path)[0]
+    tags = oracle_tags(example, example.triples, 0)
+    assert [row.split()[-1] for row in rows] == [f"{tag.kind.value}:{tag.index}" for tag in tags]
+
+
 def test_pack_rejects_out_of_range_index(ws, capsys):
     assert main(["pack", "--input", f"{ws['prefix']}.dev.jsonl", "--index", "99"]) == 1
     assert "error[BAD_RECORD]" in capsys.readouterr().err
@@ -189,6 +201,43 @@ def test_train_refuses_a_zero_decode_budget_before_any_step(ws, capsys, tmp_path
         "--out", out, *TINY_MODEL, *TINY_TRAIN, "--max-decode-steps", "0",
     ]) == 1
     assert capsys.readouterr().err == "error[CONFIG_INVALID]: max_decode_steps 0 < 1\n"
+    assert not os.path.exists(out)
+
+
+def test_train_refuses_no_srl_with_triples_before_reading_anything(
+    ws, capsys, tmp_path, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("input was read or packed before the flags were checked")
+
+    for name in ("read_examples", "prepare_instances"):
+        monkeypatch.setattr(f"srl_rewriter.cli.{name}", no_work)
+    out = str(tmp_path / "m.ckpt")
+    argv = ["train", "--train", f"{ws['prefix']}.train.jsonl", "--dev", f"{ws['prefix']}.dev.jsonl",
+            "--out", out, *TINY_MODEL, *TINY_TRAIN, "--variant", "no-srl"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error[VARIANT_MISMATCH]: no-srl needs the empty triple source\n"
+    assert not os.path.exists(out)
+    monkeypatch.undo()
+    assert main([*argv, "--source", "none"]) == 0
+
+
+@pytest.mark.parametrize("command, split", [("train", "dev"), ("ablate", "dev"), ("ablate", "test")])
+def test_a_record_to_score_without_a_reference_is_refused(ws, capsys, tmp_path, command, split):
+    records = [json.loads(line) for line in read_lines(f"{ws['prefix']}.{split}.jsonl")]
+    del records[1]["reference"]
+    paths = {name: f"{ws['prefix']}.{name}.jsonl" for name in ("train", "dev", "test")}
+    paths[split] = str(tmp_path / "bare.jsonl")
+    with open(paths[split], "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+    if command == "ablate":
+        argv = ["ablate", "--test", paths["test"], "--seeds", "0", "--cells", "gold+triple"]
+    else:
+        argv = ["train"]
+    out = str(tmp_path / "out")
+    argv += ["--train", paths["train"], "--dev", paths["dev"], "--out", out, *TINY_MODEL, *TINY_TRAIN]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error[NO_REFERENCE]: example 1 to score carries no reference\n"
     assert not os.path.exists(out)
 
 
@@ -278,6 +327,28 @@ def test_rewrite_refuses_a_vocabulary_the_checkpoint_was_not_trained_with(
     err = capsys.readouterr().err
     code = "CHECKPOINT_MISMATCH" if fault == "cut" else "VOCAB_OVERFLOW"
     assert err.startswith(f"error[{code}]: ") and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("fault", ["corpus-token", "reserved-token"])
+def test_rewrite_refuses_a_vocabulary_with_a_repeated_line(ws, capsys, tmp_path, monkeypatch, fault):
+    def no_work(*args, **kwargs):
+        raise AssertionError("packing started before the vocabulary was checked")
+
+    monkeypatch.setattr("srl_rewriter.cli.prepare_instances", no_work)
+    lines = read_lines(ws["ckpt"] + ".vocab")
+    if fault == "corpus-token":  # as many distinct tokens as the checkpoint has
+        lines.insert(20, lines[15])
+        want = f"line 21 repeats line 16, {lines[15]!r}"
+    else:
+        lines[20] = "[UNK]"
+        want = "line 21 repeats line 4, '[UNK]'"
+    vocab = tmp_path / "repeated.vocab"
+    vocab.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = str(tmp_path / "hyps.jsonl")
+    assert main(["rewrite", "--model", ws["ckpt"], "--input", f"{ws['prefix']}.test.jsonl",
+                 "--vocab", str(vocab), "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"error[VOCAB_OVERFLOW]: {vocab}: {want}\n")
     assert not os.path.exists(out)
 
 
@@ -655,6 +726,10 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+FUZZ_TRAIN = ["--d-model", "8", "--n-heads", "2", "--n-layers", "1", "--d-ff", "8",
+              "--max-steps", "1", "--eval-every", "1", "--max-decode-steps", "4"]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_malformed_records_never_crash(ws, valid_records, fuzz_dir, data):
@@ -669,9 +744,9 @@ def test_malformed_records_never_crash(ws, valid_records, fuzz_dir, data):
          "--out", str(fuzz_dir / "out.jsonl")],
         ["evaluate", "--input", path],
         ["score-srl", "--input", path, "--source", "heuristic"],
-        ["train", "--train", path, "--dev", path, "--out", str(fuzz_dir / "m.ckpt"),
-         "--d-model", "8", "--n-heads", "2", "--n-layers", "1", "--d-ff", "8",
-         "--max-steps", "1", "--eval-every", "1", "--max-decode-steps", "4"],
+        ["train", "--train", path, "--dev", path, "--out", str(fuzz_dir / "m.ckpt"), *FUZZ_TRAIN],
+        ["ablate", "--train", path, "--dev", path, "--test", path, "--out", str(fuzz_dir / "a.json"),
+         "--cells", "gold+triple,heuristic+bi", "--seeds", "0", *FUZZ_TRAIN],
     ):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_greedy_decode
+from test_training import split_packs
 
 from srl_rewriter.core import RewriterError
 from srl_rewriter.generator import GeneratorConfig, sample_corpus, split_corpus
@@ -55,11 +56,11 @@ def models(splits):
     for variant, source in SOURCES.items():
         out[variant, "random"] = RewriterModel(model_config(vocab, variant), seed=5)
         config = TrainConfig(
-            batch_size=32, lr=3e-3, max_steps=40, eval_every=40, triple_source=source,
-            max_decode_steps=MAX_STEPS,
+            batch_size=32, lr=3e-3, max_steps=40, eval_every=40, max_decode_steps=MAX_STEPS,
         )
         model = RewriterModel(model_config(vocab, variant), seed=6)
-        out[variant, "trained"] = train(model, train_set, dev_set[:4], vocab, config).final_model
+        data = split_packs(train_set, dev_set[:4], vocab, source)
+        out[variant, "trained"] = train(model, *data, vocab, config).final_model
     return out
 
 

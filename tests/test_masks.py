@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_mask
+from oracles import RegionKind, RegionTag, layout_pack, oracle_mask
 from srl_rewriter.core import RewriterError
 from srl_rewriter.masks import NEG_BIAS, MaskVariant, build_mask, mask_to_additive
-from srl_rewriter.packing import RegionKind, RegionTag
 
 
 def layout(n_triples, triple_lens, utt_lens, rewrite_len):
@@ -39,12 +38,13 @@ WORKED_LAYOUT = layout(2, [6, 6], [6, 8, 4], 9)  # two triples, three turns, rew
 @pytest.mark.parametrize("variant", [MaskVariant.BI_MASK, MaskVariant.TRIPLE_MASK])
 def test_worked_layout_matches_oracle(variant):
     tags = WORKED_LAYOUT
-    assert build_mask(tags, variant).tolist() == oracle_mask(tags, variant)
+    assert build_mask(layout_pack(tags), variant).tolist() == oracle_mask(tags, variant)
 
 
 def test_no_srl_matches_oracle_without_triple_region():
     tags = layout(0, [], [3, 4, 2], 5)
-    assert build_mask(tags, MaskVariant.NO_SRL).tolist() == oracle_mask(tags, MaskVariant.NO_SRL)
+    want = oracle_mask(tags, MaskVariant.NO_SRL)
+    assert build_mask(layout_pack(tags), MaskVariant.NO_SRL).tolist() == want
 
 
 @pytest.mark.parametrize("variant", [MaskVariant.BI_MASK, MaskVariant.TRIPLE_MASK])
@@ -52,13 +52,13 @@ def test_no_srl_matches_oracle_without_triple_region():
 def test_random_layouts_match_oracle(variant, seed):
     rng = random.Random(seed * 31 + (variant is MaskVariant.BI_MASK))
     tags = random_layout(rng)
-    assert build_mask(tags, variant).tolist() == oracle_mask(tags, variant)
+    assert build_mask(layout_pack(tags), variant).tolist() == oracle_mask(tags, variant)
 
 
 def test_no_srl_rejects_triple_region():
     tags = layout(1, [2], [2], 2)
     with pytest.raises(RewriterError) as err:
-        build_mask(tags, MaskVariant.NO_SRL)
+        build_mask(layout_pack(tags), MaskVariant.NO_SRL)
     assert err.value.code == "VARIANT_MISMATCH"
 
 
@@ -66,8 +66,8 @@ def test_triple_mask_is_subset_of_bi_mask():
     rng = random.Random(5)
     for _ in range(20):
         tags = random_layout(rng)
-        bi = build_mask(tags, MaskVariant.BI_MASK)
-        tri = build_mask(tags, MaskVariant.TRIPLE_MASK)
+        bi = build_mask(layout_pack(tags), MaskVariant.BI_MASK)
+        tri = build_mask(layout_pack(tags), MaskVariant.TRIPLE_MASK)
         assert np.all(bi | ~tri), "triple-mask may only remove visibility"
         # and they differ exactly on cross-triple pairs when >1 triple exists
         n_triples = len({t.index for t in tags if t.kind is RegionKind.TRIPLE})
@@ -80,14 +80,14 @@ def test_rewrite_prefix_stability():
     tags = layout(2, [3, 2], [3, 3], 4)
     longer = tags + (RegionTag(RegionKind.REWRITE, 0),)
     for variant in (MaskVariant.BI_MASK, MaskVariant.TRIPLE_MASK):
-        small = build_mask(tags, variant)
-        big = build_mask(longer, variant)
+        small = build_mask(layout_pack(tags), variant)
+        big = build_mask(layout_pack(longer), variant)
         assert np.array_equal(big[: len(tags), : len(tags)], small)
 
 
 def test_causal_structure_inside_rewrite():
     tags = layout(1, [2], [2], 5)
-    mask = build_mask(tags, MaskVariant.TRIPLE_MASK)
+    mask = build_mask(layout_pack(tags), MaskVariant.TRIPLE_MASK)
     r0 = 4  # first rewrite row
     for i in range(5):
         for j in range(5):
@@ -96,14 +96,14 @@ def test_causal_structure_inside_rewrite():
 
 def test_source_rows_never_see_rewrite():
     tags = layout(2, [2, 2], [3], 4)
-    mask = build_mask(tags, MaskVariant.BI_MASK)
+    mask = build_mask(layout_pack(tags), MaskVariant.BI_MASK)
     n_src = 4 + 3
     assert not mask[:n_src, n_src:].any()
 
 
 def test_mask_to_additive_values():
     tags = layout(1, [2], [2], 2)
-    mask = build_mask(tags, MaskVariant.TRIPLE_MASK)
+    mask = build_mask(layout_pack(tags), MaskVariant.TRIPLE_MASK)
     bias = mask_to_additive(mask)
     assert bias.shape == mask.shape
     assert (bias[mask] == 0.0).all()
@@ -116,4 +116,4 @@ def test_layouts_match_oracle_property(seed):
     rng = random.Random(seed)
     tags = random_layout(rng)
     for variant in (MaskVariant.BI_MASK, MaskVariant.TRIPLE_MASK):
-        assert build_mask(tags, variant).tolist() == oracle_mask(tags, variant)
+        assert build_mask(layout_pack(tags), variant).tolist() == oracle_mask(tags, variant)

@@ -106,9 +106,29 @@ def test_vocab_load_names_the_first_line_that_is_not_a_role_marker(tmp_path, fix
     assert str(path) in err.value.message and want in err.value.message
 
 
+BENCHMARK_VOCAB = Path(__file__).parent.parent / "perfbench" / "weights" / "gold_triple.ckpt.vocab"
+
+
 def test_committed_benchmark_vocabulary_still_loads():
-    path = Path(__file__).parent.parent / "perfbench" / "weights" / "gold_triple.ckpt.vocab"
-    assert len(Vocabulary.load(str(path))) == 58
+    assert len(Vocabulary.load(str(BENCHMARK_VOCAB))) == 58
+
+
+@pytest.mark.parametrize("fault", ["corpus-token", "reserved-token"])
+def test_vocab_load_refuses_a_repeated_line(tmp_path, fault):
+    """A repeat would shift the id of every later token by one."""
+    lines = BENCHMARK_VOCAB.read_text(encoding="utf-8").splitlines()
+    if fault == "corpus-token":  # line 16 again after line 20: 59 lines, 58 distinct
+        lines.insert(20, lines[15])
+        want = f"line 21 repeats line 16, {lines[15]!r}"
+    else:  # line 21 replaced by [UNK]: 58 lines, 57 distinct
+        lines[20] = UNK_TOKEN
+        want = "line 21 repeats line 4, '[UNK]'"
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(RewriterError) as err:
+        Vocabulary.load(str(path))
+    assert err.value.code == "VOCAB_OVERFLOW"
+    assert err.value.message == f"{path}: {want}"
 
 
 def test_build_vocabulary_is_sorted_and_deduplicated(tiny_corpus):
@@ -197,17 +217,19 @@ def test_pack_segments(fixture_example, fixture_vocab):
     z = packed.segment_ids[: packed.len_z]
     assert set(z) == {SegmentType.E_SRL}
     # speakers are A, B, A and the target speaker is A
-    ctx_tags = packed.region_tags[packed.len_z : packed.len_z + packed.len_c]
+    ctx_turns = packed.region_index[packed.len_z : packed.len_z + packed.len_c]
     ctx_segs = packed.segment_ids[packed.len_z : packed.len_z + packed.len_c]
-    for tag, seg in zip(ctx_tags, ctx_segs):
-        assert seg is (SegmentType.E_A if tag.index in (0, 2) else SegmentType.E_B)
+    for turn, seg in zip(ctx_turns, ctx_segs):
+        assert seg is (SegmentType.E_A if turn in (0, 2) else SegmentType.E_B)
     assert set(packed.segment_ids[packed.len_z + packed.len_c :]) == {SegmentType.E_A}
 
 
 def test_pack_positions_restart_per_region(fixture_example, fixture_vocab):
     packed = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=0)
     positions = packed.position_ids
-    tags = packed.region_tags
+    # (region, index) of every token; the regions lie back to back
+    kinds = [0] * packed.len_z + [1] * packed.len_c + [2] * packed.len_r
+    tags = list(zip(kinds, packed.region_index))
     expected = []
     counter = 0
     for i, tag in enumerate(tags):

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from test_training import micro_setup, micro_train_config  # noqa: F401 (a fixture)
+from test_training import micro_packs, micro_setup, micro_train_config  # noqa: F401 (fixtures)
 
 from srl_rewriter import training
 from srl_rewriter.core import RewriterError
@@ -116,12 +116,12 @@ def record_threads(monkeypatch):
     return seen
 
 
-def test_worker_and_inline_steps_are_bit_identical(micro_setup, monkeypatch):
-    corpus, vocab, config = micro_setup
+def test_worker_and_inline_steps_are_bit_identical(micro_setup, micro_packs, monkeypatch):
+    _, vocab, config = micro_setup
 
     def run():
         seen = record_threads(monkeypatch)
-        result = train(RewriterModel(config, seed=2), corpus[:6], corpus[6:], vocab, six_steps())
+        result = train(RewriterModel(config, seed=2), *micro_packs, vocab, six_steps())
         return result, seen
 
     threaded, threaded_seen = run()
@@ -139,8 +139,10 @@ def test_worker_and_inline_steps_are_bit_identical(micro_setup, monkeypatch):
 
 
 @needs_openblas
-def test_blas_is_held_at_one_thread_during_train_and_restored_after(micro_setup, monkeypatch):
-    corpus, vocab, config = micro_setup
+def test_blas_is_held_at_one_thread_during_train_and_restored_after(
+    micro_setup, micro_packs, monkeypatch
+):
+    _, vocab, config = micro_setup
     get, set_ = BLAS
     original = get()
     seen = []
@@ -153,13 +155,13 @@ def test_blas_is_held_at_one_thread_during_train_and_restored_after(micro_setup,
     monkeypatch.setattr(training, "adam_update", spy)
     set_(2)
     try:
-        train(RewriterModel(config, seed=2), corpus[:6], corpus[6:], vocab, six_steps())
+        train(RewriterModel(config, seed=2), *micro_packs, vocab, six_steps())
         assert seen == [1] * 6
         assert get() == 2
         model = RewriterModel(config, seed=2)
         model.params["tok_emb"][...] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(RewriterError) as err:
-            train(model, corpus[:6], corpus[6:], vocab, six_steps())
+            train(model, *micro_packs, vocab, six_steps())
         assert err.value.code == "DIVERGENCE"
         assert get() == 2
     finally:
@@ -167,36 +169,29 @@ def test_blas_is_held_at_one_thread_during_train_and_restored_after(micro_setup,
 
 
 @pytest.mark.parametrize("half", ["first", "second"])
-def test_a_shard_error_surfaces_with_its_own_code(micro_setup, monkeypatch, half):
+def test_a_shard_error_surfaces_with_its_own_code(micro_setup, micro_packs, half):
     """A token id past the embedding table, in either half of the one batch."""
-    corpus, vocab, config = micro_setup
-    n_train = 6
-    perm = substream(0, "batch-order").permutation(n_train)
+    _, vocab, config = micro_setup
+    packs, dev_packs, dev_refs = micro_packs
+    perm = substream(0, "batch-order").permutation(len(packs))
     bad = perm[0] if half == "first" else perm[-1]
-
-    def corrupted(examples, *args, include_reference=True, **kwargs):
-        packs = prepare_instances(examples, *args, include_reference=include_reference, **kwargs)
-        if include_reference:
-            ids = list(packs[bad].token_ids)
-            ids[-1] = config.vocab_size
-            packs[bad] = replace(packs[bad], token_ids=tuple(ids))
-        return packs
-
-    monkeypatch.setattr(training, "prepare_instances", corrupted)
+    ids = list(packs[bad].token_ids)
+    ids[-1] = config.vocab_size
+    packs = [*packs[:bad], replace(packs[bad], token_ids=tuple(ids)), *packs[bad + 1 :]]
     with pytest.raises(RewriterError) as err:
-        train(RewriterModel(config, seed=2), corpus[:n_train], corpus[6:], vocab,
-              six_steps(batch_size=n_train))
+        train(RewriterModel(config, seed=2), packs, dev_packs, dev_refs, vocab,
+              six_steps(batch_size=len(packs)))
     assert err.value.code == "ID_OUT_OF_RANGE"
 
 
-def test_the_callers_numpy_error_state_holds_on_the_worker(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_the_callers_numpy_error_state_holds_on_the_worker(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     model.params["tok_emb"][...] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(invalid="ignore"), pytest.raises(RewriterError) as err:
-            train(model, corpus[:6], corpus[6:], vocab, six_steps())
+            train(model, *micro_packs, vocab, six_steps())
     assert err.value.code == "DIVERGENCE"
 
 

@@ -5,20 +5,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from srl_rewriter import training
 from srl_rewriter.core import RewriterError
 from srl_rewriter.generator import GeneratorConfig, default_rules, sample_corpus
 from srl_rewriter.masks import MaskVariant
 from srl_rewriter.model import ModelConfig, RewriterModel, load_checkpoint, save_checkpoint
 from srl_rewriter.packing import build_vocabulary
+from srl_rewriter.seeding import derive_seed
 from srl_rewriter.srl import TripleMode, TripleSource
 from srl_rewriter.training import (
     ADAM_EPS,
+    DEFAULT_GRID,
     AblationCell,
     AdamState,
     TrainConfig,
     adam_update,
     clip_gradients,
     prepare_instances,
+    references,
     run_ablation_grid,
     train,
 )
@@ -35,6 +39,23 @@ def micro_setup():
         vocab_size=len(vocab), d_model=16, n_heads=2, n_layers=1, d_ff=24, max_position=48
     )
     return corpus, vocab, config
+
+
+@pytest.fixture(scope="module")
+def micro_packs(micro_setup):
+    """``train``'s data from the first six sessions and the last two."""
+    corpus, vocab, _ = micro_setup
+    return split_packs(corpus[:6], corpus[6:], vocab)
+
+
+def split_packs(train_examples, dev_examples, vocab, source=GOLD, seed=0, rules=None):
+    """``train``'s data as ``cmd_train`` packs it: training packs, reference-less
+    dev packs and the dev references."""
+    return (
+        prepare_instances(train_examples, vocab, source, seed, rules),
+        prepare_instances(dev_examples, vocab, source, seed, rules, include_reference=False),
+        references(dev_examples),
+    )
 
 
 def micro_train_config(**overrides):
@@ -59,24 +80,25 @@ def test_train_config_rejects_bad_values():
         assert err.value.code == "CONFIG_INVALID"
 
 
-def test_no_triple_variant_requires_empty_source(micro_setup):
+def test_no_triple_variant_requires_empty_source(micro_setup, micro_packs):
+    # the mask refuses the gold packs' triple tokens at the first batch
     corpus, vocab, config = micro_setup
     model = RewriterModel(replace(config, mask_variant=MaskVariant.NO_SRL), seed=1)
     before = {k: v.copy() for k, v in model.params.items()}
     with pytest.raises(RewriterError) as err:
-        train(model, corpus[:6], corpus[6:], vocab, micro_train_config(triple_source=GOLD))
+        train(model, *micro_packs, vocab, micro_train_config())
     assert err.value.code == "VARIANT_MISMATCH"
     assert all(np.array_equal(model.params[k], v) for k, v in before.items())
-    empty = micro_train_config(triple_source=TripleSource(TripleMode.NONE))
-    assert train(model, corpus[:6], corpus[6:], vocab, empty).steps_run == 4
+    empty = split_packs(corpus[:6], corpus[6:], vocab, TripleSource(TripleMode.NONE))
+    assert train(model, *empty, vocab, micro_train_config()).steps_run == 4
 
 
-def test_train_rejects_decode_budget_beyond_position_table(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_train_rejects_decode_budget_beyond_position_table(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=1)
     before = {k: v.copy() for k, v in model.params.items()}
     with pytest.raises(RewriterError) as err:
-        train(model, corpus[:6], corpus[6:], vocab, micro_train_config(
+        train(model, *micro_packs, vocab, micro_train_config(
             max_decode_steps=config.max_position + 1))
     assert err.value.code == "TOO_LONG"
     assert all(np.array_equal(model.params[k], v) for k, v in before.items())
@@ -125,11 +147,11 @@ def test_adam_zero_gradients_leave_parameters_bitwise(micro_setup):
         assert np.array_equal(before[name], p)
 
 
-def test_zero_lr_run_is_a_bitwise_no_op(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_zero_lr_run_is_a_bitwise_no_op(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     before = {k: p.copy() for k, p in model.params.items()}
-    result = train(model, corpus[:6], corpus[6:], vocab, micro_train_config(lr=0.0))
+    result = train(model, *micro_packs, vocab, micro_train_config(lr=0.0))
     for name, p in result.final_model.params.items():
         assert np.array_equal(before[name], p), f"{name} drifted under lr=0"
     assert result.steps_run == 4
@@ -138,12 +160,12 @@ def test_zero_lr_run_is_a_bitwise_no_op(micro_setup):
 # -- training loop ----------------------------------------------------------------
 
 
-def test_training_is_deterministic(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_training_is_deterministic(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
 
     def one_run():
         model = RewriterModel(config, seed=2)
-        return train(model, corpus[:6], corpus[6:], vocab, micro_train_config())
+        return train(model, *micro_packs, vocab, micro_train_config())
 
     a, b = one_run(), one_run()
     for name, p in a.final_model.params.items():
@@ -152,60 +174,60 @@ def test_training_is_deterministic(micro_setup):
     assert a.best_step == b.best_step
 
 
-def test_divergence_is_reported_not_propagated(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_divergence_is_reported_not_propagated(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     model.params["tok_emb"][...] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(RewriterError) as err:
-        train(model, corpus[:6], corpus[6:], vocab, micro_train_config())
+        train(model, *micro_packs, vocab, micro_train_config())
     assert err.value.code == "DIVERGENCE"
 
 
-def test_stop_loss_alone_stops_at_first_eval(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_stop_loss_alone_stops_at_first_eval(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     result = train(
-        model, corpus[:6], corpus[6:], vocab,
+        model, *micro_packs, vocab,
         micro_train_config(max_steps=40, eval_every=2, stop_loss=1e9),
     )
     assert result.steps_run == 2
 
 
-def test_combined_stop_needs_both_conditions(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_combined_stop_needs_both_conditions(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     # loss threshold trivially true, dev EM threshold unreachable -> no early stop
     result = train(
-        model, corpus[:6], corpus[6:], vocab,
+        model, *micro_packs, vocab,
         micro_train_config(max_steps=6, eval_every=2, stop_loss=1e9, stop_dev_em=2.0),
     )
     assert result.steps_run == 6
 
 
-def test_dev_em_stop_alone(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_dev_em_stop_alone(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     result = train(
-        model, corpus[:6], corpus[6:], vocab,
+        model, *micro_packs, vocab,
         micro_train_config(max_steps=40, eval_every=2, stop_dev_em=0.0),
     )
     assert result.steps_run == 2
 
 
-def test_best_checkpoint_is_earliest_max(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_best_checkpoint_is_earliest_max(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
-    result = train(model, corpus[:6], corpus[6:], vocab, micro_train_config(max_steps=6))
+    result = train(model, *micro_packs, vocab, micro_train_config(max_steps=6))
     ems = [(pt.step, pt.report.em) for pt in result.history]
     top = max(em for _, em in ems)
     assert result.best_em == top
     assert result.best_step == min(step for step, em in ems if em == top)
 
 
-def test_best_model_holds_the_weights_its_checkpoint_stores(micro_setup, tmp_path):
-    corpus, vocab, config = micro_setup
+def test_best_model_holds_the_weights_its_checkpoint_stores(micro_setup, micro_packs, tmp_path):
+    _, vocab, config = micro_setup
     result = train(
-        RewriterModel(config, seed=2), corpus[:6], corpus[6:], vocab, micro_train_config()
+        RewriterModel(config, seed=2), *micro_packs, vocab, micro_train_config()
     )
     path = str(tmp_path / "best.ckpt")
     save_checkpoint(result.model, path)
@@ -216,23 +238,23 @@ def test_best_model_holds_the_weights_its_checkpoint_stores(micro_setup, tmp_pat
 
 
 @pytest.mark.parametrize("max_steps, eval_every, steps", [(3, 2, [2, 3]), (1, 100, [1])])
-def test_eval_fires_at_final_step_even_off_schedule(micro_setup, max_steps, eval_every, steps):
+def test_eval_fires_at_final_step_even_off_schedule(micro_setup, micro_packs, max_steps, eval_every, steps):
     # the last step evaluates, also when max_steps is below eval_every
-    corpus, vocab, config = micro_setup
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     result = train(
-        model, corpus[:6], corpus[6:], vocab,
+        model, *micro_packs, vocab,
         micro_train_config(max_steps=max_steps, eval_every=eval_every),
     )
     assert [pt.step for pt in result.history] == steps
     assert result.best_step in steps  # with one eval, that eval's step
 
 
-def test_empty_split_is_rejected(micro_setup):
-    corpus, vocab, config = micro_setup
+def test_empty_split_is_rejected(micro_setup, micro_packs):
+    _, vocab, config = micro_setup
     model = RewriterModel(config, seed=2)
     with pytest.raises(RewriterError) as err:
-        train(model, [], corpus[6:], vocab, micro_train_config())
+        train(model, [], *micro_packs[1:], vocab, micro_train_config())
     assert err.value.code == "EMPTY_CORPUS"
 
 
@@ -281,3 +303,46 @@ def test_ablation_grid_shapes_and_parameter_parity(micro_setup):
     table = result.table()
     assert "gold+triple" in table and "med" in table
     assert 0.0 <= result.median_test_em("no-srl") <= 1.0
+
+
+THREE_CELLS = tuple(cell for cell in DEFAULT_GRID if cell.label in ("no-srl", "gold+bi", "gold+triple"))
+
+
+def micro_grid(micro_setup, grid):
+    corpus, vocab, config = micro_setup
+    return run_ablation_grid(
+        corpus[:5], corpus[5:7], corpus[7:], config, micro_train_config(max_steps=2, eval_every=2),
+        grid=grid, seeds=(0, 1), vocab=vocab,
+    )
+
+
+def test_ablation_grid_packs_each_source_and_seed_once(micro_setup, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return prepare_instances(*args, **kwargs)
+
+    monkeypatch.setattr(training, "prepare_instances", spy)
+    micro_grid(micro_setup, THREE_CELLS)
+    # two sources x two seeds x three splits, where each cell packing its own would take 18
+    assert len(calls) == 12
+
+
+def test_ablation_grid_cells_equal_the_cells_run_alone(micro_setup):
+    corpus, vocab, config = micro_setup
+    together = micro_grid(micro_setup, THREE_CELLS)
+    assert list(together.runs) == [cell.label for cell in THREE_CELLS]
+    for cell in THREE_CELLS:
+        assert micro_grid(micro_setup, (cell,)).runs[cell.label] == together.runs[cell.label]
+        for run in together.runs[cell.label]:  # and its training is `train` on its own packs
+            model = RewriterModel(
+                replace(config, mask_variant=cell.variant),
+                seed=derive_seed(run.seed, f"init:{cell.label}"),
+            )
+            alone = train(
+                model, *split_packs(corpus[:5], corpus[5:7], vocab, cell.source, run.seed), vocab,
+                micro_train_config(max_steps=2, eval_every=2, seed=run.seed),
+            )
+            assert (alone.steps_run, alone.best_step) == (run.steps_run, run.best_step)
+            assert alone.history[-1].report == run.dev_report
