@@ -27,7 +27,7 @@ from .core import (
     validate_example,
     write_records,
 )
-from .generator import GeneratorConfig, default_rules, sample_corpus, split_corpus
+from .generator import GeneratorConfig, sample_corpus, split_corpus
 from .manifest import RunManifest, parse_config_file
 from .masks import MaskVariant, build_mask
 from .metrics import REPORT_HEADER, evaluate_corpus
@@ -92,12 +92,6 @@ def _source(args: argparse.Namespace) -> TripleSource:
     return TripleSource(TripleMode(args.source), TripleScope(args.scope))
 
 
-def _rules(args: argparse.Namespace):
-    if args.source != TripleMode.HEURISTIC.value:
-        return None
-    return default_rules(GeneratorConfig(token_mode=args.token_mode))
-
-
 def _clip(value: float) -> Optional[float]:
     return None if value == 0 else value
 
@@ -111,15 +105,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--manifest", help="manifest path override")
 
 
-def _add_token_mode(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--token-mode", choices=["char", "word"], default="char",
-                     help="lexicon for heuristic rules")
-
-
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--source", choices=[m.value for m in TripleMode], default="gold")
     sub.add_argument("--scope", choices=[s.value for s in TripleScope], default="full")
-    _add_token_mode(sub)
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -232,7 +220,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
         raise RewriterError("BAD_RECORD", f"index {args.index} outside corpus of {len(examples)}")
     example = examples[args.index]
     vocab = Vocabulary.load(args.vocab) if args.vocab else build_vocabulary(examples)
-    triples = acquire_triples(example, _source(args), _rules(args))
+    triples = acquire_triples(example, _source(args))
     packed = pack(example, triples, vocab, args.seed)
     if args.dump:
         print(f"{'idx':>4} {'token':<12} {'segment':<6} {'pos':>4} region")
@@ -260,11 +248,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     vocab = build_vocabulary([*train_examples, *dev_examples])
     model = RewriterModel(_model_config(args, len(vocab), variant), seed=args.seed)
     config = _train_config(args)
-    source, rules = _source(args), _rules(args)
+    source = _source(args)
     result = train(
         model,
-        prepare_instances(train_examples, vocab, source, args.seed, rules),
-        prepare_instances(dev_examples, vocab, source, args.seed, rules, include_reference=False),
+        prepare_instances(train_examples, vocab, source, args.seed),
+        prepare_instances(dev_examples, vocab, source, args.seed, include_reference=False),
         references(dev_examples),
         vocab,
         config,
@@ -292,15 +280,12 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
             "VARIANT_MISMATCH", f"--variant {args.variant} against a {variant} checkpoint"
         )
     args.variant = variant  # the manifest records the variant the decode ran under
-    vocab = Vocabulary.load(args.vocab or args.model + ".vocab")
+    vocab = Vocabulary.load(args.model + ".vocab")
     if len(vocab) != model.config.vocab_size:
         message = f"{len(vocab)} vocabulary tokens for a checkpoint of {model.config.vocab_size}"
         raise RewriterError("CHECKPOINT_MISMATCH", message)
     examples = read_examples(args.input)
-    packs = prepare_instances(
-        examples, vocab, _source(args), args.seed, heuristic_rules=_rules(args),
-        include_reference=False,
-    )
+    packs = prepare_instances(examples, vocab, _source(args), args.seed, include_reference=False)
     hyps = decode_corpus(model, packs, args.max_decode_steps, vocab=vocab)
     records = [example_to_record(ex, hypothesis=hyp) for ex, hyp in zip(examples, hyps)]
     write_records(args.out, records)
@@ -340,8 +325,7 @@ def cmd_score_srl(args: argparse.Namespace) -> int:
             raise RewriterError(
                 "CONFIG_INVALID", "scoring gold against itself; pass --pred or --source heuristic"
             )
-        rules = _rules(args)
-        predicted = [list(acquire_triples(ex, source, rules)) for ex in gold_examples]
+        predicted = [list(acquire_triples(ex, source)) for ex in gold_examples]
     precision, recall, f1 = score_srl_corpus(predicted, gold)
     print(f"precision {precision:.4f}")
     print(f"recall    {recall:.4f}")
@@ -366,10 +350,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     grid = [by_label[c] for c in labels]
     model_config = _model_config(args, vocab_size=4, variant=MaskVariant.TRIPLE_MASK)
     train_config = _train_config(args)
-    rules = default_rules(GeneratorConfig(token_mode=args.token_mode))
     result = run_ablation_grid(
         train_examples, dev_examples, test_examples, model_config, train_config,
-        grid=grid, seeds=seeds, heuristic_rules=rules,
+        grid=grid, seeds=seeds,
     )
     print(result.table())
     for label, runs in result.runs.items():
@@ -463,8 +446,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_train_flags(sub)
 
     sub = register("rewrite", cmd_rewrite, "decode rewrites for a record file")
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--vocab")
+    sub.add_argument("--model", required=True, help="checkpoint; its vocabulary is MODEL.vocab")
     sub.add_argument("--input", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--max-decode-steps", type=int, default=32)
@@ -490,7 +472,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--seeds", default="0,1,2")
     sub.add_argument("--cells", default=",".join(cell.label for cell in DEFAULT_GRID))
     sub.add_argument("--out", required=True, help="JSON results path")
-    _add_token_mode(sub)
     _add_model_flags(sub)
     _add_train_flags(sub)
 

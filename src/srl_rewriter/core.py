@@ -111,7 +111,6 @@ class RewriteExample:
 class Violation:
     code: str
     message: str
-    triple_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ def _check_span(span: Span, session: DialogueSession, what: str, idx: int) -> li
             Violation(
                 "SPAN_OUT_OF_RANGE",
                 f"triple {idx}: {what} turn {span.turn_index} outside session of {len(session)} turns",
-                idx,
             )
         )
         return out
@@ -143,7 +141,6 @@ def _check_span(span: Span, session: DialogueSession, what: str, idx: int) -> li
             Violation(
                 "SPAN_OUT_OF_RANGE",
                 f"triple {idx}: {what} span [{span.start},{span.end}) outside utterance of {n} tokens",
-                idx,
             )
         )
     return out
@@ -191,7 +188,6 @@ def validate_example(example: RewriteExample, require_reference: bool = True) ->
                     "FUTURE_ARGUMENT",
                     f"triple {idx}: argument turn {triple.argument.turn_index} after "
                     f"predicate turn {triple.predicate.turn_index}",
-                    idx,
                 )
             )
     if require_reference:

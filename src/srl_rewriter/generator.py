@@ -26,7 +26,6 @@ from .core import (
     Utterance,
 )
 from .seeding import substream
-from .srl import HeuristicRules, RoleStatistics
 
 
 @dataclass(frozen=True)
@@ -274,41 +273,3 @@ def split_corpus(
     dev = list(examples[n - 2 * n_eval : n - n_eval])
     test = list(examples[n - n_eval :])
     return train, dev, test
-
-
-def default_rules(config: GeneratorConfig) -> HeuristicRules:
-    """Rule table covering the generator's verbs plus their negated forms."""
-    lex = config.lexicon
-    joiner = "" if lex.char_tokens else " "
-    negated = [f"{lex.negation}{joiner}{v}" for v in lex.verbs]
-    return HeuristicRules.from_lexicon(
-        verbs=[*lex.verbs, *negated], entities=lex.entities, char_tokens=lex.char_tokens
-    )
-
-
-def declared_statistics(config: GeneratorConfig) -> RoleStatistics:
-    """Analytic expectation of compute_statistics over a sampled corpus."""
-    alpha = config.effective_alteration_rate
-    expected = {
-        SemanticRole.ARG0.value: 1.0,
-        SemanticRole.ARG1.value: 1.0,
-    }
-    if config.tmp_rate > 0:
-        expected[SemanticRole.AM_TMP.value] = config.tmp_rate
-    if config.loc_rate > 0:
-        expected[SemanticRole.AM_LOC.value] = config.loc_rate
-    if config.include_negation_triples and config.neg_rate > 0:
-        expected[SemanticRole.AM_NEG.value] = config.neg_rate
-    total = sum(expected.values())
-    cross = {role: 0.0 for role in expected}
-    cross[SemanticRole.ARG0.value] = alpha
-    cross[SemanticRole.ARG1.value] = alpha
-    n = config.n_sessions
-    return RoleStatistics(
-        overall_ratio={role: e / total for role, e in expected.items()},
-        cross_turn_ratio=cross,
-        n_triples=round(total * n),
-        n_predicates=n,
-        n_utterances=3 * n,
-        n_sessions=n,
-    )

@@ -1,5 +1,8 @@
 """Conversational SRL layer: annotation lint, corpus statistics, the micro-F1
 scorer, and triple acquisition with the full/last-utterance scope switch.
+
+The heuristic triple source reads one rule table built from both generator
+lexica, so no caller has to say which lexicon a corpus was written in.
 """
 
 from __future__ import annotations
@@ -7,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     DialogueSession,
@@ -17,6 +20,7 @@ from .core import (
     SemanticRole,
     Span,
 )
+from .generator import GeneratorConfig, Lexicon
 
 # Default lexica for lint checks; CLI configs may override.
 DEFAULT_PRONOUNS = ("它", "这个", "那个", "他", "她", "it", "that", "this", "he", "she")
@@ -49,7 +53,6 @@ OK = "ok"
 class TripleLint:
     """Verdicts for one triple under criteria C1..C4; `ok` means clean."""
 
-    triple_index: int
     c1: str = OK  # argument must not live in a future turn
     c2: str = OK  # pronoun arguments are flagged for human review
     c3: str = OK  # speaker/listener arguments must be the literal A/B token
@@ -113,7 +116,7 @@ def lint_annotations(
     pronoun_set = {(p,) for p in pronouns}
     person_set = {(p,) for p in person_pronouns}
     entries = []
-    for idx, triple in enumerate(triples):
+    for triple in triples:
         surface = triple.argument.slice(session)
         c1 = OK if triple.argument.turn_index <= triple.predicate.turn_index else "C1_FUTURE_ARGUMENT"
         c2 = "WARN_PRONOUN" if surface in pronoun_set else OK
@@ -127,7 +130,7 @@ def lint_annotations(
                 if _span_distance(cand, triple.predicate, offsets) < own_distance:
                     c4 = "C4_NOT_NEAREST"
                     break
-        entries.append(TripleLint(idx, c1, c2, c3, c4))
+        entries.append(TripleLint(c1, c2, c3, c4))
     return AnnotationLintReport(tuple(entries))
 
 
@@ -186,6 +189,34 @@ def compute_statistics(corpus: Sequence[RewriteExample]) -> RoleStatistics:
         n_predicates=len(predicates),
         n_utterances=n_utterances,
         n_sessions=len(corpus),
+    )
+
+
+def declared_statistics(config: GeneratorConfig) -> RoleStatistics:
+    """Analytic expectation of compute_statistics over a sampled corpus."""
+    alpha = config.effective_alteration_rate
+    expected = {
+        SemanticRole.ARG0.value: 1.0,
+        SemanticRole.ARG1.value: 1.0,
+    }
+    if config.tmp_rate > 0:
+        expected[SemanticRole.AM_TMP.value] = config.tmp_rate
+    if config.loc_rate > 0:
+        expected[SemanticRole.AM_LOC.value] = config.loc_rate
+    if config.include_negation_triples and config.neg_rate > 0:
+        expected[SemanticRole.AM_NEG.value] = config.neg_rate
+    total = sum(expected.values())
+    cross = {role: 0.0 for role in expected}
+    cross[SemanticRole.ARG0.value] = alpha
+    cross[SemanticRole.ARG1.value] = alpha
+    n = config.n_sessions
+    return RoleStatistics(
+        overall_ratio={role: e / total for role, e in expected.items()},
+        cross_turn_ratio=cross,
+        n_triples=round(total * n),
+        n_predicates=n,
+        n_utterances=3 * n,
+        n_sessions=n,
     )
 
 
@@ -260,7 +291,8 @@ class HeuristicRules:
 
     Stands in for a learned parser so the parsed-vs-gold gap can be exercised:
     verbs anchor predicates, the nearest lexicon entities fill ARG0/ARG1, and a
-    leading negation particle becomes AM-NEG.
+    leading negation particle becomes AM-NEG.  Patterns are token tuples,
+    longest first.
     """
 
     verbs: tuple[tuple[str, ...], ...]
@@ -268,15 +300,26 @@ class HeuristicRules:
     negation_prefixes: tuple[str, ...] = ("不", "not")
 
     @staticmethod
-    def from_lexicon(verbs: Iterable[str], entities: Iterable[str], char_tokens: bool) -> "HeuristicRules":
-        def split(word: str) -> tuple[str, ...]:
-            # word mode splits on whitespace so multi-token surfaces stay phrases
-            return tuple(word) if char_tokens else tuple(word.split())
-
+    def from_lexica(*lexica: Lexicon) -> "HeuristicRules":
+        """Each lexicon's verbs, their negated forms and its entities, in that
+        lexicon's tokens.  Char tokens are single CJK characters and word
+        tokens whole ASCII words, so no pattern of one lexicon matches a token
+        of the other: over either corpus the joint table finds what that
+        lexicon's own table would."""
+        verbs = {
+            form
+            for lex in lexica
+            for verb in lex.verbs
+            for form in (lex.tokens_of(verb), lex.tokens_of(lex.negation) + lex.tokens_of(verb))
+        }
+        entities = {lex.tokens_of(e) for lex in lexica for e in lex.entities}
         return HeuristicRules(
-            verbs=tuple(sorted({split(v) for v in verbs}, key=len, reverse=True)),
-            entities=tuple(sorted({split(e) for e in entities}, key=len, reverse=True)),
+            verbs=tuple(sorted(verbs, key=len, reverse=True)),
+            entities=tuple(sorted(entities, key=len, reverse=True)),
         )
+
+
+HEURISTIC_RULES = HeuristicRules.from_lexica(Lexicon.chinese(), Lexicon.words())
 
 
 def _greedy_matches(tokens: tuple[str, ...], patterns: Sequence[tuple[str, ...]]) -> list[tuple[int, int]]:
@@ -340,13 +383,14 @@ def _extract_heuristic(session: DialogueSession, rules: HeuristicRules) -> list[
 def acquire_triples(
     example: RewriteExample,
     source: TripleSource,
-    heuristic_rules: Optional[HeuristicRules] = None,
+    *,
+    rules: HeuristicRules = HEURISTIC_RULES,
 ) -> tuple[PATriple, ...]:
     """Produce the triples fed to the rewriter under the configured source.
 
-    Gold passes stored triples through, heuristic runs the rule extractor, and
-    none yields an empty list.  Last-utterance scope keeps only triples whose
-    predicate sits in the rewrite target.
+    Gold passes stored triples through, heuristic runs the rule extractor over
+    ``rules``, and none yields an empty list.  Last-utterance scope keeps only
+    triples whose predicate sits in the rewrite target.
     """
     if source.mode is TripleMode.NONE:
         return ()
@@ -355,9 +399,7 @@ def acquire_triples(
             raise RewriterError("MISSING_GOLD", "gold triple source but record carries no triples")
         triples = example.triples
     else:
-        if heuristic_rules is None:
-            raise RewriterError("MISSING_RULES", "heuristic triple source needs a rule table")
-        triples = tuple(_extract_heuristic(example.session, heuristic_rules))
+        triples = tuple(_extract_heuristic(example.session, rules))
     if source.scope is TripleScope.LAST_UTTERANCE_ONLY:
         last = len(example.session) - 1
         triples = tuple(t for t in triples if t.predicate.turn_index == last)

@@ -25,7 +25,7 @@ from .metrics import EvalReport, evaluate_corpus
 from .model import ModelConfig, RewriterModel, decode_corpus, make_batch
 from .packing import PackedSequence, Vocabulary, build_vocabulary, pack
 from .seeding import derive_seed, substream
-from .srl import HeuristicRules, TripleMode, TripleSource, acquire_triples, score_srl_corpus
+from .srl import TripleMode, TripleSource, acquire_triples, score_srl_corpus
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -162,13 +162,12 @@ def prepare_instances(
     vocab: Vocabulary,
     source: TripleSource,
     master_seed: int,
-    heuristic_rules: Optional[HeuristicRules] = None,
     include_reference: bool = True,
 ) -> list[PackedSequence]:
     """Acquire triples and pack every example with a derived per-example seed."""
     packs = []
     for idx, example in enumerate(examples):
-        triples = acquire_triples(example, source, heuristic_rules)
+        triples = acquire_triples(example, source)
         seed = derive_seed(master_seed, f"pack:{idx}")
         packs.append(pack(example, triples, vocab, seed, include_reference=include_reference))
     return packs
@@ -330,7 +329,11 @@ class AblationResult:
                     f"{label:<18} {r.seed:>4} {rep.em * 100:>7.2f} {rep.bleu4 * 100:>7.2f}"
                     f" {rep.rougeL * 100:>8.2f} {r.parameter_count:>9}"
                 )
-            lines.append(f"{label:<18} {'med':>4} {self.median_test_em(label) * 100:>7.2f}")
+            ems = [r.test_report.em * 100 for r in runs]
+            lines.append(
+                f"{label:<18} {'med':>4} {self.median_test_em(label) * 100:>7.2f}"
+                f"  min {min(ems):.2f} max {max(ems):.2f}"
+            )
         return "\n".join(lines)
 
 
@@ -342,7 +345,6 @@ def run_ablation_grid(
     train_config: TrainConfig,
     grid: Sequence[AblationCell] = DEFAULT_GRID,
     seeds: Sequence[int] = (0, 1, 2),
-    heuristic_rules: Optional[HeuristicRules] = None,
     vocab: Optional[Vocabulary] = None,
 ) -> AblationResult:
     """Train every grid cell across seeds on identical splits.
@@ -351,8 +353,13 @@ def run_ablation_grid(
     only the triple source and the visibility rules differ.  The splits are
     packed once per triple source and seed, for every cell that shares them.
     Heuristic cells also score their acquired triples against the stored gold
-    ones.
+    ones.  A repeated cell label or seed is refused before anything is packed:
+    its runs would be identical and would count twice in the median.
     """
+    for name, items in (("cell", [cell.label for cell in grid]), ("seed", list(seeds))):
+        repeated = [item for i, item in enumerate(items) if item in items[:i]]
+        if repeated:
+            raise RewriterError("CONFIG_INVALID", f"{name} {repeated[0]!r} is repeated")
     splits = (("train", train_examples), ("dev", dev_examples), ("test", test_examples))
     for split, examples in splits:
         if not examples:  # refused before any cell trains
@@ -365,12 +372,11 @@ def run_ablation_grid(
         cells = [(i, cell) for i, cell in enumerate(grid) if cell.source == source]
         srl_scores = None
         if source.mode is TripleMode.HEURISTIC:
-            predicted = [list(acquire_triples(ex, source, heuristic_rules)) for ex in test_examples]
+            predicted = [list(acquire_triples(ex, source)) for ex in test_examples]
             srl_scores = score_srl_corpus(predicted, [list(ex.triples) for ex in test_examples])
         for k, seed in enumerate(seeds):
             train_packs, dev_packs, test_packs = (
-                prepare_instances(examples, vocab, source, seed, heuristic_rules,
-                                  include_reference=split == "train")
+                prepare_instances(examples, vocab, source, seed, include_reference=split == "train")
                 for split, examples in splits
             )
             tcfg = replace(train_config, seed=seed)

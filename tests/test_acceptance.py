@@ -33,7 +33,6 @@ from srl_rewriter.generator import (
     Lexicon,
     SlotMode,
     build_session,
-    declared_statistics,
     sample_corpus,
     split_corpus,
 )
@@ -44,6 +43,7 @@ from srl_rewriter.packing import build_vocabulary, pack
 from srl_rewriter.srl import (
     SrlTuple,
     compute_statistics,
+    declared_statistics,
     f1_score,
     score_srl,
 )

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from srl_rewriter.cli import build_parser, main
 from srl_rewriter.core import read_examples
 from srl_rewriter.model import load_checkpoint
 from srl_rewriter.packing import ROLE_TOKENS
+from srl_rewriter.training import prepare_instances
 
 TINY_MODEL = [
     "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--d-ff", "24",
@@ -47,6 +49,17 @@ def ws(tmp_path_factory):
         "rewrite", "--model", ckpt, "--input", f"{prefix}.test.jsonl", "--out", hyps,
     ]) == 0
     return {"root": root, "prefix": prefix, "ckpt": ckpt, "hyps": hyps}
+
+
+@pytest.fixture(scope="module")
+def word_prefix(tmp_path_factory):
+    """A corpus in the word-token lexicon, split three ways."""
+    prefix = str(tmp_path_factory.mktemp("words") / "corpus")
+    assert main([
+        "gen-corpus", "--n-sessions", "30", "--seed", "3", "--token-mode", "word", "--split",
+        "--out-prefix", prefix,
+    ]) == 0
+    return prefix
 
 
 def read_lines(path):
@@ -222,6 +235,24 @@ def test_train_refuses_no_srl_with_triples_before_reading_anything(
     assert main([*argv, "--source", "none"]) == 0
 
 
+def test_train_packs_heuristic_triples_of_a_word_corpus(word_prefix, tmp_path, monkeypatch):
+    # one rule table covers both lexica, so no flag names the corpus's tokens
+    packed = []
+
+    def spy(*args, **kwargs):
+        packs = prepare_instances(*args, **kwargs)
+        packed.extend(packs)
+        return packs
+
+    monkeypatch.setattr("srl_rewriter.cli.prepare_instances", spy)
+    assert main([
+        "train", "--train", f"{word_prefix}.train.jsonl", "--dev", f"{word_prefix}.dev.jsonl",
+        "--out", str(tmp_path / "m.ckpt"), "--source", "heuristic", *TINY_MODEL, *TINY_TRAIN,
+    ]) == 0
+    assert len(packed) == 24 + 3
+    assert all(p.len_z > 0 for p in packed)
+
+
 @pytest.mark.parametrize("command, split", [("train", "dev"), ("ablate", "dev"), ("ablate", "test")])
 def test_a_record_to_score_without_a_reference_is_refused(ws, capsys, tmp_path, command, split):
     records = [json.loads(line) for line in read_lines(f"{ws['prefix']}.{split}.jsonl")]
@@ -305,6 +336,15 @@ def test_rewrite_checks_the_decode_budget_even_with_nothing_to_decode(
     assert not os.path.exists(out)
 
 
+def checkpoint_with_vocabulary(ws, tmp_path, lines):
+    """A copy of the trained checkpoint whose MODEL.vocab holds ``lines``."""
+    ckpt = str(tmp_path / "model.ckpt")
+    shutil.copyfile(ws["ckpt"], ckpt)
+    with open(ckpt + ".vocab", "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return ckpt
+
+
 @pytest.mark.parametrize("fault", ["cut", "roles-moved"])
 def test_rewrite_refuses_a_vocabulary_the_checkpoint_was_not_trained_with(
     ws, capsys, tmp_path, monkeypatch, fault
@@ -319,11 +359,10 @@ def test_rewrite_refuses_a_vocabulary_the_checkpoint_was_not_trained_with(
         lines = lines[:-5]
     else:  # the role markers moved to the end: refused when the file is loaded
         lines = lines[: roles.start] + lines[roles.stop :] + lines[roles]
-    vocab = tmp_path / "bad.vocab"
-    vocab.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    ckpt = checkpoint_with_vocabulary(ws, tmp_path, lines)
     out = str(tmp_path / "hyps.jsonl")
-    assert main(["rewrite", "--model", ws["ckpt"], "--input", f"{ws['prefix']}.test.jsonl",
-                 "--vocab", str(vocab), "--out", out]) == 1
+    assert main(["rewrite", "--model", ckpt, "--input", f"{ws['prefix']}.test.jsonl",
+                 "--out", out]) == 1
     err = capsys.readouterr().err
     code = "CHECKPOINT_MISMATCH" if fault == "cut" else "VOCAB_OVERFLOW"
     assert err.startswith(f"error[{code}]: ") and "Traceback" not in err
@@ -343,12 +382,11 @@ def test_rewrite_refuses_a_vocabulary_with_a_repeated_line(ws, capsys, tmp_path,
     else:
         lines[20] = "[UNK]"
         want = "line 21 repeats line 4, '[UNK]'"
-    vocab = tmp_path / "repeated.vocab"
-    vocab.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    ckpt = checkpoint_with_vocabulary(ws, tmp_path, lines)
     out = str(tmp_path / "hyps.jsonl")
-    assert main(["rewrite", "--model", ws["ckpt"], "--input", f"{ws['prefix']}.test.jsonl",
-                 "--vocab", str(vocab), "--out", out]) == 1
-    assert capsys.readouterr() == ("", f"error[VOCAB_OVERFLOW]: {vocab}: {want}\n")
+    assert main(["rewrite", "--model", ckpt, "--input", f"{ws['prefix']}.test.jsonl",
+                 "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"error[VOCAB_OVERFLOW]: {ckpt}.vocab: {want}\n")
     assert not os.path.exists(out)
 
 
@@ -440,6 +478,15 @@ def test_score_srl_heuristic_full_recall(ws, capsys):
     assert "precision" in out and "f1" in out
 
 
+@pytest.mark.parametrize("scope", ["full", "last"])
+def test_score_srl_heuristic_recovers_a_word_corpus_without_a_flag(word_prefix, capsys, scope):
+    assert main([
+        "score-srl", "--input", f"{word_prefix}.test.jsonl", "--source", "heuristic",
+        "--scope", scope,
+    ]) == 0
+    assert "recall    1.0000" in capsys.readouterr().out
+
+
 def test_score_srl_pred_file_identity(ws, capsys):
     assert main([
         "score-srl", "--input", f"{ws['prefix']}.test.jsonl",
@@ -494,6 +541,29 @@ def test_ablate_unknown_cell(ws, capsys, tmp_path):
         "--cells", "bogus", "--out", str(tmp_path / "x.json"),
     ]) == 1
     assert "error[CONFIG_INVALID]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells,seeds,what", [
+    ("gold+bi,gold+bi", "0,0", "cell 'gold+bi'"),
+    ("no-srl,gold+bi,no-srl", "0", "cell 'no-srl'"),
+    ("gold+bi", "1,0,1", "seed 1"),
+])
+def test_ablate_refuses_a_repeated_cell_or_seed_before_training(
+    ws, capsys, tmp_path, monkeypatch, cells, seeds, what
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a split was packed or a cell trained before the grid was checked")
+
+    for name in ("train", "prepare_instances"):
+        monkeypatch.setattr(f"srl_rewriter.training.{name}", no_work)
+    out = str(tmp_path / "x.json")
+    assert main([
+        "ablate", "--train", f"{ws['prefix']}.train.jsonl",
+        "--dev", f"{ws['prefix']}.dev.jsonl", "--test", f"{ws['prefix']}.test.jsonl",
+        "--cells", cells, "--seeds", seeds, "--out", out, *TINY_MODEL, *TINY_TRAIN,
+    ]) == 1
+    assert capsys.readouterr().err == f"error[CONFIG_INVALID]: {what} is repeated\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -573,7 +643,7 @@ def test_ablate_refuses_an_empty_split_before_training(ws, tmp_path, monkeypatch
 
 
 COMMON_FLAGS = ["--config", "--manifest", "--seed"]
-SOURCE_FLAGS = ["--scope", "--source", "--token-mode"]
+SOURCE_FLAGS = ["--scope", "--source"]
 MODEL_FLAGS = ["--d-ff", "--d-model", "--max-position", "--n-heads", "--n-layers",
                "--tie-embeddings"]
 TRAIN_FLAGS = ["--batch-size", "--clip-norm", "--eval-every", "--lr", "--max-decode-steps",
@@ -587,12 +657,11 @@ COMMAND_FLAGS = {
              *SOURCE_FLAGS],
     "train": ["--dev", "--out", "--train", "--variant", *SOURCE_FLAGS, *MODEL_FLAGS,
               *TRAIN_FLAGS],
-    "rewrite": ["--input", "--max-decode-steps", "--model", "--out", "--variant", "--vocab",
-                *SOURCE_FLAGS],
+    "rewrite": ["--input", "--max-decode-steps", "--model", "--out", "--variant", *SOURCE_FLAGS],
     "evaluate": ["--input", "--json-out", "--ref", "--smooth-bleu"],
     "score-srl": ["--input", "--pred", *SOURCE_FLAGS],
-    "ablate": ["--cells", "--dev", "--out", "--seeds", "--test", "--token-mode", "--train",
-               *MODEL_FLAGS, *TRAIN_FLAGS],
+    "ablate": ["--cells", "--dev", "--out", "--seeds", "--test", "--train", *MODEL_FLAGS,
+               *TRAIN_FLAGS],
 }
 
 
@@ -781,6 +850,25 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         "gen-corpus", "--config", str(cfg), "--out-prefix", str(tmp_path / "c"),
     ]) == 1
     assert "error[BAD_CONFIG]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pack", "train", "rewrite", "score-srl", "ablate"])
+def test_a_config_naming_token_mode_is_refused_where_no_flag_reads_it(ws, tmp_path, capsys, command):
+    cfg = tmp_path / "words.cfg"
+    cfg.write_text("token-mode = word\n")
+    train, dev, test = (f"{ws['prefix']}.{name}.jsonl" for name in ("train", "dev", "test"))
+    out = str(tmp_path / "out")
+    argv = {
+        "pack": ["--input", test],
+        "train": ["--train", train, "--dev", dev, "--out", out, *TINY_MODEL, *TINY_TRAIN],
+        "rewrite": ["--model", ws["ckpt"], "--input", test, "--out", out],
+        "score-srl": ["--input", test, "--source", "heuristic"],
+        "ablate": ["--train", train, "--dev", dev, "--test", test, "--out", out, "--seeds", "0",
+                   "--cells", "no-srl", *TINY_MODEL, *TINY_TRAIN],
+    }[command]
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err == "error[BAD_CONFIG]: unknown config keys ['token_mode']\n"
 
 
 def test_missing_required_flag_is_a_usage_error(capsys):

@@ -11,17 +11,17 @@ from srl_rewriter.generator import (
     Lexicon,
     SlotMode,
     build_session,
-    declared_statistics,
-    default_rules,
     sample_corpus,
     split_corpus,
 )
 from srl_rewriter.srl import (
+    HEURISTIC_RULES,
     TripleMode,
     TripleScope,
     TripleSource,
     acquire_triples,
     compute_statistics,
+    declared_statistics,
     lint_annotations,
 )
 
@@ -183,9 +183,7 @@ def test_declared_statistics_shape_without_optional_roles():
 def test_heuristic_recovers_gold_arguments_in_the_target_turn(lex, x, y, verb, x_mode, y_mode):
     for negated in (False, True):
         ex = build_session(lex, x, y, verb, negated, x_mode, y_mode)
-        mode = "char" if lex.char_tokens else "word"
-        rules = default_rules(GeneratorConfig(token_mode=mode))
-        predicted = acquire_triples(ex, LAST_ONLY, rules)
+        predicted = acquire_triples(ex, LAST_ONLY)
         core_args = {(t.role, t.predicate, t.argument) for t in predicted
                      if t.role in (SemanticRole.ARG0, SemanticRole.ARG1)}
         gold_args = {(t.role, t.predicate, t.argument) for t in ex.triples
@@ -193,20 +191,17 @@ def test_heuristic_recovers_gold_arguments_in_the_target_turn(lex, x, y, verb, x
         assert core_args == gold_args, f"{x_mode} {y_mode} negated={negated}"
 
 
-def test_default_rules_include_negated_verb_forms():
-    ch_rules = default_rules(GeneratorConfig(token_mode="char"))
-    assert ("不", "算") in ch_rules.verbs and ("算",) in ch_rules.verbs
-    en_rules = default_rules(GeneratorConfig(token_mode="word"))
-    assert ("not", "is") in en_rules.verbs and ("is",) in en_rules.verbs
+def test_heuristic_rules_include_negated_verb_forms_of_both_lexica():
+    assert ("不", "算") in HEURISTIC_RULES.verbs and ("算",) in HEURISTIC_RULES.verbs
+    assert ("not", "is") in HEURISTIC_RULES.verbs and ("is",) in HEURISTIC_RULES.verbs
 
 
 def test_heuristic_corpus_f1_is_high_but_not_assumed_perfect():
     cfg = GeneratorConfig(n_sessions=50, seed=9, neg_rate=0.5)
     corpus = sample_corpus(cfg)
-    rules = default_rules(cfg)
     from srl_rewriter.srl import score_srl_corpus
 
-    predicted = [list(acquire_triples(ex, LAST_ONLY, rules)) for ex in corpus]
+    predicted = [list(acquire_triples(ex, LAST_ONLY)) for ex in corpus]
     gold = [list(ex.triples) for ex in corpus]
     _, recall, f1 = score_srl_corpus(predicted, gold)
     assert recall == 1.0  # every gold argument is recovered

@@ -7,11 +7,9 @@ import pytest
 from oracles import oracle_pack
 
 from srl_rewriter.core import Utterance
-from srl_rewriter.generator import GeneratorConfig, default_rules, sample_corpus
+from srl_rewriter.generator import GeneratorConfig, sample_corpus
 from srl_rewriter.packing import SegmentType, build_vocabulary, pack
 from srl_rewriter.srl import TripleMode, TripleSource, acquire_triples
-
-RULES = default_rules(GeneratorConfig())
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +23,7 @@ def test_pack_equals_the_per_token_oracle_on_the_criterion_8_corpus(criterion_8_
     corpus, vocab = criterion_8_corpus
     source = TripleSource(mode)
     for idx, example in enumerate(corpus):
-        triples = acquire_triples(example, source, RULES)
+        triples = acquire_triples(example, source)
         for include_reference in (True, False):
             got = pack(example, triples, vocab, idx, include_reference=include_reference)
             assert got == oracle_pack(example, triples, vocab, idx, include_reference), idx

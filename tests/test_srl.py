@@ -1,5 +1,7 @@
 """Annotation lint, role statistics, micro-F1 scoring, heuristic extraction."""
 
+from dataclasses import replace
+
 import pytest
 
 from srl_rewriter.core import (
@@ -12,7 +14,7 @@ from srl_rewriter.core import (
     Speaker,
     Utterance,
 )
-from srl_rewriter.generator import GeneratorConfig, Lexicon, SlotMode, build_session, default_rules
+from srl_rewriter.generator import GeneratorConfig, Lexicon, SlotMode, build_session, sample_corpus
 from srl_rewriter.srl import (
     OK,
     HeuristicRules,
@@ -200,15 +202,16 @@ def test_triple_to_tuple_keeps_fields():
 # -- heuristic extraction --------------------------------------------------------
 
 
-CHAR_RULES = HeuristicRules.from_lexicon(
-    verbs=["像", "不像"], entities=["猫咪", "老虎", "猫"], char_tokens=True
+# the verb 像 and its negated form 不像
+CHAR_RULES = HeuristicRules.from_lexica(
+    replace(Lexicon.chinese(), verbs=("像",), entities=("猫咪", "老虎", "猫"))
 )
 
 
 def extract(rules, *token_lists):
     session = make_session(*token_lists)
     example = RewriteExample(session=session, triples=(), reference=None)
-    return acquire_triples(example, TripleSource(TripleMode.HEURISTIC), heuristic_rules=rules), session
+    return acquire_triples(example, TripleSource(TripleMode.HEURISTIC), rules=rules), session
 
 
 def test_heuristic_simple_svo():
@@ -255,8 +258,8 @@ def test_heuristic_entity_matching_is_longest_first():
 
 
 def test_heuristic_word_mode_multi_token_verb():
-    rules = HeuristicRules.from_lexicon(
-        verbs=["is", "not is"], entities=["tea", "coffee"], char_tokens=False
+    rules = HeuristicRules.from_lexica(
+        replace(Lexicon.words(), verbs=("is",), entities=("tea", "coffee"))
     )
     triples, _ = extract(rules, ["tea", "not", "is", "coffee"])
     pred = Span(0, 1, 3)
@@ -265,6 +268,46 @@ def test_heuristic_word_mode_multi_token_verb():
         PATriple(pred, SemanticRole.ARG1, Span(0, 3, 4)),
         PATriple(pred, SemanticRole.AM_NEG, Span(0, 1, 2)),
     )
+
+
+def one_lexicon_rules(lex):
+    """The rule table of one lexicon alone: its verbs, their negated forms and
+    its entities, each split the way that lexicon tokenizes words."""
+    def split(word):
+        return tuple(word) if lex.char_tokens else tuple(word.split())
+
+    joiner = "" if lex.char_tokens else " "
+    verbs = {split(v) for v in (*lex.verbs, *(lex.negation + joiner + v for v in lex.verbs))}
+    entities = {split(e) for e in lex.entities}
+    return HeuristicRules(
+        verbs=tuple(sorted(verbs, key=len, reverse=True)),
+        entities=tuple(sorted(entities, key=len, reverse=True)),
+    )
+
+
+REGIMES = {
+    "default": {},
+    "modifiers": dict(tmp_rate=0.5, loc_rate=0.5, neg_rate=0.5, include_negation_triples=True),
+    "cross-turn": dict(cross_turn_rate=0.9),
+}
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+@pytest.mark.parametrize("token_mode", ["char", "word"])
+def test_the_joint_rule_table_finds_what_each_lexicons_own_table_finds(token_mode, regime):
+    config = GeneratorConfig(token_mode=token_mode, n_sessions=150, **REGIMES[regime])
+    own = one_lexicon_rules(config.lexicon)
+    other = one_lexicon_rules(Lexicon.words() if token_mode == "char" else Lexicon.chinese())
+    found = 0
+    for seed in range(4):
+        for example in sample_corpus(replace(config, seed=seed)):
+            for scope in TripleScope:
+                source = TripleSource(TripleMode.HEURISTIC, scope)
+                triples = acquire_triples(example, source, rules=own)
+                assert acquire_triples(example, source) == triples
+                assert acquire_triples(example, source, rules=other) == ()
+                found += len(triples)
+    assert found > 4 * 150 * 2 * 2  # at least ARG0 and ARG1 in every session and scope
 
 
 # -- triple acquisition ----------------------------------------------------------
@@ -284,25 +327,13 @@ def test_acquire_gold_requires_stored_triples():
     assert err.value.code == "MISSING_GOLD"
 
 
-def test_acquire_heuristic_requires_rules():
-    example = build_session(
-        Lexicon.chinese(), "大海", "湖水", "像", False, SlotMode.FULL, SlotMode.FULL
-    )
-    with pytest.raises(RewriterError) as err:
-        acquire_triples(example, TripleSource(TripleMode.HEURISTIC))
-    assert err.value.code == "MISSING_RULES"
-
-
 def test_last_utterance_scope_drops_earlier_predicates():
     example = build_session(
         Lexicon.chinese(), "粤语", "普通话", "算", True, SlotMode.OMIT, SlotMode.OMIT
     )
-    rules = default_rules(GeneratorConfig())
-    full = acquire_triples(example, TripleSource(TripleMode.HEURISTIC), rules)
+    full = acquire_triples(example, TripleSource(TripleMode.HEURISTIC))
     last = acquire_triples(
-        example,
-        TripleSource(TripleMode.HEURISTIC, TripleScope.LAST_UTTERANCE_ONLY),
-        rules,
+        example, TripleSource(TripleMode.HEURISTIC, TripleScope.LAST_UTTERANCE_ONLY)
     )
     last_turn = len(example.session) - 1
     assert all(t.predicate.turn_index == last_turn for t in last)

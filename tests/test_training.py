@@ -7,8 +7,9 @@ import pytest
 
 from srl_rewriter import training
 from srl_rewriter.core import RewriterError
-from srl_rewriter.generator import GeneratorConfig, default_rules, sample_corpus
+from srl_rewriter.generator import GeneratorConfig, sample_corpus
 from srl_rewriter.masks import MaskVariant
+from srl_rewriter.metrics import EvalReport
 from srl_rewriter.model import ModelConfig, RewriterModel, load_checkpoint, save_checkpoint
 from srl_rewriter.packing import build_vocabulary
 from srl_rewriter.seeding import derive_seed
@@ -17,7 +18,9 @@ from srl_rewriter.training import (
     ADAM_EPS,
     DEFAULT_GRID,
     AblationCell,
+    AblationResult,
     AdamState,
+    CellRun,
     TrainConfig,
     adam_update,
     clip_gradients,
@@ -48,12 +51,12 @@ def micro_packs(micro_setup):
     return split_packs(corpus[:6], corpus[6:], vocab)
 
 
-def split_packs(train_examples, dev_examples, vocab, source=GOLD, seed=0, rules=None):
+def split_packs(train_examples, dev_examples, vocab, source=GOLD, seed=0):
     """``train``'s data as ``cmd_train`` packs it: training packs, reference-less
     dev packs and the dev references."""
     return (
-        prepare_instances(train_examples, vocab, source, seed, rules),
-        prepare_instances(dev_examples, vocab, source, seed, rules, include_reference=False),
+        prepare_instances(train_examples, vocab, source, seed),
+        prepare_instances(dev_examples, vocab, source, seed, include_reference=False),
         references(dev_examples),
     )
 
@@ -277,14 +280,12 @@ def test_ablation_grid_shapes_and_parameter_parity(micro_setup):
         AblationCell("gold+triple", GOLD, MaskVariant.TRIPLE_MASK),
         AblationCell("heuristic+bi", TripleSource(TripleMode.HEURISTIC), MaskVariant.BI_MASK),
     )
-    rules = default_rules(GeneratorConfig())
     result = run_ablation_grid(
         corpus[:5], corpus[5:7], corpus[7:],
         model_config=config,
         train_config=micro_train_config(max_steps=2, eval_every=2),
         grid=grid,
         seeds=(0, 1),
-        heuristic_rules=rules,
         vocab=vocab,
     )
     assert set(result.runs) == {"no-srl", "gold+triple", "heuristic+bi"}
@@ -303,6 +304,40 @@ def test_ablation_grid_shapes_and_parameter_parity(micro_setup):
     table = result.table()
     assert "gold+triple" in table and "med" in table
     assert 0.0 <= result.median_test_em("no-srl") <= 1.0
+
+
+def test_ablation_table_prints_each_cells_min_and_max_beside_its_median():
+    def run(seed, n_matches):
+        report = EvalReport(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, n_matches=n_matches, n_examples=200)
+        return CellRun(seed, 4, 4, 100, report, report)
+
+    result = AblationResult({"heuristic+bi": [run(0, 196), run(1, 200), run(2, 83)]})
+    lines = result.table().splitlines()
+    assert [line.split()[2] for line in lines[1:4]] == ["98.00", "100.00", "41.50"]
+    assert lines[4].split() == ["heuristic+bi", "med", "98.00", "min", "41.50", "max", "100.00"]
+
+
+@pytest.mark.parametrize("cells,seeds,what", [
+    (("gold+bi", "gold+bi"), (0, 0), "cell 'gold+bi'"),
+    (("no-srl", "gold+bi", "no-srl"), (0,), "cell 'no-srl'"),
+    (("gold+bi",), (1, 0, 1), "seed 1"),
+])
+def test_ablation_grid_refuses_a_repeated_cell_or_seed_before_packing(
+    micro_setup, monkeypatch, cells, seeds, what
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the grid built, packed or trained before its entries were checked")
+
+    for name in ("build_vocabulary", "prepare_instances", "train"):
+        monkeypatch.setattr(training, name, no_work)
+    corpus, _, config = micro_setup
+    by_label = {cell.label: cell for cell in DEFAULT_GRID}
+    with pytest.raises(RewriterError) as err:
+        run_ablation_grid(
+            corpus[:5], corpus[5:7], corpus[7:], config, micro_train_config(),
+            grid=[by_label[label] for label in cells], seeds=seeds,
+        )
+    assert (err.value.code, err.value.message) == ("CONFIG_INVALID", f"{what} is repeated")
 
 
 THREE_CELLS = tuple(cell for cell in DEFAULT_GRID if cell.label in ("no-srl", "gold+bi", "gold+triple"))
