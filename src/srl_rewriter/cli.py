@@ -1,30 +1,31 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 for validation failures (bad inputs, bad config,
-bad flags), 2 for unexpected internal errors.  Every command takes --seed and
---config; a config file supplies flat key = value defaults that explicit flags
-override.
-Commands that write files also write a manifest with content digests, so a
-rerun over identical inputs is byte-identical, manifest included.
+bad flags), 2 for unexpected internal errors.  Every command takes --config; a
+config file supplies flat key = value defaults that explicit flags override.
+Commands that write files also write a manifest with the content digests of
+every file the run read or wrote, so a rerun over identical inputs is
+byte-identical, manifest included.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import os
 import sys
 import traceback
 from typing import Optional
 
 from .core import (
+    RUN_FILES,
     RewriterError,
     example_to_record,
     read_decoded,
     read_examples,
     record_tokens,
     validate_example,
+    write_json,
     write_records,
 )
 from .generator import GeneratorConfig, sample_corpus, split_corpus
@@ -68,19 +69,6 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     return out
 
 
-def _save_manifest(args: argparse.Namespace, inputs, outputs, default: Optional[str]) -> None:
-    """Write the run manifest to --manifest, else to ``default``; with neither,
-    write none.  None entries stand for optional files that were not given."""
-    path = args.manifest or default
-    if path is not None:
-        manifest = RunManifest(args.command, _manifest_config(args))
-        for name in filter(None, inputs):
-            manifest.add_input(name)
-        for name in filter(None, outputs):
-            manifest.add_output(name)
-        manifest.save(path)
-
-
 def _comma_list(args: argparse.Namespace, name: str) -> list[str]:
     items = str(getattr(args, name)).split(",")
     if not all(item.strip() for item in items):
@@ -100,7 +88,6 @@ _VARIANTS = [v.value for v in MaskVariant]
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", help="flat key = value file of defaults")
     sub.add_argument("--manifest", help="manifest path override")
 
@@ -143,13 +130,14 @@ def _model_config(args: argparse.Namespace, vocab_size: int, variant: MaskVarian
     )
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
+def _train_config(args: argparse.Namespace, seed: int = 0) -> TrainConfig:
+    """``ablate`` keeps the default seed: each of its runs takes one of --seeds."""
     return TrainConfig(
         batch_size=args.batch_size,
         lr=args.lr,
         max_steps=args.max_steps,
         eval_every=args.eval_every,
-        seed=args.seed,
+        seed=seed,
         clip_norm=_clip(args.clip_norm),
         stop_loss=args.stop_loss,
         stop_dev_em=args.stop_dev_em,
@@ -178,15 +166,12 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
         parts = zip(("train", "dev", "test"), split_corpus(examples))
     else:
         parts = [("all", examples)]
-    outputs = []
     for name, part in parts:
         path = f"{args.out_prefix}.{name}.jsonl"
         write_records(path, [example_to_record(ex) for ex in part])
-        outputs.append(path)
         print(f"wrote {len(part):>6} examples to {path}")
     stats = compute_statistics(examples)
     print(stats.table())
-    _save_manifest(args, [], outputs, f"{args.out_prefix}.manifest.json")
     return 0
 
 
@@ -210,7 +195,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 print(f"lint {code}: {n}")
         else:
             print("lint clean")
-    _save_manifest(args, [args.input], [], None)
     return 0
 
 
@@ -235,7 +219,6 @@ def cmd_pack(args: argparse.Namespace) -> int:
         mask = build_mask(packed, MaskVariant(args.variant))
         for row in mask.astype(int):
             print("".join(str(v) for v in row))
-    _save_manifest(args, [args.input], [], None)
     return 0
 
 
@@ -247,7 +230,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dev_examples = read_examples(args.dev)
     vocab = build_vocabulary([*train_examples, *dev_examples])
     model = RewriterModel(_model_config(args, len(vocab), variant), seed=args.seed)
-    config = _train_config(args)
+    config = _train_config(args, seed=args.seed)
     source = _source(args)
     result = train(
         model,
@@ -266,9 +249,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"best dev-EM {result.best_em * 100:.2f} at step {result.best_step}")
     save_checkpoint(result.model, args.out)
     vocab.save(args.out + ".vocab")
-    _save_manifest(
-        args, [args.train, args.dev], [args.out, args.out + ".vocab"], args.out + ".manifest.json"
-    )
     return 0
 
 
@@ -289,7 +269,6 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     hyps = decode_corpus(model, packs, args.max_decode_steps, vocab=vocab)
     records = [example_to_record(ex, hypothesis=hyp) for ex, hyp in zip(examples, hyps)]
     write_records(args.out, records)
-    _save_manifest(args, [args.model, args.input], [args.out], args.out + ".manifest.json")
     print(f"wrote {len(records)} rewrites to {args.out}")
     # a hypothesis as long as the budget was cut off: EOS never ends one that long
     hits = sum(len(hyp) == args.max_decode_steps for hyp in hyps)
@@ -306,10 +285,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(REPORT_HEADER)
     print(report.row())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _save_manifest(args, [args.input, args.ref], [args.json_out], None)
+        write_json(args.json_out, report.to_dict())
     return 0
 
 
@@ -330,7 +306,6 @@ def cmd_score_srl(args: argparse.Namespace) -> int:
     print(f"precision {precision:.4f}")
     print(f"recall    {recall:.4f}")
     print(f"f1        {f1:.4f}")
-    _save_manifest(args, [args.input, args.pred], [], None)
     return 0
 
 
@@ -374,12 +349,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         ]
         for label, runs in result.runs.items()
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _save_manifest(
-        args, [args.train, args.dev, args.test], [args.out], args.out + ".manifest.json"
-    )
+    write_json(args.out, payload)
     return 0
 
 
@@ -410,6 +380,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return sub
 
     sub = register("gen-corpus", cmd_gen_corpus, "sample a synthetic dialogue corpus")
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--n-sessions", type=int, default=1000)
     sub.add_argument("--token-mode", choices=["char", "word"], default="char")
     sub.add_argument("--cross-turn-rate", type=float, default=0.3)
@@ -429,6 +400,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = register("pack", cmd_pack, "inspect one packed training instance")
     sub.add_argument("--input", required=True)
     sub.add_argument("--index", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--vocab")
     sub.add_argument("--dump", action="store_true", help="print the packed token table")
     sub.add_argument("--dump-mask", action="store_true", help="print visibility rows as 0/1")
@@ -440,6 +412,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--train", required=True)
     sub.add_argument("--dev", required=True)
     sub.add_argument("--out", required=True, help="checkpoint path")
+    sub.add_argument("--seed", type=int, default=0)
     _add_source_flags(sub)
     sub.add_argument("--variant", choices=_VARIANTS, default="triple-mask")
     _add_model_flags(sub)
@@ -450,6 +423,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--input", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--max-decode-steps", type=int, default=32)
+    sub.add_argument("--seed", type=int, default=0)
     _add_source_flags(sub)
     sub.add_argument("--variant", choices=_VARIANTS,
                      help="must match the checkpoint's, which is the default")
@@ -502,6 +476,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     _keep_freed_memory_mapped()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
+    read, written = set(), set()
+    run = RUN_FILES.set((read, written))  # readers and writers add their paths here
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -515,7 +491,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             args = parser.parse_args(argv)
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
-        return args.func(args)
+        code = args.func(args)
+        # the manifest goes to --manifest, else next to --out or --out-prefix
+        stem = getattr(args, "out", None) or getattr(args, "out_prefix", None)
+        path = args.manifest or (stem and stem + ".manifest.json")
+        if code == 0 and path:
+            RunManifest(args.command, _manifest_config(args), read, written).save(path)
+        return code
     except RewriterError as err:
         print(f"error[{err.code}]: {err.message}", file=sys.stderr)
         return 1
@@ -529,6 +511,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception:
         traceback.print_exc()
         return 2
+    finally:
+        RUN_FILES.reset(run)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ The line-delimited record format used by every CLI command lives here too.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
@@ -313,9 +314,21 @@ def example_from_record(record: dict) -> RewriteExample:
     return example
 
 
+# the paths the running ``cli.main`` call read and wrote; None outside a call
+RUN_FILES: ContextVar[Optional[tuple[set[str], set[str]]]] = ContextVar("RUN_FILES", default=None)
+
+
+def record_path(path: str, written: bool = False) -> None:
+    """Note that the running command read, or wrote, ``path``."""
+    files = RUN_FILES.get()
+    if files is not None:
+        files[written].add(path)
+
+
 def text_lines(path: str) -> Iterator[tuple[int, str]]:
     """Numbered lines of a UTF-8 text file; other bytes are refused with a
     coded error that names the file."""
+    record_path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             yield from enumerate(fh, start=1)
@@ -355,8 +368,15 @@ def read_examples(path: str) -> list[RewriteExample]:
 
 
 def write_records(path: str, records: Iterable[dict]) -> None:
+    record_path(path, written=True)
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
 
+
+def write_json(path: str, payload) -> None:
+    record_path(path, written=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Collection
 
 from . import __version__
 from .core import RewriterError, text_lines
@@ -25,24 +26,21 @@ def file_digest(path: str) -> str:
 
 @dataclass
 class RunManifest:
+    """The paths a run read and wrote; their digests are taken when the
+    manifest is rendered, after the run."""
+
     command: str
     config: dict
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    inputs: Collection[str] = ()
+    outputs: Collection[str] = ()
     tool_version: str = __version__
-
-    def add_input(self, path: str) -> None:
-        self.inputs[path] = file_digest(path)
-
-    def add_output(self, path: str) -> None:
-        self.outputs[path] = file_digest(path)
 
     def to_json(self) -> str:
         payload = {
             "command": self.command,
             "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
+            "inputs": {path: file_digest(path) for path in self.inputs},
+            "outputs": {path: file_digest(path) for path in self.outputs},
             "tool_version": self.tool_version,
         }
         return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RewriterError
+from .core import RewriterError, record_path
 from .masks import NEG_BIAS, MaskVariant, build_batch_mask, mask_to_additive
 from .packing import BOS_ID, EOS_ID, PackedSequence, SegmentType, Vocabulary
 
@@ -593,6 +593,7 @@ def save_checkpoint(model: RewriterModel, path: str) -> None:
         "params": [[name, list(shape)] for name, shape in _parameter_shapes(model.config)],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    record_path(path, written=True)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
@@ -603,6 +604,7 @@ def save_checkpoint(model: RewriterModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> RewriterModel:
+    record_path(path)
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise RewriterError("CHECKPOINT_MISMATCH", f"{path} is not a checkpoint")

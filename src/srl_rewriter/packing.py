@@ -26,6 +26,7 @@ from .core import (
     RewriteExample,
     RewriterError,
     SemanticRole,
+    record_path,
     text_lines,
 )
 
@@ -76,6 +77,7 @@ class Vocabulary:
         return [self._tokens[i] for i in ids]
 
     def save(self, path: str) -> None:
+        record_path(path, written=True)
         with open(path, "w", encoding="utf-8") as fh:
             for tok in self._tokens:
                 fh.write(tok + "\n")

@@ -22,9 +22,9 @@ from .core import (
 )
 from .generator import GeneratorConfig, Lexicon
 
-# Default lexica for lint checks; CLI configs may override.
-DEFAULT_PRONOUNS = ("它", "这个", "那个", "他", "她", "it", "that", "this", "he", "she")
-DEFAULT_PERSON_PRONOUNS = ("我", "你", "i", "me", "you")
+# one-token argument surfaces that lint flags: pronouns (C2), person pronouns (C3)
+_PRONOUNS = {(p,) for p in ("它", "这个", "那个", "他", "她", "it", "that", "this", "he", "she")}
+_PERSON_PRONOUNS = {(p,) for p in ("我", "你", "i", "me", "you")}
 
 
 class TripleMode(Enum):
@@ -99,12 +99,7 @@ def _same_surface_candidates(session: DialogueSession, surface: tuple[str, ...],
                 yield Span(turn, start, start + width)
 
 
-def lint_annotations(
-    session: DialogueSession,
-    triples: Sequence[PATriple],
-    pronouns: Sequence[str] = DEFAULT_PRONOUNS,
-    person_pronouns: Sequence[str] = DEFAULT_PERSON_PRONOUNS,
-) -> AnnotationLintReport:
+def lint_annotations(session: DialogueSession, triples: Sequence[PATriple]) -> AnnotationLintReport:
     """Advisory validity check of gold annotations against criteria C1..C4.
 
     C2 cannot decide reference resolvability without coreference annotation,
@@ -113,14 +108,12 @@ def lint_annotations(
     speaker placeholder A/B.
     """
     offsets = _global_offsets(session)
-    pronoun_set = {(p,) for p in pronouns}
-    person_set = {(p,) for p in person_pronouns}
     entries = []
     for triple in triples:
         surface = triple.argument.slice(session)
         c1 = OK if triple.argument.turn_index <= triple.predicate.turn_index else "C1_FUTURE_ARGUMENT"
-        c2 = "WARN_PRONOUN" if surface in pronoun_set else OK
-        c3 = "C3_SPEAKER_NOT_SPECIAL" if surface in person_set else OK
+        c2 = "WARN_PRONOUN" if surface in _PRONOUNS else OK
+        c3 = "C3_SPEAKER_NOT_SPECIAL" if surface in _PERSON_PRONOUNS else OK
         c4 = OK
         if c1 == OK:
             own_distance = _span_distance(triple.argument, triple.predicate, offsets)

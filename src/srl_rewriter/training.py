@@ -191,7 +191,6 @@ class EvalPoint:
 @dataclass
 class TrainResult:
     model: RewriterModel  # float32-rounded weights at the best dev exact-match step
-    final_model: RewriterModel
     best_step: int
     best_em: float
     steps_run: int
@@ -206,8 +205,9 @@ def train(
     vocab: Vocabulary,
     config: TrainConfig,
 ) -> TrainResult:
-    """Minimize rewrite NLL on packs with references; keep the weights with
-    the best dev exact match.
+    """Minimize rewrite NLL on packs with references, updating ``model`` in
+    place to the last step's weights; the result keeps those with the best dev
+    exact match.
 
     Batches are masked under the model's own variant.  Ties on dev exact match
     keep the earliest step.  Dev quality is measured by greedy decoding the
@@ -273,7 +273,6 @@ def train(
 
     return TrainResult(
         model=best_model,
-        final_model=model,
         best_step=best_step,
         best_em=best_em,
         steps_run=step,

@@ -17,7 +17,7 @@ from oracles import oracle_tags
 
 import srl_rewriter
 from srl_rewriter.cli import build_parser, main
-from srl_rewriter.core import read_examples
+from srl_rewriter.core import RUN_FILES, read_examples
 from srl_rewriter.model import load_checkpoint
 from srl_rewriter.packing import ROLE_TOKENS
 from srl_rewriter.training import prepare_instances
@@ -616,7 +616,7 @@ def test_ablate_cells_set_source_and_variant(ws, tmp_path):
     test = f"{ws['prefix']}.test.jsonl"
     assert main([
         "ablate", "--train", f"{ws['prefix']}.train.jsonl", "--dev", test, "--test", test,
-        "--seeds", "0", "--cells", "no-srl", "--seed", "7", "--out", out,
+        "--seeds", "0", "--cells", "no-srl", "--out", out,
         *TINY_MODEL, *TINY_TRAIN,
     ]) == 0
     manifest = json.loads(open(out + ".manifest.json", encoding="utf-8").read())
@@ -642,7 +642,7 @@ def test_ablate_refuses_an_empty_split_before_training(ws, tmp_path, monkeypatch
     assert err.startswith(f"error[EMPTY_CORPUS]: no {split} examples")
 
 
-COMMON_FLAGS = ["--config", "--manifest", "--seed"]
+COMMON_FLAGS = ["--config", "--manifest"]
 SOURCE_FLAGS = ["--scope", "--source"]
 MODEL_FLAGS = ["--d-ff", "--d-model", "--max-position", "--n-heads", "--n-layers",
                "--tie-embeddings"]
@@ -651,13 +651,14 @@ TRAIN_FLAGS = ["--batch-size", "--clip-norm", "--eval-every", "--lr", "--max-dec
 COMMAND_FLAGS = {
     "gen-corpus": ["--cross-turn-rate", "--include-negation-triples", "--loc-rate",
                    "--n-sessions", "--neg-rate", "--omission-rate", "--out-prefix",
-                   "--pronoun-rate", "--split", "--tmp-rate", "--token-mode"],
+                   "--pronoun-rate", "--seed", "--split", "--tmp-rate", "--token-mode"],
     "stats": ["--input", "--lint"],
-    "pack": ["--dump", "--dump-mask", "--index", "--input", "--variant", "--vocab",
+    "pack": ["--dump", "--dump-mask", "--index", "--input", "--seed", "--variant", "--vocab",
              *SOURCE_FLAGS],
-    "train": ["--dev", "--out", "--train", "--variant", *SOURCE_FLAGS, *MODEL_FLAGS,
+    "train": ["--dev", "--out", "--seed", "--train", "--variant", *SOURCE_FLAGS, *MODEL_FLAGS,
               *TRAIN_FLAGS],
-    "rewrite": ["--input", "--max-decode-steps", "--model", "--out", "--variant", *SOURCE_FLAGS],
+    "rewrite": ["--input", "--max-decode-steps", "--model", "--out", "--seed", "--variant",
+                *SOURCE_FLAGS],
     "evaluate": ["--input", "--json-out", "--ref", "--smooth-bleu"],
     "score-srl": ["--input", "--pred", *SOURCE_FLAGS],
     "ablate": ["--cells", "--dev", "--out", "--seeds", "--test", "--train", *MODEL_FLAGS,
@@ -688,16 +689,24 @@ def manifest_case(ws, tmp_path, case):
     train, dev, test = (f"{prefix}.{name}.jsonl" for name in ("train", "dev", "test"))
     out = str(tmp_path / "out")
     splits = [f"{out}.{name}.jsonl" for name in ("train", "dev", "test")]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("lr = 0.001\n")
     return {
         "gen-corpus": (["gen-corpus", "--n-sessions", "6", "--split", "--out-prefix", out],
                        [], splits, f"{out}.manifest.json"),
         "stats": (["stats", "--input", train, "--lint"], [train], [], None),
         "pack": (["pack", "--input", train, "--dump"], [train], [], None),
+        "pack+vocab": (["pack", "--input", train, "--vocab", ckpt + ".vocab", "--dump"],
+                       [train, ckpt + ".vocab"], [], None),
         "train": (["train", "--train", train, "--dev", dev, "--out", out,
                    *TINY_MODEL, *TINY_TRAIN], [train, dev], [out, out + ".vocab"],
                   out + ".manifest.json"),
+        "train+config": (["train", "--config", str(cfg), "--train", train, "--dev", dev,
+                          "--out", out, *TINY_MODEL, *TINY_TRAIN],
+                         [str(cfg), train, dev], [out, out + ".vocab"], out + ".manifest.json"),
+        # the vocabulary decides which token each id decodes to, so it is an input
         "rewrite": (["rewrite", "--model", ckpt, "--input", test, "--out", out],
-                    [ckpt, test], [out], out + ".manifest.json"),
+                    [ckpt, ckpt + ".vocab", test], [out], out + ".manifest.json"),
         "evaluate": (["evaluate", "--input", hyps], [hyps], [], None),
         "evaluate+ref+json": (["evaluate", "--input", hyps, "--ref", test, "--json-out", out],
                               [hyps, test], [out], None),
@@ -710,8 +719,8 @@ def manifest_case(ws, tmp_path, case):
 
 
 @pytest.mark.parametrize("case", [
-    "gen-corpus", "stats", "pack", "train", "rewrite", "evaluate", "evaluate+ref+json",
-    "score-srl", "score-srl+pred", "ablate",
+    "gen-corpus", "stats", "pack", "pack+vocab", "train", "train+config", "rewrite", "evaluate",
+    "evaluate+ref+json", "score-srl", "score-srl+pred", "ablate",
 ])
 def test_manifest_records_command_inputs_and_outputs(ws, tmp_path, capsys, case):
     argv, inputs, outputs, default = manifest_case(ws, tmp_path, case)
@@ -719,17 +728,48 @@ def test_manifest_records_command_inputs_and_outputs(ws, tmp_path, capsys, case)
     def files():
         return {str(f) for folder in (ws["root"], tmp_path) for f in folder.iterdir()}
 
+    before = files()
+    assert main(argv) == 0
+    # a run writes its outputs and its default manifest, and nothing else
+    assert files() - before == {*outputs, *filter(None, [default])}
     if default is None:  # inspection commands write a manifest only when asked
-        before = files()
-        assert main(argv) == 0
-        assert files() - before == set(outputs)
         default = str(tmp_path / "asked.manifest.json")
         argv = [*argv, "--manifest", default]
-    assert main(argv) == 0
+        assert main(argv) == 0
     manifest = json.loads(open(default, encoding="utf-8").read())
     assert manifest["command"] == manifest["config"]["command"] == argv[0]
     assert set(manifest["inputs"]) == set(inputs)
     assert set(manifest["outputs"]) == set(outputs)
+
+
+def test_rewrite_manifest_tells_a_reordered_vocabulary_apart(ws, tmp_path, capsys):
+    model, test, out = str(tmp_path / "m.ckpt"), f"{ws['prefix']}.test.jsonl", str(tmp_path / "o")
+    shutil.copy(ws["ckpt"], model)
+    lines = read_lines(ws["ckpt"] + ".vocab")
+    reserved = 4 + len(ROLE_TOKENS)  # the structural tokens, then one marker per role
+
+    def inputs(vocab_lines):
+        with open(model + ".vocab", "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in vocab_lines))
+        assert main(["rewrite", "--model", model, "--input", test, "--out", out]) == 0
+        return json.loads(open(out + ".manifest.json", encoding="utf-8").read())["inputs"]
+
+    given = inputs(lines)
+    reordered = inputs(lines[:reserved] + lines[reserved:][::-1])
+    assert set(given) == set(reordered) == {model, model + ".vocab", test}
+    assert given[model] == reordered[model] and given[test] == reordered[test]
+    assert given[model + ".vocab"] != reordered[model + ".vocab"]
+
+
+def test_each_call_records_only_its_own_files(ws, tmp_path, capsys):
+    train, hyps = f"{ws['prefix']}.train.jsonl", ws["hyps"]
+    first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+    assert main(["stats", "--input", train, "--manifest", first]) == 0
+    assert main(["pack", "--input", str(tmp_path / "missing.jsonl")]) == 1  # refused after recording its input
+    assert main(["evaluate", "--input", hyps, "--manifest", second]) == 0
+    assert set(json.loads(open(first, encoding="utf-8").read())["inputs"]) == {train}
+    assert set(json.loads(open(second, encoding="utf-8").read())["inputs"]) == {hyps}
+    assert RUN_FILES.get() is None  # outside a call, readers record nothing
 
 
 # -- malformed records -------------------------------------------------------------

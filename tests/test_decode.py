@@ -60,7 +60,8 @@ def models(splits):
         )
         model = RewriterModel(model_config(vocab, variant), seed=6)
         data = split_packs(train_set, dev_set[:4], vocab, source)
-        out[variant, "trained"] = train(model, *data, vocab, config).final_model
+        train(model, *data, vocab, config)  # trains ``model`` in place
+        out[variant, "trained"] = model
     return out
 
 

@@ -18,10 +18,8 @@ def test_file_digest_is_sha256(tmp_path):
 def test_manifest_json_is_stable_and_timestamp_free(tmp_path):
     src = tmp_path / "in.jsonl"
     src.write_text("{}\n")
-    m1 = RunManifest(command="gen-corpus", config={"seed": 3, "n": 10})
-    m1.add_input(str(src))
-    m2 = RunManifest(command="gen-corpus", config={"n": 10, "seed": 3})
-    m2.add_input(str(src))
+    m1 = RunManifest(command="gen-corpus", config={"seed": 3, "n": 10}, inputs=[str(src)])
+    m2 = RunManifest(command="gen-corpus", config={"n": 10, "seed": 3}, inputs={str(src)})
     assert m1.to_json() == m2.to_json()  # key order never leaks
     payload = json.loads(m1.to_json())
     assert set(payload) == {"command", "config", "inputs", "outputs", "tool_version"}
@@ -31,8 +29,7 @@ def test_manifest_json_is_stable_and_timestamp_free(tmp_path):
 def test_manifest_save_round_trip(tmp_path):
     out = tmp_path / "artifact.txt"
     out.write_text("content")
-    m = RunManifest(command="train", config={"lr": 0.001})
-    m.add_output(str(out))
+    m = RunManifest(command="train", config={"lr": 0.001}, outputs={str(out)})
     dest = tmp_path / "run.manifest.json"
     m.save(str(dest))
     loaded = json.loads(dest.read_text())

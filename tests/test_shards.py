@@ -121,15 +121,15 @@ def test_worker_and_inline_steps_are_bit_identical(micro_setup, micro_packs, mon
 
     def run():
         seen = record_threads(monkeypatch)
-        result = train(RewriterModel(config, seed=2), *micro_packs, vocab, six_steps())
-        return result, seen
+        model = RewriterModel(config, seed=2)
+        return model, train(model, *micro_packs, vocab, six_steps()), seen
 
-    threaded, threaded_seen = run()
+    threaded_model, threaded, threaded_seen = run()
     monkeypatch.setattr(training, "_one_blas_thread", lambda: contextlib.nullcontext(False))
-    inline, inline_seen = run()
+    inline_model, inline, inline_seen = run()
     assert threaded.steps_run == inline.steps_run == 6
-    for name, p in threaded.final_model.params.items():
-        assert np.array_equal(p, inline.final_model.params[name]), name
+    for name, p in threaded_model.params.items():
+        assert np.array_equal(p, inline_model.params[name]), name
     assert [(pt.step, pt.train_loss) for pt in threaded.history] == [
         (pt.step, pt.train_loss) for pt in inline.history
     ]

@@ -155,7 +155,7 @@ def test_zero_lr_run_is_a_bitwise_no_op(micro_setup, micro_packs):
     model = RewriterModel(config, seed=2)
     before = {k: p.copy() for k, p in model.params.items()}
     result = train(model, *micro_packs, vocab, micro_train_config(lr=0.0))
-    for name, p in result.final_model.params.items():
+    for name, p in model.params.items():
         assert np.array_equal(before[name], p), f"{name} drifted under lr=0"
     assert result.steps_run == 4
 
@@ -168,11 +168,11 @@ def test_training_is_deterministic(micro_setup, micro_packs):
 
     def one_run():
         model = RewriterModel(config, seed=2)
-        return train(model, *micro_packs, vocab, micro_train_config())
+        return model, train(model, *micro_packs, vocab, micro_train_config())
 
-    a, b = one_run(), one_run()
-    for name, p in a.final_model.params.items():
-        assert np.array_equal(p, b.final_model.params[name])
+    (model_a, a), (model_b, b) = one_run(), one_run()
+    for name, p in model_a.params.items():
+        assert np.array_equal(p, model_b.params[name])
     assert [pt.train_loss for pt in a.history] == [pt.train_loss for pt in b.history]
     assert a.best_step == b.best_step
 
