@@ -41,6 +41,7 @@ from .model import (
 )
 from .packing import Vocabulary, build_vocabulary, pack
 from .srl import (
+    OK,
     TripleMode,
     TripleScope,
     TripleSource,
@@ -183,12 +184,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
         counts: dict[str, int] = {}
         for ex in examples:
             # what reading accepts but validate_example flags, such as an empty
-            # utterance or reference; C1 below already counts FUTURE_ARGUMENT
-            codes = [v.code for v in validate_example(ex, require_reference=False).violations]
-            for entry in lint_annotations(ex.session, ex.triples).entries:
+            # utterance or reference, and the annotation lints
+            codes = [v.code for v in validate_example(ex)]
+            for entry in lint_annotations(ex.session, ex.triples):
                 codes += (entry.c1, entry.c2, entry.c3, entry.c4)
             for code in codes:
-                if code not in ("ok", "FUTURE_ARGUMENT"):
+                if code != OK:
                     counts[code] = counts.get(code, 0) + 1
         if counts:
             for code, n in sorted(counts.items()):
@@ -226,11 +227,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     variant = MaskVariant(args.variant)
     if variant is MaskVariant.NO_SRL and args.source != TripleMode.NONE.value:
         raise RewriterError("VARIANT_MISMATCH", "no-srl needs the empty triple source")
+    config = _train_config(args, seed=args.seed)
     train_examples = read_examples(args.train)
     dev_examples = read_examples(args.dev)
     vocab = build_vocabulary([*train_examples, *dev_examples])
     model = RewriterModel(_model_config(args, len(vocab), variant), seed=args.seed)
-    config = _train_config(args, seed=args.seed)
     source = _source(args)
     result = train(
         model,
@@ -310,9 +311,6 @@ def cmd_score_srl(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    train_examples = read_examples(args.train)
-    dev_examples = read_examples(args.dev)
-    test_examples = read_examples(args.test)
     try:
         seeds = [int(s) for s in _comma_list(args, "seeds")]
     except ValueError as exc:
@@ -326,8 +324,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     model_config = _model_config(args, vocab_size=4, variant=MaskVariant.TRIPLE_MASK)
     train_config = _train_config(args)
     result = run_ablation_grid(
-        train_examples, dev_examples, test_examples, model_config, train_config,
-        grid=grid, seeds=seeds,
+        read_examples(args.train), read_examples(args.dev), read_examples(args.test),
+        model_config, train_config, grid=grid, seeds=seeds,
     )
     print(result.table())
     for label, runs in result.runs.items():
@@ -476,7 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _keep_freed_memory_mapped()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-    read, written = set(), set()
+    read, written = {}, set()
     run = RUN_FILES.set((read, written))  # readers and writers add their paths here
     try:
         args = parser.parse_args(argv)

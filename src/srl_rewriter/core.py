@@ -6,6 +6,7 @@ The line-delimited record format used by every CLI command lives here too.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ class SemanticRole(Enum):
 class Utterance:
     tokens: tuple[str, ...]
     speaker: Speaker
-    turn_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -114,18 +114,6 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
-
-
 def _check_span(span: Span, session: DialogueSession, what: str, idx: int) -> list[Violation]:
     out = []
     if not 0 <= span.turn_index < len(session):
@@ -147,18 +135,13 @@ def _check_span(span: Span, session: DialogueSession, what: str, idx: int) -> li
     return out
 
 
-def validate_example(example: RewriteExample, require_reference: bool = True) -> ValidationResult:
-    """Check every invariant; violations are data, never exceptions.
-
-    ``require_reference=False`` relaxes the non-empty reference rule for
-    inference-time inputs.
-    """
-    violations: list[Violation] = []
+def validate_example(example: RewriteExample) -> tuple[Violation, ...]:
+    """Check every invariant that a record can break; violations are data,
+    never exceptions.  A reference may be absent, as on inference inputs."""
     session = example.session
     if len(session) < 1:
-        violations.append(Violation("EMPTY_SESSION", "session has no utterances"))
-        return ValidationResult(tuple(violations))
-    seen_turns = set()
+        return (Violation("EMPTY_SESSION", "session has no utterances"),)
+    violations: list[Violation] = []
     for pos, utt in enumerate(session.utterances):
         if not utt.tokens:
             violations.append(Violation("EMPTY_UTTERANCE", f"utterance {pos} has no tokens"))
@@ -168,42 +151,16 @@ def validate_example(example: RewriteExample, require_reference: bool = True) ->
                     Violation("RESERVED_TOKEN", f"utterance {pos} contains reserved token {tok}")
                 )
                 break
-        if utt.turn_index != pos:
-            violations.append(
-                Violation(
-                    "TURN_INDEX_ORDER",
-                    f"utterance at position {pos} carries turn_index {utt.turn_index}",
-                )
-            )
-        if utt.turn_index in seen_turns:
-            violations.append(
-                Violation("DUPLICATE_TURN_INDEX", f"turn_index {utt.turn_index} repeated")
-            )
-        seen_turns.add(utt.turn_index)
     for idx, triple in enumerate(example.triples):
         violations.extend(_check_span(triple.predicate, session, "predicate", idx))
         violations.extend(_check_span(triple.argument, session, "argument", idx))
-        if triple.argument.turn_index > triple.predicate.turn_index:
-            violations.append(
-                Violation(
-                    "FUTURE_ARGUMENT",
-                    f"triple {idx}: argument turn {triple.argument.turn_index} after "
-                    f"predicate turn {triple.predicate.turn_index}",
-                )
-            )
-    if require_reference:
-        if example.reference is None:
-            violations.append(Violation("MISSING_REFERENCE", "example carries no reference"))
-        elif not example.reference:
-            violations.append(Violation("EMPTY_REFERENCE", "reference token list is empty"))
-    else:
-        if example.reference is not None and not example.reference:
-            violations.append(Violation("EMPTY_REFERENCE", "reference token list is empty"))
+    if example.reference is not None and not example.reference:
+        violations.append(Violation("EMPTY_REFERENCE", "reference token list is empty"))
     for tok in example.reference or ():
         if tok in (PAD_TOKEN, EOS_TOKEN, BOS_TOKEN):
             violations.append(Violation("RESERVED_TOKEN", f"reference contains {tok}"))
             break
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +241,6 @@ def example_from_record(record: dict) -> RewriteExample:
             Utterance(
                 tokens=_token_list(u["tokens"], f"utterance {i} tokens"),
                 speaker=Speaker(u["speaker"]),
-                turn_index=i,
             )
             for i, u in enumerate(record["utterances"])
         )
@@ -304,25 +260,38 @@ def example_from_record(record: dict) -> RewriteExample:
         triples=triples,
         reference=None if reference is None else _token_list(reference, "reference"),
     )
-    bad = [
-        v.message
-        for v in validate_example(example, require_reference=False).violations
-        if v.code in _REFUSED_ON_READ
-    ]
+    bad = [v.message for v in validate_example(example) if v.code in _REFUSED_ON_READ]
     if bad:
         raise RewriterError("BAD_RECORD", "; ".join(bad))
     return example
 
 
-# the paths the running ``cli.main`` call read and wrote; None outside a call
-RUN_FILES: ContextVar[Optional[tuple[set[str], set[str]]]] = ContextVar("RUN_FILES", default=None)
+def file_digest(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+# the running ``cli.main`` call's reads (path -> digest at first read) and
+# written paths; None outside a call
+RUN_FILES: ContextVar[Optional[tuple[dict[str, str], set[str]]]] = ContextVar(
+    "RUN_FILES", default=None
+)
 
 
 def record_path(path: str, written: bool = False) -> None:
-    """Note that the running command read, or wrote, ``path``."""
+    """Note that the running command read, or wrote, ``path``.  A read is
+    digested now, so an output that later overwrites it cannot stand in."""
     files = RUN_FILES.get()
-    if files is not None:
-        files[written].add(path)
+    if files is None:
+        return
+    read, wrote = files
+    if written:
+        wrote.add(path)
+    elif path not in read:
+        read[path] = file_digest(path)
 
 
 def text_lines(path: str) -> Iterator[tuple[int, str]]:

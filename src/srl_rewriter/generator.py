@@ -219,9 +219,9 @@ def build_session(
 
     session = DialogueSession(
         utterances=(
-            Utterance(tokens=turn1, speaker=Speaker.A, turn_index=0),
-            Utterance(tokens=turn2, speaker=Speaker.B, turn_index=1),
-            Utterance(tokens=tuple(tokens), speaker=Speaker.A, turn_index=2),
+            Utterance(tokens=turn1, speaker=Speaker.A),
+            Utterance(tokens=turn2, speaker=Speaker.B),
+            Utterance(tokens=tuple(tokens), speaker=Speaker.A),
         )
     )
     return RewriteExample(session=session, triples=tuple(triples), reference=tuple(reference))

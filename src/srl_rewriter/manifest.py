@@ -7,31 +7,22 @@ same command over the same inputs must produce byte-identical manifests.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
-from typing import Collection
+from dataclasses import dataclass, field
+from typing import Collection, Mapping
 
 from . import __version__
-from .core import RewriterError, text_lines
-
-
-def file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+from .core import RewriterError, file_digest, text_lines
 
 
 @dataclass
 class RunManifest:
-    """The paths a run read and wrote; their digests are taken when the
-    manifest is rendered, after the run."""
+    """The digests of the files a run read, taken as each was first read, and
+    the paths it wrote, digested when the manifest is rendered."""
 
     command: str
     config: dict
-    inputs: Collection[str] = ()
+    inputs: Mapping[str, str] = field(default_factory=dict)
     outputs: Collection[str] = ()
     tool_version: str = __version__
 
@@ -39,7 +30,7 @@ class RunManifest:
         payload = {
             "command": self.command,
             "config": self.config,
-            "inputs": {path: file_digest(path) for path in self.inputs},
+            "inputs": dict(self.inputs),
             "outputs": {path: file_digest(path) for path in self.outputs},
             "tool_version": self.tool_version,
         }

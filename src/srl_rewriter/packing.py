@@ -61,12 +61,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
-    def id_of(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
-
     def token_of(self, token_id: int) -> str:
         return self._tokens[token_id]
 
@@ -116,7 +110,7 @@ class PackedSequence:
     token_ids: tuple[int, ...]
     segment_ids: tuple[SegmentType, ...]
     position_ids: tuple[int, ...]
-    region_index: tuple[int, ...]  # triple ordinal / utterance turn / 0 over the rewrite
+    region_index: tuple[int, ...]  # triple ordinal / utterance position / 0 over the rewrite
     len_z: int
     len_c: int
     len_r: int
@@ -164,24 +158,22 @@ def pack(
     """Build the full training/decoding instance.
 
     Each triple, each context utterance (its EOS included) and the rewrite is
-    one region with one index; positions restart at 0 in every region, and
-    segments are E_SRL over triples, E_A/E_B over context by speaker parity
-    with the rewriting speaker and E_A over the rewrite.  Adjacent utterances
-    that share a turn index are one region and count positions on across both.
+    one region; a triple's index is its ordinal, an utterance's its position
+    in the session and the rewrite's 0.  Positions restart at 0 in every
+    region, and segments are E_SRL over triples, E_A/E_B over context by
+    speaker parity with the rewriting speaker and E_A over the rewrite.
     Deterministic given (example, triples, vocab, seed).
     """
-    if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
-        raise RewriterError("VOCAB_OVERFLOW", "vocabulary lacks reserved tokens")
     session = example.session
     tokens: list[str] = []
     segments: list[SegmentType] = []
     positions: list[int] = []
     indices: list[int] = []
 
-    def region(run: Sequence[str], segment: SegmentType, index: int, start: int = 0) -> None:
+    def region(run: Sequence[str], segment: SegmentType, index: int) -> None:
         tokens.extend(run)
         segments.extend([segment] * len(run))
-        positions.extend(range(start, start + len(run)))
+        positions.extend(range(len(run)))
         indices.extend([index] * len(run))
 
     linear = linearize_triples(triples, session, seed)
@@ -190,12 +182,9 @@ def pack(
     len_z = len(tokens)
 
     target_speaker = session.target_speaker
-    turn = None
-    for utt in session.utterances:
+    for turn, utt in enumerate(session.utterances):
         segment = SegmentType.E_A if utt.speaker is target_speaker else SegmentType.E_B
-        start = positions[-1] + 1 if utt.turn_index == turn else 0
-        region([*utt.tokens, EOS_TOKEN], segment, utt.turn_index, start)
-        turn = utt.turn_index
+        region([*utt.tokens, EOS_TOKEN], segment, turn)
     len_c = len(tokens) - len_z
 
     if include_reference:

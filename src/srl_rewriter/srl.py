@@ -58,19 +58,6 @@ class TripleLint:
     c3: str = OK  # speaker/listener arguments must be the literal A/B token
     c4: str = OK  # among identical candidates, the one nearest the predicate wins
 
-    @property
-    def clean(self) -> bool:
-        return self.c1 == OK and self.c2 == OK and self.c3 == OK and self.c4 == OK
-
-
-@dataclass(frozen=True)
-class AnnotationLintReport:
-    entries: tuple[TripleLint, ...]
-
-    @property
-    def clean(self) -> bool:
-        return all(e.clean for e in self.entries)
-
 
 def _global_offsets(session: DialogueSession) -> list[int]:
     offsets = [0]
@@ -99,7 +86,7 @@ def _same_surface_candidates(session: DialogueSession, surface: tuple[str, ...],
                 yield Span(turn, start, start + width)
 
 
-def lint_annotations(session: DialogueSession, triples: Sequence[PATriple]) -> AnnotationLintReport:
+def lint_annotations(session: DialogueSession, triples: Sequence[PATriple]) -> tuple[TripleLint, ...]:
     """Advisory validity check of gold annotations against criteria C1..C4.
 
     C2 cannot decide reference resolvability without coreference annotation,
@@ -124,7 +111,7 @@ def lint_annotations(session: DialogueSession, triples: Sequence[PATriple]) -> A
                     c4 = "C4_NOT_NEAREST"
                     break
         entries.append(TripleLint(c1, c2, c3, c4))
-    return AnnotationLintReport(tuple(entries))
+    return tuple(entries)
 
 
 # --- corpus statistics ------------------------------------------------------

@@ -58,6 +58,11 @@ class TrainConfig:
     max_decode_steps: int = 32
 
     def __post_init__(self):
+        # a NaN compares false, so it would slip past the checks below and never clip or stop
+        for name in ("lr", "clip_norm", "stop_loss", "stop_dev_em"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise RewriterError("CONFIG_INVALID", f"{name} {value} is not finite")
         if self.batch_size < 1:
             raise RewriterError("CONFIG_INVALID", f"batch_size {self.batch_size} < 1")
         if self.lr < 0:

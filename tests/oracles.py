@@ -18,7 +18,6 @@ from srl_rewriter.masks import MaskVariant
 from srl_rewriter.model import make_batch
 from srl_rewriter.packing import (
     BOS_ID,
-    EOS_ID,
     PAD_ID,
     PackedSequence,
     SegmentType,
@@ -185,10 +184,10 @@ def _oracle_layout(example, triples, seed, include_reference):
         tags.append(RegionTag(RegionKind.TRIPLE, triple_idx))
         speakers.append(None)
     len_z = len(tokens)
-    for utt in session.utterances:
+    for turn, utt in enumerate(session.utterances):
         for tok in [*utt.tokens, EOS_TOKEN]:
             tokens.append(tok)
-            tags.append(RegionTag(RegionKind.CONTEXT, utt.turn_index))
+            tags.append(RegionTag(RegionKind.CONTEXT, turn))
             speakers.append(utt.speaker)
     len_c = len(tokens) - len_z
     if include_reference:
@@ -210,8 +209,6 @@ def oracle_pack(example, triples, vocab, seed, include_reference=True):
     """``pack`` token by token: a fresh tag per token, then one walk over the
     tags for segments and one for positions, which restart wherever a tag
     differs from the one before."""
-    if EOS_TOKEN not in vocab or BOS_TOKEN not in vocab:
-        raise RewriterError("VOCAB_OVERFLOW", "vocabulary lacks reserved tokens")
     tokens, tags, speakers, len_z, len_c = _oracle_layout(
         example, triples, seed, include_reference
     )
@@ -271,28 +268,20 @@ def start_decode(packed_zc):
     return append_rewrite_token(packed_zc, BOS_ID)
 
 
-def oracle_greedy_decode(packed_zc, model, max_steps):
-    """Greedy decoding by full recompute: every step rebuilds the batch and
-    the mask and reruns the whole sequence, then reads the logits of its last
-    row.  Returns the emitted ids (no BOS/EOS) and the logits of every step.
+def oracle_path_logits(packed_zc, model, path):
+    """The logits of every step of decoding ``packed_zc`` along ``path``
+    (emitted ids, no BOS), from one full-recompute pass over prefix + BOS +
+    ``path``.  A rewrite row sees no later row, so row t holds the logits of
+    the step that follows ``path[:t]``: ``len(path) + 1`` rows.
 
     The pass is ``oracle_forward``, so the decoder's caching, batching and
     stopping and its kernels are all checked.
     """
     packed = start_decode(packed_zc)
-    emitted, step_logits = [], []
-    while True:
-        logits, _, _ = oracle_forward(model, make_batch([packed], model.config.mask_variant))
-        row = logits[0, len(packed) - 1]
-        step_logits.append(row)
-        next_id = oracle_argmax(row)
-        if next_id == EOS_ID:
-            break
-        emitted.append(next_id)
-        if len(emitted) >= max_steps:
-            break
-        packed = append_rewrite_token(packed, next_id)
-    return emitted, step_logits
+    for token_id in path:
+        packed = append_rewrite_token(packed, token_id)
+    logits, _, _ = oracle_forward(model, make_batch([packed], model.config.mask_variant))
+    return list(logits[0, len(packed_zc) :])
 
 
 GELU_C = math.sqrt(2.0 / math.pi)

@@ -17,7 +17,7 @@ from oracles import oracle_tags
 
 import srl_rewriter
 from srl_rewriter.cli import build_parser, main
-from srl_rewriter.core import RUN_FILES, read_examples
+from srl_rewriter.core import RUN_FILES, file_digest, read_examples
 from srl_rewriter.model import load_checkpoint
 from srl_rewriter.packing import ROLE_TOKENS
 from srl_rewriter.training import prepare_instances
@@ -214,6 +214,28 @@ def test_train_refuses_a_zero_decode_budget_before_any_step(ws, capsys, tmp_path
         "--out", out, *TINY_MODEL, *TINY_TRAIN, "--max-decode-steps", "0",
     ]) == 1
     assert capsys.readouterr().err == "error[CONFIG_INVALID]: max_decode_steps 0 < 1\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--clip-norm", "nan"), ("--stop-loss", "inf"), ("--stop-dev-em", "nan"),
+])
+def test_training_refuses_non_finite_floats_before_reading_anything(
+    ws, capsys, tmp_path, monkeypatch, command, flag, value
+):
+    def no_read(*args, **kwargs):
+        raise AssertionError("input was read before the float flags were checked")
+
+    monkeypatch.setattr("srl_rewriter.cli.read_examples", no_read)
+    out, prefix = str(tmp_path / "out"), ws["prefix"]
+    inputs = ["--train", f"{prefix}.train.jsonl", "--dev", f"{prefix}.dev.jsonl"]
+    if command == "ablate":
+        inputs += ["--test", f"{prefix}.test.jsonl", "--seeds", "0", "--cells", "no-srl"]
+    argv = [command, *inputs, "--out", out, *TINY_MODEL, *TINY_TRAIN, flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error[CONFIG_INVALID]: {flag[2:].replace('-', '_')} {float(value)} is not finite\n"
     assert not os.path.exists(out)
 
 
@@ -761,6 +783,16 @@ def test_rewrite_manifest_tells_a_reordered_vocabulary_apart(ws, tmp_path, capsy
     assert given[model + ".vocab"] != reordered[model + ".vocab"]
 
 
+def test_manifest_digests_an_input_as_it_was_read(ws, tmp_path, capsys):
+    data = str(tmp_path / "y.jsonl")
+    shutil.copy(f"{ws['prefix']}.test.jsonl", data)
+    before = file_digest(data)
+    assert main(["rewrite", "--model", ws["ckpt"], "--input", data, "--out", data]) == 0
+    manifest = json.loads(open(data + ".manifest.json", encoding="utf-8").read())
+    assert manifest["inputs"][data] == before  # not the digest of the output written over it
+    assert manifest["outputs"][data] == file_digest(data) != before
+
+
 def test_each_call_records_only_its_own_files(ws, tmp_path, capsys):
     train, hyps = f"{ws['prefix']}.train.jsonl", ws["hyps"]
     first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
@@ -980,11 +1012,15 @@ def test_stats_lint_counts_what_reading_accepts_but_validation_flags(ws, tmp_pat
     record = json.loads(read_lines(f"{ws['prefix']}.dev.jsonl")[1])
     record["utterances"].append({"speaker": "A", "tokens": []})
     record["reference"] = []
-    path = tmp_path / "empty.jsonl"
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    future = json.loads(read_lines(f"{ws['prefix']}.dev.jsonl")[1])
+    first = future["triples"][0]
+    first["predicate"] = {"turn": 0, "start": 0, "end": 1}  # before its argument's turn
+    assert first["argument"]["turn"] > 0
+    path = tmp_path / "odd.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps(future) + "\n", encoding="utf-8")
     assert main(["stats", "--input", str(path), "--lint"]) == 0
     lint = [line for line in capsys.readouterr().out.splitlines() if line.startswith("lint")]
-    assert lint == ["lint EMPTY_REFERENCE: 1", "lint EMPTY_UTTERANCE: 1"]
+    assert lint == ["lint C1_FUTURE_ARGUMENT: 1", "lint EMPTY_REFERENCE: 1", "lint EMPTY_UTTERANCE: 1"]
 
 
 # -- memory ---------------------------------------------------------------------------

@@ -21,14 +21,16 @@ from srl_rewriter.core import (
     validate_example,
     write_records,
 )
+from srl_rewriter.packing import build_vocabulary, pack
+from srl_rewriter.srl import TripleLint, lint_annotations
 
 
 def make_session(*token_lists, speakers=None):
     speakers = speakers or [Speaker.A if i % 2 == 0 else Speaker.B for i in range(len(token_lists))]
     return DialogueSession(
         tuple(
-            Utterance(tokens=tuple(toks), speaker=spk, turn_index=i)
-            for i, (toks, spk) in enumerate(zip(token_lists, speakers))
+            Utterance(tokens=tuple(toks), speaker=spk)
+            for toks, spk in zip(token_lists, speakers)
         )
     )
 
@@ -58,28 +60,32 @@ def test_validate_clean_example(session):
         triples=(PATriple(Span(2, 0, 2), SemanticRole.ARG0, Span(1, 0, 1)),),
         reference=("我", "不", "吃", "饭"),
     )
-    assert validate_example(ex).ok
+    assert validate_example(ex) == ()
+
+
+def codes(example):
+    return tuple(v.code for v in validate_example(example))
 
 
 def test_validate_flags_each_violation(session):
     ex = RewriteExample(
         session=session,
         triples=(
-            PATriple(Span(1, 0, 1), SemanticRole.ARG0, Span(2, 0, 1)),  # future argument
+            PATriple(Span(1, 0, 1), SemanticRole.ARG0, Span(2, 0, 1)),  # future argument: lint C1
             PATriple(Span(5, 0, 1), SemanticRole.ARG1, Span(0, 0, 9)),  # both spans bad
         ),
-        reference=None,
+        reference=(),
     )
-    codes = validate_example(ex).codes()
-    assert "FUTURE_ARGUMENT" in codes
-    assert codes.count("SPAN_OUT_OF_RANGE") == 2
-    assert "MISSING_REFERENCE" in codes
+    assert codes(ex) == ("SPAN_OUT_OF_RANGE", "SPAN_OUT_OF_RANGE", "EMPTY_REFERENCE")
 
 
 def test_validate_reference_optional_for_inference(session):
     ex = RewriteExample(session=session, reference=None)
-    assert not validate_example(ex).ok
-    assert validate_example(ex, require_reference=False).ok
+    assert validate_example(ex) == ()
+    assert example_from_record(example_to_record(ex)) == ex
+    with pytest.raises(RewriterError) as err:  # only what needs a reference refuses its absence
+        pack(ex, (), build_vocabulary([ex]), seed=0)
+    assert err.value.code == "NO_REFERENCE"
 
 
 def test_validate_rejects_structural_tokens(session):
@@ -87,25 +93,14 @@ def test_validate_rejects_structural_tokens(session):
         ex = RewriteExample(
             session=make_session(["好", bad]), reference=("好",)
         )
-        assert "RESERVED_TOKEN" in validate_example(ex).codes()
+        assert "RESERVED_TOKEN" in codes(ex)
 
 
 def test_validate_empty_session_and_utterance():
     empty = RewriteExample(session=DialogueSession(()), reference=("x",))
-    assert validate_example(empty).codes() == ("EMPTY_SESSION",)
+    assert codes(empty) == ("EMPTY_SESSION",)
     blank = RewriteExample(session=make_session([]), reference=("x",))
-    assert "EMPTY_UTTERANCE" in validate_example(blank).codes()
-
-
-def test_validate_turn_index_rules():
-    utts = (
-        Utterance(("a",), Speaker.A, 0),
-        Utterance(("b",), Speaker.B, 0),
-    )
-    ex = RewriteExample(session=DialogueSession(utts), reference=("a",))
-    codes = validate_example(ex).codes()
-    assert "TURN_INDEX_ORDER" in codes
-    assert "DUPLICATE_TURN_INDEX" in codes
+    assert "EMPTY_UTTERANCE" in codes(blank)
 
 
 def test_record_round_trip(session):
@@ -202,7 +197,8 @@ def test_future_argument_stays_a_lint(session):
     ex = RewriteExample(
         session, (PATriple(Span(1, 0, 1), SemanticRole.ARG0, Span(2, 0, 1)),), ("吃",)
     )
-    assert "FUTURE_ARGUMENT" in validate_example(ex).codes()
+    assert validate_example(ex) == ()
+    assert lint_annotations(ex.session, ex.triples) == (TripleLint(c1="C1_FUTURE_ARGUMENT"),)
     assert example_from_record(example_to_record(ex)) == ex
 
 

@@ -1,5 +1,10 @@
 """Prefix-cached batched greedy decoding against the full-recompute oracle.
 
+Each hypothesis is checked with one oracle pass over its prefix, BOS and the
+hypothesis itself: every emitted token is that pass's argmax at the row before
+it, and the row after the last is EOS unless the budget ended the decode.  By
+induction on the steps, the hypothesis is then the greedy one.
+
 The corpus and the model shape are those of criterion 8: 2,000 sessions split
 1,600/200/200, d_model 64, 4 heads, 2 layers, d_ff 128, 24 decode steps.
 """
@@ -7,7 +12,7 @@ The corpus and the model shape are those of criterion 8: 2,000 sessions split
 import numpy as np
 import pytest
 
-from oracles import oracle_greedy_decode
+from oracles import oracle_argmax, oracle_path_logits
 from test_training import split_packs
 
 from srl_rewriter.core import RewriterError
@@ -21,7 +26,7 @@ from srl_rewriter.model import (
     RewriterModel,
     decode_corpus,
 )
-from srl_rewriter.packing import BOS_ID, PAD_ID, build_vocabulary
+from srl_rewriter.packing import BOS_ID, EOS_ID, PAD_ID, build_vocabulary
 from srl_rewriter.srl import TripleMode, TripleSource
 from srl_rewriter.training import TrainConfig, prepare_instances, train
 
@@ -70,14 +75,23 @@ def prefixes(splits, variant, split):
     return prepare_instances(examples, splits[3], SOURCES[variant], 0, include_reference=False)
 
 
-def oracle_tokens(vocab, expected):
-    """The oracle's hypotheses as the tokens ``decode_corpus`` returns."""
-    return [vocab.decode(hyp) for hyp, _ in expected]
+def check_greedy(model, packs, hyps, vocab, max_steps=MAX_STEPS):
+    """Assert that ``hyps`` are the greedy decodes of ``packs``; returns each
+    hypothesis's ids and the oracle's logits of every step it took."""
+    assert len(hyps) == len(packs)
+    expected = []
+    for packed, hyp in zip(packs, hyps):
+        ids = vocab.encode(hyp)
+        assert EOS_ID not in ids and len(ids) <= max_steps
+        rows = oracle_path_logits(packed, model, ids[: max_steps - 1])
+        assert [oracle_argmax(row) for row in rows] == (ids + [EOS_ID])[: len(rows)]
+        expected.append((ids, rows))
+    return expected
 
 
 def worst_step_logit_error(model, packs, expected):
     """Largest gap between the cached step logits of one batch of ``packs``
-    and the oracle's, each row fed the oracle's tokens."""
+    and the oracle's, each row fed its hypothesis's tokens."""
     cache = PrefixCache(model, packs, MAX_STEPS)
     worst = 0.0
     for t in range(max(len(logits) for _, logits in expected)):
@@ -96,9 +110,8 @@ def worst_step_logit_error(model, packs, expected):
 def test_cached_decode_matches_full_recompute(splits, models, variant, weights, split):
     model, vocab = models[variant, weights], splits[3]
     packs = prefixes(splits, variant, split)
-    expected = [oracle_greedy_decode(p, model, MAX_STEPS) for p in packs]
-    hyps = oracle_tokens(vocab, expected)
-    assert decode_corpus(model, packs, MAX_STEPS, vocab) == hyps
+    hyps = decode_corpus(model, packs, MAX_STEPS, vocab)
+    expected = check_greedy(model, packs, hyps, vocab)
     # decode_corpus sorts by prefix length; its output stays in input order
     shuffled = np.random.default_rng(0).permutation(len(packs))
     for order in (shuffled, np.arange(len(packs))[::-1]):
@@ -119,9 +132,9 @@ def test_prefix_slices_of_one_batch_match_full_recompute(splits, models, weights
     packs = sorted(prefixes(splits, MaskVariant.TRIPLE_MASK, "dev"), key=len)
     batch = [packs[0], *packs[1 : _PREFIX_SLICE + 1], packs[-1]]
     assert len(batch) > _PREFIX_SLICE and len(batch[0]) < len(batch[-1])
-    expected = [oracle_greedy_decode(p, model, MAX_STEPS) for p in batch]
     assert len(batch) <= _DECODE_BATCH  # one batch, one prefix cache
-    assert decode_corpus(model, batch, MAX_STEPS, splits[3]) == oracle_tokens(splits[3], expected)
+    hyps = decode_corpus(model, batch, MAX_STEPS, splits[3])
+    expected = check_greedy(model, batch, hyps, splits[3])
     worst = worst_step_logit_error(model, batch, expected)
     assert worst < 1e-9, f"step logits differ by {worst:.2e}"
 
@@ -170,7 +183,7 @@ def test_budget_hits_stop_every_row_at_max_steps(splits, models):
     packs = prefixes(splits, MaskVariant.BI_MASK, "test")[:_DECODE_BATCH]
     hyps = decode_corpus(model, packs, 3, splits[3])
     assert [len(h) for h in hyps] == [3] * len(packs)
-    assert hyps == oracle_tokens(splits[3], [oracle_greedy_decode(p, model, 3) for p in packs])
+    check_greedy(model, packs, hyps, splits[3], max_steps=3)
 
 
 def test_decode_refuses_a_prefix_with_a_rewrite_region(splits, models):

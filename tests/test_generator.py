@@ -16,6 +16,7 @@ from srl_rewriter.generator import (
 )
 from srl_rewriter.srl import (
     HEURISTIC_RULES,
+    TripleLint,
     TripleMode,
     TripleScope,
     TripleSource,
@@ -96,8 +97,8 @@ def test_word_mode_keeps_words_whole():
 def test_sessions_validate_and_lint_clean():
     corpus = sample_corpus(GeneratorConfig(n_sessions=300, seed=4, neg_rate=0.4, tmp_rate=0.2))
     for ex in corpus:
-        validate_example(ex)
-        assert lint_annotations(ex.session, ex.triples).clean
+        assert validate_example(ex) == ()
+        assert lint_annotations(ex.session, ex.triples) == (TripleLint(),) * len(ex.triples)
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -223,8 +224,8 @@ def test_heuristic_corpus_f1_is_high_but_not_assumed_perfect():
 def test_random_sessions_are_well_formed(pair, verb, negated, x_mode, y_mode, tmp):
     x, y = CH.entities[pair[0]], CH.entities[pair[1]]
     ex = build_session(CH, x, y, verb, negated, x_mode, y_mode, tmp=tmp)
-    validate_example(ex)
-    assert lint_annotations(ex.session, ex.triples).clean
+    assert validate_example(ex) == ()
+    assert lint_annotations(ex.session, ex.triples) == (TripleLint(),) * len(ex.triples)
     # the reference always restores both mentions
     joined = "".join(ex.reference)
     assert x in joined and y in joined

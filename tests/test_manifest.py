@@ -16,10 +16,10 @@ def test_file_digest_is_sha256(tmp_path):
 
 
 def test_manifest_json_is_stable_and_timestamp_free(tmp_path):
-    src = tmp_path / "in.jsonl"
-    src.write_text("{}\n")
-    m1 = RunManifest(command="gen-corpus", config={"seed": 3, "n": 10}, inputs=[str(src)])
-    m2 = RunManifest(command="gen-corpus", config={"n": 10, "seed": 3}, inputs={str(src)})
+    out = tmp_path / "out.jsonl"
+    out.write_text("{}\n")
+    m1 = RunManifest(command="gen-corpus", config={"seed": 3, "n": 10}, outputs=[str(out)])
+    m2 = RunManifest(command="gen-corpus", config={"n": 10, "seed": 3}, outputs={str(out)})
     assert m1.to_json() == m2.to_json()  # key order never leaks
     payload = json.loads(m1.to_json())
     assert set(payload) == {"command", "config", "inputs", "outputs", "tool_version"}

@@ -46,22 +46,20 @@ def fixture_vocab(fixture_example):
 
 def test_reserved_ids_are_stable():
     vocab = Vocabulary([])
-    assert vocab.id_of(PAD_TOKEN) == PAD_ID == 0
-    assert vocab.id_of(EOS_TOKEN) == EOS_ID == 1
-    assert vocab.id_of(BOS_TOKEN) == BOS_ID == 2
-    assert vocab.id_of(UNK_TOKEN) == UNK_ID == 3
+    ids = vocab.encode([PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN])
+    assert ids == [PAD_ID, EOS_ID, BOS_ID, UNK_ID] == [0, 1, 2, 3]
 
 
 def test_role_markers_precede_corpus_tokens():
     vocab = Vocabulary(["苹果"])
-    role_ids = [vocab.id_of(tok) for tok in ROLE_TOKENS.values()]
+    role_ids = vocab.encode(ROLE_TOKENS.values())
     assert sorted(role_ids) == list(range(4, 4 + len(ROLE_TOKENS)))
-    assert vocab.id_of("苹果") == 4 + len(ROLE_TOKENS)
+    assert vocab.encode(["苹果"]) == [4 + len(ROLE_TOKENS)]
 
 
 def test_unknown_token_maps_to_unk():
     vocab = Vocabulary(["a"])
-    assert vocab.encode(["a", "zzz"]) == [vocab.id_of("a"), UNK_ID]
+    assert vocab.encode(["a", "zzz"]) == [4 + len(ROLE_TOKENS), UNK_ID]
 
 
 def test_encode_decode_round_trip(fixture_vocab, fixture_example):

@@ -19,6 +19,7 @@ from srl_rewriter.srl import (
     OK,
     HeuristicRules,
     SrlTuple,
+    TripleLint,
     TripleMode,
     TripleScope,
     TripleSource,
@@ -36,8 +37,8 @@ def make_session(*token_lists, speakers=None):
     speakers = speakers or [Speaker.A if i % 2 == 0 else Speaker.B for i in range(len(token_lists))]
     return DialogueSession(
         tuple(
-            Utterance(tokens=tuple(toks), speaker=spk, turn_index=i)
-            for i, (toks, spk) in enumerate(zip(token_lists, speakers))
+            Utterance(tokens=tuple(toks), speaker=spk)
+            for toks, spk in zip(token_lists, speakers)
         )
     )
 
@@ -49,32 +50,29 @@ def test_lint_clean_on_generated_annotations():
     example = build_session(
         Lexicon.chinese(), "咖啡", "绿茶", "像", False, SlotMode.PRONOUN, SlotMode.OMIT
     )
-    report = lint_annotations(example.session, example.triples)
-    assert report.clean
-    assert len(report.entries) == len(example.triples)
+    entries = lint_annotations(example.session, example.triples)
+    assert entries == (TripleLint(),) * len(example.triples)
 
 
 def test_lint_flags_future_argument():
     session = make_session(["猫", "像"], ["狗"])
     triple = PATriple(Span(0, 1, 2), SemanticRole.ARG1, Span(1, 0, 1))
-    [entry] = lint_annotations(session, [triple]).entries
+    [entry] = lint_annotations(session, [triple])
     assert entry.c1 == "C1_FUTURE_ARGUMENT"
     assert entry.c4 == OK  # nearest-candidate check is skipped for broken spans
-    assert not entry.clean
 
 
 def test_lint_warns_on_pronoun_argument():
     session = make_session(["它", "像", "狗"])
     triple = PATriple(Span(0, 1, 2), SemanticRole.ARG0, Span(0, 0, 1))
-    [entry] = lint_annotations(session, [triple]).entries
-    assert entry.c2 == "WARN_PRONOUN"
-    assert not entry.clean
+    [entry] = lint_annotations(session, [triple])
+    assert entry == TripleLint(c2="WARN_PRONOUN")
 
 
 def test_lint_flags_person_pronoun_as_speaker_violation():
     session = make_session(["我", "像", "狗"])
     triple = PATriple(Span(0, 1, 2), SemanticRole.ARG0, Span(0, 0, 1))
-    [entry] = lint_annotations(session, [triple]).entries
+    [entry] = lint_annotations(session, [triple])
     assert entry.c3 == "C3_SPEAKER_NOT_SPECIAL"
 
 
@@ -83,10 +81,9 @@ def test_lint_flags_farther_of_two_identical_mentions():
     pred = Span(1, 1, 2)
     far = PATriple(pred, SemanticRole.ARG0, Span(0, 0, 1))
     near = PATriple(pred, SemanticRole.ARG0, Span(1, 0, 1))
-    far_entry, near_entry = lint_annotations(session, [far, near]).entries
+    far_entry, near_entry = lint_annotations(session, [far, near])
     assert far_entry.c4 == "C4_NOT_NEAREST"
-    assert near_entry.c4 == OK
-    assert near_entry.clean
+    assert near_entry == TripleLint()
 
 
 # -- corpus statistics -----------------------------------------------------------
