@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 for validation failures (bad inputs, bad config,
-bad flags), 2 for unexpected internal errors.  Every command takes --config; a
-config file supplies flat key = value defaults that explicit flags override.
+bad flags), 2 for unexpected internal errors.  Corpus, model and training flags
+come from the fields of their config dataclasses.  Every command takes
+--config; a config file's flat key = value pairs are read as flags, which
+explicit flags override.
 Commands that write files also write a manifest with the content digests of
 every file the run read or wrote, so a rerun over identical inputs is
 byte-identical, manifest included.
@@ -12,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import os
 import sys
 import traceback
-from typing import Optional
+import typing
 
 from .core import (
     RUN_FILES,
@@ -53,6 +56,7 @@ from .srl import (
 from .training import (
     DEFAULT_GRID,
     TrainConfig,
+    check_grid,
     prepare_instances,
     references,
     run_ablation_grid,
@@ -81,15 +85,11 @@ def _source(args: argparse.Namespace) -> TripleSource:
     return TripleSource(TripleMode(args.source), TripleScope(args.scope))
 
 
-def _clip(value: float) -> Optional[float]:
-    return None if value == 0 else value
-
-
 _VARIANTS = [v.value for v in MaskVariant]
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value file of defaults")
+    sub.add_argument("--config", help="flat key = value file read as flags; explicit flags win")
     sub.add_argument("--manifest", help="manifest path override")
 
 
@@ -98,71 +98,33 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scope", choices=[s.value for s in TripleScope], default="full")
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--d-model", type=int, default=64)
-    sub.add_argument("--n-heads", type=int, default=4)
-    sub.add_argument("--n-layers", type=int, default=2)
-    sub.add_argument("--d-ff", type=int, default=128)
-    sub.add_argument("--max-position", type=int, default=64)
-    sub.add_argument("--tie-embeddings", action="store_true")
+# the vocabulary, --variant or a cell, and --seed or each of --seeds set these
+_SET_BY_COMMAND = ("vocab_size", "mask_variant", "seed")
 
 
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--batch-size", type=int, default=32)
-    sub.add_argument("--lr", type=float, default=5e-5)
-    sub.add_argument("--max-steps", type=int, default=1000)
-    sub.add_argument("--eval-every", type=int, default=100)
-    sub.add_argument("--clip-norm", type=float, default=1.0, help="0 disables clipping")
-    sub.add_argument("--stop-loss", type=float, default=None)
-    sub.add_argument("--stop-dev-em", type=float, default=None)
-    sub.add_argument("--max-decode-steps", type=int, default=32)
+def _add_fields(sub: argparse.ArgumentParser, *classes: type, skip=()) -> None:
+    """One flag per field of each config dataclass, ``--d-model`` for ``d_model``,
+    with the field's type and default and the choices or help of its metadata."""
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        for f in (f for f in dataclasses.fields(cls) if f.name not in skip):
+            hint = hints[f.name]  # an Optional[float] field is a float flag
+            kind = next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
+            how = {"action": "store_true"} if kind is bool else {"type": kind, "default": f.default}
+            sub.add_argument("--" + f.name.replace("_", "-"), **how, **f.metadata)
 
 
-def _model_config(args: argparse.Namespace, vocab_size: int, variant: MaskVariant) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        n_layers=args.n_layers,
-        d_ff=args.d_ff,
-        max_position=args.max_position,
-        mask_variant=variant,
-        tie_embeddings=args.tie_embeddings,
-    )
-
-
-def _train_config(args: argparse.Namespace, seed: int = 0) -> TrainConfig:
-    """``ablate`` keeps the default seed: each of its runs takes one of --seeds."""
-    return TrainConfig(
-        batch_size=args.batch_size,
-        lr=args.lr,
-        max_steps=args.max_steps,
-        eval_every=args.eval_every,
-        seed=seed,
-        clip_norm=_clip(args.clip_norm),
-        stop_loss=args.stop_loss,
-        stop_dev_em=args.stop_dev_em,
-        max_decode_steps=args.max_decode_steps,
-    )
+def _config(cls: type, args: argparse.Namespace, **fixed):
+    """A ``cls`` from the flags of its fields that ``args`` holds, and ``fixed``."""
+    names = {f.name for f in dataclasses.fields(cls)} - fixed.keys()
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **fixed)
 
 
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        n_sessions=args.n_sessions,
-        seed=args.seed,
-        token_mode=args.token_mode,
-        cross_turn_rate=args.cross_turn_rate,
-        omission_rate=args.omission_rate,
-        pronoun_rate=args.pronoun_rate,
-        neg_rate=args.neg_rate,
-        tmp_rate=args.tmp_rate,
-        loc_rate=args.loc_rate,
-        include_negation_triples=args.include_negation_triples,
-    )
-    examples = sample_corpus(config)
+    examples = sample_corpus(_config(GeneratorConfig, args))
     if args.split:
         parts = zip(("train", "dev", "test"), split_corpus(examples))
     else:
@@ -227,11 +189,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     variant = MaskVariant(args.variant)
     if variant is MaskVariant.NO_SRL and args.source != TripleMode.NONE.value:
         raise RewriterError("VARIANT_MISMATCH", "no-srl needs the empty triple source")
-    config = _train_config(args, seed=args.seed)
+    config = _config(TrainConfig, args, clip_norm=args.clip_norm or None)
     train_examples = read_examples(args.train)
     dev_examples = read_examples(args.dev)
     vocab = build_vocabulary([*train_examples, *dev_examples])
-    model = RewriterModel(_model_config(args, len(vocab), variant), seed=args.seed)
+    model_config = _config(ModelConfig, args, vocab_size=len(vocab), mask_variant=variant)
+    model = RewriterModel(model_config, seed=args.seed)
     source = _source(args)
     result = train(
         model,
@@ -321,8 +284,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if unknown:
         raise RewriterError("CONFIG_INVALID", f"unknown cells {unknown}; know {sorted(by_label)}")
     grid = [by_label[c] for c in labels]
-    model_config = _model_config(args, vocab_size=4, variant=MaskVariant.TRIPLE_MASK)
-    train_config = _train_config(args)
+    check_grid(grid, seeds)
+    # the grid sets the vocabulary size, the mask variant and the seed of each run
+    model_config = _config(ModelConfig, args, vocab_size=4)
+    train_config = _config(TrainConfig, args, clip_norm=args.clip_norm or None)
     result = run_ablation_grid(
         read_examples(args.train), read_examples(args.dev), read_examples(args.test),
         model_config, train_config, grid=grid, seeds=seeds,
@@ -378,16 +343,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return sub
 
     sub = register("gen-corpus", cmd_gen_corpus, "sample a synthetic dialogue corpus")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--n-sessions", type=int, default=1000)
-    sub.add_argument("--token-mode", choices=["char", "word"], default="char")
-    sub.add_argument("--cross-turn-rate", type=float, default=0.3)
-    sub.add_argument("--omission-rate", type=float, default=0.5)
-    sub.add_argument("--pronoun-rate", type=float, default=0.5)
-    sub.add_argument("--neg-rate", type=float, default=0.25)
-    sub.add_argument("--tmp-rate", type=float, default=0.0)
-    sub.add_argument("--loc-rate", type=float, default=0.0)
-    sub.add_argument("--include-negation-triples", action="store_true")
+    _add_fields(sub, GeneratorConfig)
     sub.add_argument("--split", action="store_true", help="write train/dev/test files")
     sub.add_argument("--out-prefix", required=True)
 
@@ -413,8 +369,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--seed", type=int, default=0)
     _add_source_flags(sub)
     sub.add_argument("--variant", choices=_VARIANTS, default="triple-mask")
-    _add_model_flags(sub)
-    _add_train_flags(sub)
+    _add_fields(sub, ModelConfig, TrainConfig, skip=_SET_BY_COMMAND)
 
     sub = register("rewrite", cmd_rewrite, "decode rewrites for a record file")
     sub.add_argument("--model", required=True, help="checkpoint; its vocabulary is MODEL.vocab")
@@ -444,8 +399,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--seeds", default="0,1,2")
     sub.add_argument("--cells", default=",".join(cell.label for cell in DEFAULT_GRID))
     sub.add_argument("--out", required=True, help="JSON results path")
-    _add_model_flags(sub)
-    _add_train_flags(sub)
+    _add_fields(sub, ModelConfig, TrainConfig, skip=_SET_BY_COMMAND)
 
     return parser, registry
 
@@ -463,6 +417,26 @@ def _keep_freed_memory_mapped() -> None:
         pass
 
 
+def _config_flags(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """A config file's pairs as flags of ``sub``: ``true`` gives a switch its
+    bare flag and ``false`` leaves it out."""
+    actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    pairs = parse_config_file(path)
+    unknown = sorted(set(pairs) - set(actions))
+    if unknown:
+        raise RewriterError("BAD_CONFIG", f"unknown config keys {unknown}")
+    flags = []
+    for key, value in pairs.items():
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() not in ("true", "false"):
+            raise RewriterError("BAD_CONFIG", f"{key} takes true or false, not {value!r}")
+        elif value.lower() == "true":
+            flags.append(flag)
+    return flags
+
+
 def _check_out(path: str) -> None:
     """Refuse an --out that cannot be written before any work is done."""
     folder = os.path.dirname(path) or "."
@@ -470,7 +444,7 @@ def _check_out(path: str) -> None:
         raise RewriterError("IO_ERROR", f"cannot write --out {path}")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory_mapped()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
@@ -478,14 +452,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     run = RUN_FILES.set((read, written))  # readers and writers add their paths here
     try:
         args = parser.parse_args(argv)
-        if args.config:
-            overrides = parse_config_file(args.config)
-            sub = registry[args.command]
-            valid = {action.dest for action in sub._actions}
-            unknown = sorted(set(overrides) - valid)
-            if unknown:
-                raise RewriterError("BAD_CONFIG", f"unknown config keys {unknown}")
-            sub.set_defaults(**overrides)
+        if args.config:  # its flags go first, so the command line's own win
+            argv[1:1] = _config_flags(args.config, registry[args.command])
             args = parser.parse_args(argv)
         if getattr(args, "out", None) is not None:
             _check_out(args.out)

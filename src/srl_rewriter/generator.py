@@ -12,7 +12,7 @@ lets the rule extractor recover the last-turn triples exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import (
@@ -93,11 +93,14 @@ class SlotMode(enum.Enum):
     PRONOUN = "pronoun"
 
 
+TOKEN_MODES = ("char", "word")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_sessions: int = 1000
     seed: int = 0
-    token_mode: str = "char"  # "char" | "word"
+    token_mode: str = field(default="char", metadata={"choices": TOKEN_MODES})
     cross_turn_rate: float = 0.3
     omission_rate: float = 0.5
     pronoun_rate: float = 0.5
@@ -109,7 +112,7 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_sessions < 1:
             raise RewriterError("CONFIG_INVALID", "n_sessions must be >= 1")
-        if self.token_mode not in ("char", "word"):
+        if self.token_mode not in TOKEN_MODES:
             raise RewriterError("CONFIG_INVALID", f"unknown token_mode {self.token_mode!r}")
         for name in ("cross_turn_rate", "omission_rate", "pronoun_rate", "neg_rate",
                      "tmp_rate", "loc_rate"):

@@ -41,23 +41,10 @@ class RunManifest:
             fh.write(self.to_json())
 
 
-def _typed(value: str):
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
-def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` pairs; ``#`` starts a comment; values are typed as
-    bool/int/float when they parse, strings otherwise.  Hyphens in keys are
-    normalized to underscores so keys mirror the long CLI flags."""
-    out: dict = {}
+def parse_config_file(path: str) -> dict[str, str]:
+    """Flat ``key = value`` pairs of text; ``#`` starts a comment.  Hyphens in
+    keys are normalized to underscores so keys mirror the long CLI flags."""
+    out: dict[str, str] = {}
     for lineno, raw in text_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,5 +58,5 @@ def parse_config_file(path: str) -> dict:
             raise RewriterError("BAD_CONFIG", f"{path}:{lineno}: empty key or value")
         if key in out:
             raise RewriterError("BAD_CONFIG", f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = _typed(value)
+        out[key] = value
     return out

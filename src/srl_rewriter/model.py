@@ -37,7 +37,6 @@ class ModelConfig:
     d_ff: int = 128
     max_position: int = 64
     mask_variant: MaskVariant = MaskVariant.TRIPLE_MASK
-    tie_embeddings: bool = False
 
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_position"):
@@ -71,6 +70,8 @@ class ModelConfig:
     def from_dict(obj: dict) -> "ModelConfig":
         obj = dict(obj)
         obj.pop("dropout_rate", None)  # legacy key of older checkpoints; inference never used it
+        if obj.pop("tie_embeddings", False):  # legacy key; only its false value is this model
+            raise RewriterError("CHECKPOINT_MISMATCH", "tied embeddings are not supported")
         obj["mask_variant"] = MaskVariant(obj["mask_variant"])
         return ModelConfig(**obj)
 
@@ -97,8 +98,7 @@ def _parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         shapes.append((pre + "ff.b2", (d,)))
         shapes.append((pre + "ln2.g", (d,)))
         shapes.append((pre + "ln2.b", (d,)))
-    if not config.tie_embeddings:
-        shapes.append(("out.W", (d, v)))
+    shapes.append(("out.W", (d, v)))
     shapes.append(("out.b", (v,)))
     return shapes
 
@@ -147,9 +147,6 @@ class RewriterModel:
             v[...] = v.astype(_CHECKPOINT_DTYPE)
         return clone
 
-    def _out_weight(self) -> np.ndarray:
-        return self.params["tok_emb"].T if self.config.tie_embeddings else self.params["out.W"]
-
     # -- forward ------------------------------------------------------------
 
     def embed_ids(self, ids: np.ndarray, segs: np.ndarray, poss: np.ndarray) -> np.ndarray:
@@ -188,7 +185,7 @@ class RewriterModel:
             x, cache = self._layer(i, x, bias, rows=rows if i == last else None)
             if need_cache:
                 caches.append(cache)
-        logits = _affine(x, self._out_weight(), self.params["out.b"])
+        logits = _affine(x, self.params["out.W"], self.params["out.b"])
         if need_cache:
             return logits, [ids, segs, poss, caches, x]
         return logits, None
@@ -300,13 +297,9 @@ class RewriterModel:
         H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         scale = 1.0 / np.sqrt(dh)
 
-        out_grad, g["out.b"] = _affine_grads(x_final, dlogits)
-        if cfg.tie_embeddings:  # the head's share first; the embedding scatter adds to it
-            g["tok_emb"] = np.ascontiguousarray(out_grad.T)
-        else:
-            g["out.W"] = out_grad
-        dx = _affine(dlogits, self._out_weight().T)
-        del out_grad, x_final
+        g["out.W"], g["out.b"] = _affine_grads(x_final, dlogits)
+        dx = _affine(dlogits, p["out.W"].T)
+        del x_final
 
         for i in reversed(range(cfg.n_layers)):
             pre = f"layers.{i}."
@@ -355,7 +348,8 @@ class RewriterModel:
             dx += _affine(dv, p[pre + "attn.Wv"].T)
             del dres1, x_in, xq, dq, dk, dv
         for name, index in (("tok_emb", ids), ("seg_emb", segs), ("pos_emb", poss)):
-            _scatter_rows(g.setdefault(name, np.zeros_like(p[name])), index, dx)
+            g[name] = np.zeros_like(p[name])
+            _scatter_rows(g[name], index, dx)
         return {name: g[name] for name in p}  # clip_gradients sums the norms in this order
 
 
@@ -550,7 +544,7 @@ class PrefixCache:
         for i, kv in enumerate(self.kv):
             x = model._layer(i, x, self.bias[:, :, : at + 1], kv, at)[0]
         self.steps += 1
-        return _affine(x[:, 0], model._out_weight(), model.params["out.b"])
+        return _affine(x[:, 0], model.params["out.W"], model.params["out.b"])
 
 
 def decode_corpus(

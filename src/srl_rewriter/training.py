@@ -52,7 +52,7 @@ class TrainConfig:
     max_steps: int = 1000
     eval_every: int = 100
     seed: int = 0
-    clip_norm: Optional[float] = 1.0
+    clip_norm: Optional[float] = field(default=1.0, metadata={"help": "0 disables clipping"})
     stop_loss: Optional[float] = None
     stop_dev_em: Optional[float] = None
     max_decode_steps: int = 32
@@ -341,6 +341,15 @@ class AblationResult:
         return "\n".join(lines)
 
 
+def check_grid(grid: Sequence[AblationCell], seeds: Sequence[int]) -> None:
+    """Refuse a repeated cell label or seed: its runs would be identical and
+    would count twice in the median."""
+    for name, items in (("cell", [cell.label for cell in grid]), ("seed", list(seeds))):
+        repeated = [item for i, item in enumerate(items) if item in items[:i]]
+        if repeated:
+            raise RewriterError("CONFIG_INVALID", f"{name} {repeated[0]!r} is repeated")
+
+
 def run_ablation_grid(
     train_examples: Sequence[RewriteExample],
     dev_examples: Sequence[RewriteExample],
@@ -357,13 +366,9 @@ def run_ablation_grid(
     only the triple source and the visibility rules differ.  The splits are
     packed once per triple source and seed, for every cell that shares them.
     Heuristic cells also score their acquired triples against the stored gold
-    ones.  A repeated cell label or seed is refused before anything is packed:
-    its runs would be identical and would count twice in the median.
+    ones.  The grid is checked before anything is packed.
     """
-    for name, items in (("cell", [cell.label for cell in grid]), ("seed", list(seeds))):
-        repeated = [item for i, item in enumerate(items) if item in items[:i]]
-        if repeated:
-            raise RewriterError("CONFIG_INVALID", f"{name} {repeated[0]!r} is repeated")
+    check_grid(grid, seeds)
     splits = (("train", train_examples), ("dev", dev_examples), ("test", test_examples))
     for split, examples in splits:
         if not examples:  # refused before any cell trains

@@ -360,8 +360,7 @@ def oracle_forward(model, batch):
             gelu=gelu, ln2=ln2,
         ))
         x = x2
-    out_w = p["tok_emb"].T if cfg.tie_embeddings else p["out.W"]
-    return x @ out_w + p["out.b"], caches, x
+    return x @ p["out.W"] + p["out.b"], caches, x
 
 
 def oracle_loss_and_grads(model, batch, loss_scale=1.0):
@@ -392,13 +391,9 @@ def oracle_loss_and_grads(model, batch, loss_scale=1.0):
     B, L = ids.shape
     H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
     scale = 1.0 / np.sqrt(dh)
-    out_w = p["tok_emb"].T if cfg.tie_embeddings else p["out.W"]
     g["out.b"] += dlogits.sum(axis=(0, 1))
-    if cfg.tie_embeddings:
-        g["tok_emb"] += np.tensordot(dlogits, x_final, axes=([0, 1], [0, 1]))
-    else:
-        g["out.W"] += np.tensordot(x_final, dlogits, axes=([0, 1], [0, 1]))
-    dx = dlogits @ out_w.T
+    g["out.W"] += np.tensordot(x_final, dlogits, axes=([0, 1], [0, 1]))
+    dx = dlogits @ p["out.W"].T
     for i in reversed(range(cfg.n_layers)):
         pre = f"layers.{i}."
         c = layer_caches[i]

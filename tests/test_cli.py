@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles import oracle_tags
 
 import srl_rewriter
-from srl_rewriter.cli import build_parser, main
+from srl_rewriter.cli import _manifest_config, build_parser, main
 from srl_rewriter.core import RUN_FILES, file_digest, read_examples
 from srl_rewriter.model import load_checkpoint
 from srl_rewriter.packing import ROLE_TOKENS
@@ -578,6 +578,8 @@ def test_ablate_refuses_a_repeated_cell_or_seed_before_training(
 
     for name in ("train", "prepare_instances"):
         monkeypatch.setattr(f"srl_rewriter.training.{name}", no_work)
+    reads = []
+    monkeypatch.setattr("srl_rewriter.cli.read_examples", lambda path: reads.append(path) or [])
     out = str(tmp_path / "x.json")
     assert main([
         "ablate", "--train", f"{ws['prefix']}.train.jsonl",
@@ -585,7 +587,7 @@ def test_ablate_refuses_a_repeated_cell_or_seed_before_training(
         "--cells", cells, "--seeds", seeds, "--out", out, *TINY_MODEL, *TINY_TRAIN,
     ]) == 1
     assert capsys.readouterr().err == f"error[CONFIG_INVALID]: {what} is repeated\n"
-    assert not os.path.exists(out)
+    assert reads == [] and not os.path.exists(out)
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -666,8 +668,7 @@ def test_ablate_refuses_an_empty_split_before_training(ws, tmp_path, monkeypatch
 
 COMMON_FLAGS = ["--config", "--manifest"]
 SOURCE_FLAGS = ["--scope", "--source"]
-MODEL_FLAGS = ["--d-ff", "--d-model", "--max-position", "--n-heads", "--n-layers",
-               "--tie-embeddings"]
+MODEL_FLAGS = ["--d-ff", "--d-model", "--max-position", "--n-heads", "--n-layers"]
 TRAIN_FLAGS = ["--batch-size", "--clip-norm", "--eval-every", "--lr", "--max-decode-steps",
                "--max-steps", "--stop-dev-em", "--stop-loss"]
 COMMAND_FLAGS = {
@@ -700,6 +701,52 @@ def test_each_command_declares_exactly_its_flags():
     assert declared == {
         name: sorted([*COMMON_FLAGS, *flags]) for name, flags in COMMAND_FLAGS.items()
     }
+
+
+REQUIRED = {
+    "gen-corpus": ["--out-prefix", "P"],
+    "stats": ["--input", "I"],
+    "pack": ["--input", "I"],
+    "train": ["--train", "T", "--dev", "D", "--out", "O"],
+    "rewrite": ["--model", "M", "--input", "I", "--out", "O"],
+    "evaluate": ["--input", "I"],
+    "score-srl": ["--input", "I"],
+    "ablate": ["--train", "T", "--dev", "D", "--test", "E", "--out", "O"],
+}
+SOURCE_DEFAULTS = {"scope": "full", "source": "gold"}
+TRAINING_DEFAULTS = {
+    "batch_size": 32, "clip_norm": 1.0, "d_ff": 128, "d_model": 64, "dev": "D", "eval_every": 100,
+    "lr": 5e-05, "max_decode_steps": 32, "max_position": 64, "max_steps": 1000, "n_heads": 4,
+    "n_layers": 2, "out": "O", "stop_dev_em": None, "stop_loss": None, "train": "T",
+}
+DEFAULTS = {
+    "gen-corpus": {"cross_turn_rate": 0.3, "include_negation_triples": False, "loc_rate": 0.0,
+                   "n_sessions": 1000, "neg_rate": 0.25, "omission_rate": 0.5, "out_prefix": "P",
+                   "pronoun_rate": 0.5, "seed": 0, "split": False, "tmp_rate": 0.0,
+                   "token_mode": "char"},
+    "stats": {"input": "I", "lint": False},
+    "pack": {"dump": False, "dump_mask": False, "index": 0, "input": "I", "seed": 0,
+             "variant": "triple-mask", "vocab": None, **SOURCE_DEFAULTS},
+    "train": {"seed": 0, "variant": "triple-mask", **SOURCE_DEFAULTS, **TRAINING_DEFAULTS},
+    "rewrite": {"input": "I", "max_decode_steps": 32, "model": "M", "out": "O", "seed": 0,
+                "variant": None, **SOURCE_DEFAULTS},
+    "evaluate": {"input": "I", "json_out": None, "ref": None, "smooth_bleu": False},
+    "score-srl": {"input": "I", "pred": None, **SOURCE_DEFAULTS},
+    "ablate": {"cells": "no-srl,gold+bi,gold+triple,heuristic+bi,heuristic+triple",
+               "seeds": "0,1,2", "test": "E", **TRAINING_DEFAULTS},
+}
+
+
+@pytest.mark.parametrize("command", list(DEFAULTS))
+def test_each_command_keeps_its_defaults(command, capsys):
+    parser, _ = build_parser()
+    config = _manifest_config(parser.parse_args([command, *REQUIRED[command]]))
+    # as the manifest writes them, so a float default that turned int shows
+    want = {"command": command, **DEFAULTS[command]}
+    assert json.dumps(config, sort_keys=True) == json.dumps(want, sort_keys=True)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
 
 
 # -- manifests ---------------------------------------------------------------------
@@ -941,6 +988,45 @@ def test_a_config_naming_token_mode_is_refused_where_no_flag_reads_it(ws, tmp_pa
     assert main([command, "--config", str(cfg), *argv]) == 1
     out_text, err = capsys.readouterr()
     assert out_text == "" and err == "error[BAD_CONFIG]: unknown config keys ['token_mode']\n"
+
+
+@pytest.mark.parametrize("command,key", [
+    ("gen-corpus", "token-mode"), ("pack", "source"), ("pack", "variant"), ("train", "source"),
+    ("train", "scope"), ("train", "variant"), ("rewrite", "variant"), ("score-srl", "scope"),
+])
+def test_a_config_value_outside_a_flags_choices_is_a_usage_error(
+    ws, tmp_path, capsys, command, key
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = bogus\n")
+    out = str(tmp_path / "out")
+    test = f"{ws['prefix']}.test.jsonl"
+    argv = {
+        "gen-corpus": ["--out-prefix", out],
+        "pack": ["--input", test],
+        "train": ["--train", f"{ws['prefix']}.train.jsonl", "--dev", test, "--out", out,
+                  *TINY_MODEL, *TINY_TRAIN],
+        "rewrite": ["--model", ws["ckpt"], "--input", test, "--out", out],
+        "score-srl": ["--input", test, "--source", "heuristic"],
+    }[command]
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[USAGE]: srl-rewriter {command}: argument --{key}: invalid choice")
+    assert err.count("\n") == 1
+
+
+def test_config_values_are_typed_and_switched_as_flags(tmp_path, capsys):
+    prefix = str(tmp_path / "c")
+    cfg = tmp_path / "gen.cfg"
+    for body, code in (("n-sessions = many\n", "USAGE"), ("split = yes\n", "BAD_CONFIG")):
+        cfg.write_text(body)
+        assert main(["gen-corpus", "--config", str(cfg), "--out-prefix", prefix]) == 1
+        assert capsys.readouterr().err.startswith(f"error[{code}]: ")
+    cfg.write_text("n-sessions = 6\nsplit = True\ninclude-negation-triples = false\n")
+    assert main(["gen-corpus", "--config", str(cfg), "--out-prefix", prefix]) == 0
+    manifest = json.loads(open(f"{prefix}.manifest.json", encoding="utf-8").read())
+    assert manifest["config"]["n_sessions"] == 6 and manifest["config"]["split"] is True
+    assert manifest["config"]["include_negation_triples"] is False
 
 
 def test_missing_required_flag_is_a_usage_error(capsys):

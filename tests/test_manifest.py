@@ -37,27 +37,23 @@ def test_manifest_save_round_trip(tmp_path):
     assert loaded["command"] == "train"
 
 
-def test_config_file_types_and_comments(tmp_path):
+def test_config_file_pairs_and_comments(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(
         "# training knobs\n"
         "lr = 0.001\n"
         "max-steps = 200   # hyphen form\n"
-        "tie_embeddings = true\n"
         "token-mode = char\n"
         "\n"
         "clip-norm = 1.0\n"
     )
-    cfg = parse_config_file(str(p))
-    assert cfg == {
-        "lr": 0.001,
-        "max_steps": 200,
-        "tie_embeddings": True,
+    # values stay text: the command's parser types them as it types its flags
+    assert parse_config_file(str(p)) == {
+        "lr": "0.001",
+        "max_steps": "200",
         "token_mode": "char",
-        "clip_norm": 1.0,
+        "clip_norm": "1.0",
     }
-    assert isinstance(cfg["max_steps"], int)
-    assert isinstance(cfg["clip_norm"], float)
 
 
 @pytest.mark.parametrize(
@@ -77,10 +73,7 @@ def test_config_file_rejects_malformed_lines(tmp_path, body):
     assert err.value.code == "BAD_CONFIG"
 
 
-def test_config_false_and_strings_survive(tmp_path):
+def test_config_values_survive_verbatim(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("flag = False\nname = no-srl\ncount = 3.5\n")
-    cfg = parse_config_file(str(p))
-    assert cfg["flag"] is False
-    assert cfg["name"] == "no-srl"
-    assert cfg["count"] == 3.5
+    assert parse_config_file(str(p)) == {"flag": "False", "name": "no-srl", "count": "3.5"}

@@ -242,14 +242,6 @@ def test_mask_variant_never_changes_parameter_count(config):
     assert len(set(counts.values())) == 1
 
 
-def test_tied_embeddings_drop_the_output_matrix(config):
-    tied_cfg = replace(config, tie_embeddings=True)
-    tied = RewriterModel(tied_cfg, seed=0)
-    untied = RewriterModel(config, seed=0)
-    assert "out.W" not in tied.params
-    assert untied.parameter_count() - tied.parameter_count() == config.vocab_size * config.d_model
-
-
 def test_copy_is_independent(model):
     clone = model.copy()
     name = "out.b"
@@ -405,6 +397,7 @@ def test_checkpoint_rejects_foreign_bytes(tmp_path, model):
         ("no-params", {"config": config}),
         ("unknown-key", {**header, "config": {**config, "bogus": 1}}),
         ("bad-variant", {**header, "config": {**config, "mask_variant": "sideways"}}),
+        ("tied", {**header, "config": {**config, "tie_embeddings": True}}),
         ("zero-heads", {**header, "config": {**config, "n_heads": 0}}),
         ("negative-d-ff", {**header, "config": {**config, "d_ff": -1}}),
         ("zero-layers", {**header, "config": {**config, "n_layers": 0}}),
@@ -453,13 +446,14 @@ def test_checkpoint_header_sizes_are_checked_before_allocating(tmp_path, model):
     assert err.value.code == "CHECKPOINT_MISMATCH"
 
 
-def test_checkpoint_with_legacy_dropout_key_loads(tmp_path, model, packed_instances):
+@pytest.mark.parametrize("key,value", [("dropout_rate", 0.0), ("tie_embeddings", False)])
+def test_checkpoint_with_a_legacy_key_loads(tmp_path, model, packed_instances, key, value):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     blob = path.read_bytes()
     header, weights = split_checkpoint(blob)
-    assert "dropout_rate" not in header["config"]
-    header["config"]["dropout_rate"] = 0.0
+    assert key not in header["config"]
+    header["config"][key] = value
     legacy = tmp_path / "legacy.ckpt"
     legacy.write_bytes(join_checkpoint(blob, header, weights))
     loaded = load_checkpoint(str(legacy))

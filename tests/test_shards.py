@@ -60,14 +60,13 @@ def criterion_8():
     return split_corpus(examples)[0], build_vocabulary(examples)
 
 
-@pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
 @pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)
-def test_sharded_step_matches_one_whole_batch(criterion_8, variant, tie):
+def test_sharded_step_matches_one_whole_batch(criterion_8, variant):
     train_set, vocab = criterion_8
     packs = prepare_instances(train_set[:64], vocab, SOURCES[variant], master_seed=0)
     config = ModelConfig(
         vocab_size=len(vocab), d_model=64, n_heads=4, n_layers=2, d_ff=128,
-        max_position=64, mask_variant=variant, tie_embeddings=tie,
+        max_position=64, mask_variant=variant,
     )
     model = RewriterModel(config, seed=5)
     for seqs in (packs[:32], packs[32:63], packs[:1]):
