@@ -131,7 +131,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
         parts = [("all", examples)]
     for name, part in parts:
         path = f"{args.out_prefix}.{name}.jsonl"
-        write_records(path, [example_to_record(ex) for ex in part])
+        write_records(path, map(example_to_record, part))
         print(f"wrote {len(part):>6} examples to {path}")
     stats = compute_statistics(examples)
     print(stats.table())
@@ -228,15 +228,17 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     if len(vocab) != model.config.vocab_size:
         message = f"{len(vocab)} vocabulary tokens for a checkpoint of {model.config.vocab_size}"
         raise RewriterError("CHECKPOINT_MISMATCH", message)
+    model.config.check_decode_budget(args.max_decode_steps)  # before the records are read
     examples = read_examples(args.input)
+    if not examples:
+        raise RewriterError("EMPTY_CORPUS", "no records to rewrite")
     packs = prepare_instances(examples, vocab, _source(args), args.seed, include_reference=False)
     hyps = decode_corpus(model, packs, args.max_decode_steps, vocab=vocab)
-    records = [example_to_record(ex, hypothesis=hyp) for ex, hyp in zip(examples, hyps)]
-    write_records(args.out, records)
-    print(f"wrote {len(records)} rewrites to {args.out}")
+    write_records(args.out, map(example_to_record, examples, hyps))
+    print(f"wrote {len(hyps)} rewrites to {args.out}")
     # a hypothesis as long as the budget was cut off: EOS never ends one that long
     hits = sum(len(hyp) == args.max_decode_steps for hyp in hyps)
-    print(f"{hits} of {len(records)} rewrites hit the decode budget of {args.max_decode_steps} steps")
+    print(f"{hits} of {len(hyps)} rewrites hit the decode budget of {args.max_decode_steps} steps")
     return 0
 
 

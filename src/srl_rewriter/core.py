@@ -305,30 +305,25 @@ def text_lines(path: str) -> Iterator[tuple[int, str]]:
             raise RewriterError("BAD_ENCODING", f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
-def read_records(path: str) -> list[dict]:
-    records = []
+T = TypeVar("T")
+
+
+def read_decoded(path: str, decode: Callable[[object], T]) -> list[T]:
+    """``decode`` of every record of a file, parsed one line at a time; a
+    refusal names the file and its line, or the record's index."""
+    out: list[T] = []
     for lineno, line in text_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RewriterError("BAD_RECORD", f"{path}:{lineno}: {exc}") from exc
-    return records
-
-
-T = TypeVar("T")
-
-
-def read_decoded(path: str, decode: Callable[[object], T]) -> list[T]:
-    """``decode`` of every record of a file; a refusal names the file and record."""
-    out = []
-    for idx, record in enumerate(read_records(path)):
         try:
             out.append(decode(record))
         except RewriterError as err:
-            raise RewriterError(err.code, f"{path}: record {idx}: {err.message}") from err
+            raise RewriterError(err.code, f"{path}: record {len(out)}: {err.message}") from err
     return out
 
 

@@ -69,6 +69,38 @@ def _ngrams(tokens: Tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _pair_counts(hyp: Tokens, ref: Tokens, n: int) -> list[tuple[int, int, int]]:
+    """For each order k in 1..n: the clipped k-gram overlap of a pair and its
+    hypothesis and reference k-gram totals."""
+    out = []
+    for k in range(1, n + 1):
+        hyp_counts = _ngrams(hyp, k)
+        ref_counts = _ngrams(ref, k)
+        overlap = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        out.append((overlap, max(len(hyp) - k + 1, 0), max(len(ref) - k + 1, 0)))
+    return out
+
+
+def _bleu(counts: list, n: int, smooth: bool) -> float:
+    """Corpus BLEU-n from the ``_pair_counts`` of every pair, orders 1..n or
+    more; the order-1 totals are the token counts."""
+    log_precision = 0.0
+    for k in range(n):
+        m = sum(pair[k][0] for pair in counts)
+        t = sum(pair[k][1] for pair in counts)
+        if smooth:
+            m, t = m + 1, t + 1
+        if m == 0 or t == 0:
+            return 0.0
+        log_precision += math.log(m / t) / n
+    hyp_len = sum(pair[0][1] for pair in counts)
+    if hyp_len == 0:
+        return 0.0
+    ref_len = sum(pair[0][2] for pair in counts)
+    brevity = min(0.0, 1.0 - ref_len / hyp_len)
+    return math.exp(log_precision + brevity)
+
+
 def bleu_n(
     hypotheses: Sequence[Tokens],
     references: Sequence[Tokens],
@@ -79,30 +111,8 @@ def bleu_n(
     _require_pairs(hypotheses, references)
     if n < 1:
         raise RewriterError("BAD_ORDER", f"n must be >= 1, got {n}")
-    matched = [0] * n
-    total = [0] * n
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for k in range(1, n + 1):
-            hyp_counts = _ngrams(hyp, k)
-            ref_counts = _ngrams(ref, k)
-            matched[k - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-            total[k - 1] += max(len(hyp) - k + 1, 0)
-    log_precision = 0.0
-    for k in range(n):
-        m, t = matched[k], total[k]
-        if smooth:
-            m, t = m + 1, t + 1
-        if m == 0 or t == 0:
-            return 0.0
-        log_precision += math.log(m / t) / n
-    if hyp_len == 0:
-        return 0.0
-    brevity = min(0.0, 1.0 - ref_len / hyp_len)
-    return math.exp(log_precision + brevity)
+    counts = [_pair_counts(h, r, n) for h, r in zip(hypotheses, references)]
+    return _bleu(counts, n, smooth)
 
 
 def _pair_f1(overlap: int, hyp_total: int, ref_total: int) -> float:
@@ -115,16 +125,17 @@ def _pair_f1(overlap: int, hyp_total: int, ref_total: int) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def _rouge(counts: list, n: int) -> float:
+    """Macro-averaged ROUGE-n from the ``_pair_counts`` of every pair."""
+    return sum(_pair_f1(*pair[n - 1]) for pair in counts) / len(counts)
+
+
 def rouge_n(hypotheses: Sequence[Tokens], references: Sequence[Tokens], n: int) -> float:
     """Macro-averaged per-pair n-gram overlap F1 with clipped counts."""
     _require_pairs(hypotheses, references)
-    total = 0.0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_counts = _ngrams(hyp, n)
-        ref_counts = _ngrams(ref, n)
-        overlap = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        total += _pair_f1(overlap, sum(hyp_counts.values()), sum(ref_counts.values()))
-    return total / len(hypotheses)
+    if n < 1:
+        raise RewriterError("BAD_ORDER", f"n must be >= 1, got {n}")
+    return _rouge([_pair_counts(h, r, n) for h, r in zip(hypotheses, references)], n)
 
 
 def lcs_length(a: Tokens, b: Tokens) -> int:
@@ -169,12 +180,14 @@ def evaluate_corpus(
     smooth_bleu: bool = False,
 ) -> EvalReport:
     _require_pairs(hypotheses, references)
+    # each pair's k-gram counts, orders 1 to 4, serve every BLEU and ROUGE-n field
+    counts = [_pair_counts(h, r, 4) for h, r in zip(hypotheses, references)]
     return EvalReport(
-        bleu1=bleu_n(hypotheses, references, 1, smooth=smooth_bleu),
-        bleu2=bleu_n(hypotheses, references, 2, smooth=smooth_bleu),
-        bleu4=bleu_n(hypotheses, references, 4, smooth=smooth_bleu),
-        rouge1=rouge_n(hypotheses, references, 1),
-        rouge2=rouge_n(hypotheses, references, 2),
+        bleu1=_bleu(counts, 1, smooth_bleu),
+        bleu2=_bleu(counts, 2, smooth_bleu),
+        bleu4=_bleu(counts, 4, smooth_bleu),
+        rouge1=_rouge(counts, 1),
+        rouge2=_rouge(counts, 2),
         rougeL=rouge_l(hypotheses, references),
         n_matches=exact_match_count(hypotheses, references),
         n_examples=len(hypotheses),

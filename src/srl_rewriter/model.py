@@ -492,18 +492,22 @@ def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> d
 
 
 # Prefixes decoded together against one prefix cache.  Wider batches take
-# fewer step calls; the prefix pass runs in slices, so its working set does
+# fewer step passes; the prefix pass runs in slices, so its working set does
 # not grow with the batch, but the key and value buffers do.
-_DECODE_BATCH = 16
+_DECODE_BATCH = 32
 # Prefixes per prefix pass.  The pass keeps every layer's activations for all
 # its rows alive at once, so a wide decode batch runs it in slices of this
 # many prefixes; the keys and values, which the steps need, are batch-wide.
 _PREFIX_SLICE = 4
+# Rewrite columns of key and value room a prefix cache starts with.  A step
+# that finds the room full doubles it, up to the decode budget, so the
+# buffers follow the steps a batch takes rather than the budget.
+_KV_ROOM = 16
 
 
 class PrefixCache:
     """Keys and values of a padded batch of z+c prefixes at every layer, with
-    room for ``max_steps`` rewrite rows per example.
+    room for up to ``max_steps`` rewrite rows per example.
 
     Triple and context rows never attend rewrite rows under any mask variant,
     and rewrite rows see every triple and context column, so the prefix's keys
@@ -518,13 +522,14 @@ class PrefixCache:
         self.model = model
         batch = make_batch(prefixes, cfg.mask_variant)
         B, L = batch["ids"].shape
-        shape = (B, cfg.n_heads, L + max_steps, cfg.d_model // cfg.n_heads)
+        shape = (B, cfg.n_heads, L + min(max_steps, _KV_ROOM), cfg.d_model // cfg.n_heads)
         self.kv = [(np.empty(shape), np.empty(shape)) for _ in range(cfg.n_layers)]
         # a rewrite row sees its own prefix and every rewrite row up to itself
         cols = np.arange(L + max_steps)
         lengths = np.array([len(packed) for packed in prefixes])[:, None, None]
         self.bias = np.where((cols >= lengths) & (cols < L), NEG_BIAS, 0.0)
         self.prefix_len = L
+        self.max_steps = max_steps
         self.steps = 0
         # no step reads the prefix's last-layer output: that layer only writes K and V
         for lo in range(0, B, _PREFIX_SLICE):
@@ -541,10 +546,21 @@ class PrefixCache:
         ids = token_ids.reshape(-1, 1)
         x = model.embed_ids(ids, np.full_like(ids, SegmentType.E_A), np.full_like(ids, t))
         at = self.prefix_len + t
+        if at == self.kv[0][0].shape[2]:  # the room is full: double it, up to the budget
+            cols = self.prefix_len + min(2 * t, self.max_steps)
+            for i, kv in enumerate(self.kv):  # one layer's old buffers live at a time
+                self.kv[i] = tuple(_widened(m, cols) for m in kv)
         for i, kv in enumerate(self.kv):
             x = model._layer(i, x, self.bias[:, :, : at + 1], kv, at)[0]
         self.steps += 1
         return _affine(x[:, 0], model.params["out.W"], model.params["out.b"])
+
+
+def _widened(buf: np.ndarray, cols: int) -> np.ndarray:
+    """A copy of K/V buffer ``buf`` [B, H, n, dh] with ``cols`` columns."""
+    out = np.empty((*buf.shape[:2], cols, buf.shape[3]))
+    out[:, :, : buf.shape[2]] = buf
+    return out
 
 
 def decode_corpus(

@@ -358,6 +358,25 @@ def test_rewrite_checks_the_decode_budget_even_with_nothing_to_decode(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_rewrite_refuses_an_empty_input_before_decoding_or_writing(
+    ws, capsys, tmp_path, monkeypatch, text
+):
+    # train, stats and evaluate refuse an empty corpus; rewrite wrote an empty file
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(text)
+    out = tmp_path / "hyps.jsonl"
+
+    def decode(*args, **kwargs):
+        raise AssertionError("decoded an empty corpus")
+
+    monkeypatch.setattr("srl_rewriter.cli.decode_corpus", decode)
+    argv = ["rewrite", "--model", ws["ckpt"], "--input", str(empty), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error[EMPTY_CORPUS]: no records to rewrite\n")
+    assert sorted(os.listdir(tmp_path)) == ["empty.jsonl"]
+
+
 def checkpoint_with_vocabulary(ws, tmp_path, lines):
     """A copy of the trained checkpoint whose MODEL.vocab holds ``lines``."""
     ckpt = str(tmp_path / "model.ckpt")

@@ -1,5 +1,7 @@
 """Domain types, validation, and the line-delimited record format."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,6 +209,21 @@ def test_file_round_trip(tmp_path, session):
     path = str(tmp_path / "corpus.jsonl")
     write_records(path, [example_to_record(ex)] * 2)
     assert read_examples(path) == [ex, ex]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"utterances": [', "{path}:6: Expecting value: line 1 column 17 (char 16)"),
+    ('{"utterances": []}', "{path}: record 2: session has no utterances"),
+])
+def test_a_streamed_read_names_the_line_or_record_it_refuses(tmp_path, session, bad, message):
+    # blank lines count as lines but not as records
+    good = json.dumps(example_to_record(RewriteExample(session, reference=("吃",))))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(["", good, "   ", good, "", bad, good]) + "\n", encoding="utf-8")
+    with pytest.raises(RewriterError) as err:
+        read_examples(str(path))
+    assert err.value.code == "BAD_RECORD"
+    assert err.value.message == message.format(path=path)
 
 
 token_strategy = st.text(

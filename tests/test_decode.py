@@ -9,6 +9,8 @@ The corpus and the model shape are those of criterion 8: 2,000 sessions split
 1,600/200/200, d_model 64, 4 heads, 2 layers, d_ff 128, 24 decode steps.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from srl_rewriter.generator import GeneratorConfig, sample_corpus, split_corpus
 from srl_rewriter.masks import NEG_BIAS, MaskVariant
 from srl_rewriter.model import (
     _DECODE_BATCH,
+    _KV_ROOM,
     _PREFIX_SLICE,
     ModelConfig,
     PrefixCache,
@@ -123,6 +126,54 @@ def test_cached_decode_matches_full_recompute(splits, models, variant, weights, 
         for lo in range(0, len(packs), _DECODE_BATCH)
     )
     assert worst < 1e-9, f"step logits differ by {worst:.2e}"
+
+
+def test_key_value_room_grown_step_by_step_matches_full_recompute(splits, models, monkeypatch):
+    # room for one rewrite column at first, so each batch of the random
+    # weights, which run to the budget, doubles its room five times
+    monkeypatch.setattr("srl_rewriter.model._KV_ROOM", 1)
+    model, vocab = models[MaskVariant.TRIPLE_MASK, "random"], splits[3]
+    packs = prefixes(splits, MaskVariant.TRIPLE_MASK, "dev")
+    hyps = decode_corpus(model, packs, MAX_STEPS, vocab)
+    assert all(len(hyp) == MAX_STEPS for hyp in hyps)
+    expected = check_greedy(model, packs, hyps, vocab)
+    worst = max(
+        worst_step_logit_error(model, packs[lo : lo + _DECODE_BATCH], expected[lo : lo + _DECODE_BATCH])
+        for lo in range(0, len(packs), _DECODE_BATCH)
+    )
+    assert worst < 1e-9, f"step logits differ by {worst:.2e}"
+
+    cache = PrefixCache(model, packs[:2], MAX_STEPS)
+    rooms = []
+    for _ in range(MAX_STEPS):
+        cache.step(np.full(2, BOS_ID))
+        rooms.append(cache.kv[-1][1].shape[2] - cache.prefix_len)
+    assert sorted(set(rooms)) == [1, 2, 4, 8, 16, MAX_STEPS]
+    assert all(rooms[t] > t for t in range(MAX_STEPS))
+
+
+def test_decode_peak_memory_follows_the_steps_taken(splits, models, monkeypatch):
+    # criterion 8's test split at the rewrite command's budget of 32 steps;
+    # the trained weights stop within 24 steps, most rows well inside the
+    # first 16 columns of room
+    model, vocab = models[MaskVariant.TRIPLE_MASK, "trained"], splits[3]
+    packs = prefixes(splits, MaskVariant.TRIPLE_MASK, "test")
+
+    def peak(room):
+        monkeypatch.setattr("srl_rewriter.model._KV_ROOM", room)
+        decode_corpus(model, packs, 32, vocab)  # first-call allocations stay out of the reading
+        tracemalloc.start()
+        try:
+            decode_corpus(model, packs, 32, vocab)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 32-wide batches peak at 4.5 MB with room grown by use, and at 5.6 MB
+    # with room for the whole budget from the start
+    assert peak(32) > 5e6
+    grown = peak(_KV_ROOM)
+    assert grown < 5e6, f"peak {grown / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("weights", ["random", "trained"])

@@ -102,9 +102,10 @@ def test_length_mismatch_and_empty_corpus_errors():
     with pytest.raises(RewriterError) as err:
         evaluate_corpus([], [])
     assert err.value.code == "EMPTY_CORPUS"
-    with pytest.raises(RewriterError) as err:
-        bleu_n([["a"]], [["a"]], 0)
-    assert err.value.code == "BAD_ORDER"
+    for order in (bleu_n, rouge_n):
+        with pytest.raises(RewriterError) as err:
+            order([["a"]], [["a"]], 0)
+        assert err.value.code == "BAD_ORDER"
 
 
 def test_report_shape_and_row():
@@ -139,6 +140,19 @@ def test_bleu_rouge_match_oracles(seed):
         )
     for n in (1, 2):
         assert rouge_n(hyps, refs, n) == pytest.approx(oracle_rouge_n(hyps, refs, n), abs=1e-9)
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("seed", range(25))
+def test_report_fields_equal_the_separate_metrics(seed, smooth):
+    # the report counts each pair's k-grams once for all its BLEU and ROUGE-n fields
+    hyps, refs = random_corpus(random.Random(seed), max_len=6, vocab="abc")
+    report = evaluate_corpus(hyps, refs, smooth_bleu=smooth)
+    for n in (1, 2, 4):
+        assert getattr(report, f"bleu{n}") == bleu_n(hyps, refs, n, smooth=smooth)
+    for n in (1, 2):
+        assert getattr(report, f"rouge{n}") == rouge_n(hyps, refs, n)
+    assert report.rougeL == rouge_l(hyps, refs)
 
 
 @pytest.mark.parametrize("seed", range(25))
