@@ -243,10 +243,17 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    hyps = read_decoded(args.input, lambda rec: record_tokens(rec, "hypothesis", "reference"))
-    refs = read_decoded(args.ref or args.input, lambda rec: record_tokens(rec, "reference"))
-    if len(hyps) != len(refs):
-        raise RewriterError("LENGTH_MISMATCH", "hypothesis and reference files differ in length")
+    def hypothesis(rec) -> list[str]:
+        return record_tokens(rec, "hypothesis", "reference")
+
+    def reference(rec) -> list[str]:
+        return record_tokens(rec, "reference")
+
+    if args.ref:  # files of unequal length are refused by evaluate_corpus
+        hyps, refs = read_decoded(args.input, hypothesis), read_decoded(args.ref, reference)
+    else:  # one pass over the file for both
+        pairs = read_decoded(args.input, lambda rec: (hypothesis(rec), reference(rec)))
+        hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
     report = evaluate_corpus(hyps, refs, smooth_bleu=args.smooth_bleu)
     print(REPORT_HEADER)
     print(report.row())

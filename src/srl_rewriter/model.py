@@ -166,10 +166,8 @@ class RewriterModel:
         x += p["pos_emb"][poss]
         return x
 
-    def forward_batch(
-        self, batch: dict, need_cache: bool = False, rows: Optional[tuple] = None
-    ) -> tuple[np.ndarray, Optional[list]]:
-        """Logits [B, L, V] for a made batch; cache retained only when asked.
+    def forward_batch(self, batch: dict, rows: Optional[tuple] = None) -> tuple[np.ndarray, list]:
+        """Logits [B, L, V] for a made batch and the cache ``_backward`` reads.
 
         ``rows``, an index over the batch and row axes that picks R distinct
         rows of every example, runs the last layer and the logits head on
@@ -182,13 +180,8 @@ class RewriterModel:
         caches: list = []
         last = self.config.n_layers - 1
         for i in range(self.config.n_layers):
-            x, cache = self._layer(i, x, bias, rows=rows if i == last else None)
-            if need_cache:
-                caches.append(cache)
-        logits = _affine(x, self.params["out.W"], self.params["out.b"])
-        if need_cache:
-            return logits, [ids, segs, poss, caches, x]
-        return logits, None
+            x = self._layer(i, x, bias, rows=rows if i == last else None, caches=caches)
+        return _affine(x, self.params["out.W"], self.params["out.b"]), [ids, segs, poss, caches]
 
     def _layer(
         self,
@@ -198,8 +191,9 @@ class RewriterModel:
         kv: Optional[tuple] = None,
         at: int = 0,
         rows: Optional[tuple] = None,
-    ) -> tuple[np.ndarray, dict]:
-        """One post-norm block over rows x [B, L, d].
+        caches: Optional[list] = None,
+    ) -> np.ndarray:
+        """One post-norm block over rows x [B, L, d]; returns its output [B, R, d].
 
         Keys and values come from every row of x; queries, attention, layer
         norms and FFN run on the query rows only: all of x when ``rows`` is
@@ -209,8 +203,12 @@ class RewriterModel:
         (K, V), buffers [B, H, L_max, dh] whose first ``at`` columns hold the
         keys and values of earlier rows, the rows' own keys and values are
         written to columns [at, at + L) and attention spans [0, at + L).
-        Returns the block output [B, R, d] and the activations the backward
-        pass reads.  Arrays are written in place only before they are cached.
+        The training forward passes ``caches``, a list to which the block
+        appends the activations the backward pass reads and does not rebuild:
+        the GELU slope stands in for the GELU input and its ``tanh``, and the
+        block input, the first layer norm's output and the attention context
+        are left out.  Arrays are written in place only before they are
+        cached.
         """
         p = self.params
         pre = f"layers.{i}."
@@ -238,19 +236,23 @@ class RewriterModel:
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, xq.shape[1], d)
-        res1 = _affine(ctx, p[pre + "attn.Wo"], p[pre + "attn.bo"])
+        res1 = _affine(_context(attn, vh), p[pre + "attn.Wo"], p[pre + "attn.bo"])
         res1 += xq
         x1, ln1_cache = _layer_norm_forward(res1, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        h_act, gelu_cache = _gelu_forward(_affine(x1, p[pre + "ff.W1"], p[pre + "ff.b1"]))
+        del res1
+        h_pre = _affine(x1, p[pre + "ff.W1"], p[pre + "ff.b1"])
+        h_act, t = _gelu_forward(h_pre)
+        slope = None if caches is None else _gelu_slope(h_pre, t)  # takes over h_pre and t
+        del h_pre, t
         res2 = _affine(h_act, p[pre + "ff.W2"], p[pre + "ff.b2"])
         res2 += x1
         x2, ln2_cache = _layer_norm_forward(res2, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        cache = dict(
-            x=x, xq=xq, rows=rows, attn=attn, qh=qh, kh=kh, vh=vh, ctx=ctx, ln1=ln1_cache,
-            x1=x1, h_act=h_act, gelu=gelu_cache, ln2=ln2_cache,
-        )
-        return x2, cache
+        if caches is not None:
+            caches.append(dict(
+                rows=rows, attn=attn, qh=qh, kh=kh, vh=vh, ln1=ln1_cache, h_act=h_act,
+                slope=slope, ln2=ln2_cache,
+            ))
+        return x2
 
     def loss_and_grads(self, batch: dict, loss_scale: float = 1.0) -> tuple[float, int, dict]:
         """Summed NLL over target positions and its analytic gradients, scaled
@@ -267,7 +269,7 @@ class RewriterModel:
             raise RewriterError("NO_REFERENCE", "batch contains no loss targets")
         rows = _target_windows(target_mask)
         target_mask, target_ids = target_mask[rows], target_ids[rows]
-        logits, cache = self.forward_batch(batch, need_cache=True, rows=rows)
+        logits, cache = self.forward_batch(batch, rows=rows)
         logits -= logits.max(axis=-1, keepdims=True)
         dlogits = np.exp(logits)  # the softmax, then its loss gradient, in place
         norm = dlogits.sum(axis=-1, keepdims=True)
@@ -289,17 +291,24 @@ class RewriterModel:
 
         Consumes ``cache``: it is emptied on entry, and each activation is
         released as soon as its last reader has run, layers last to first.
+        What the forward did not cache it rebuilds with the forward's own
+        operations, so the gradients are those of a full cache, bit for bit:
+        a block's input from the block below's second layer norm (the
+        embedding for block 0), the first layer norm's output from its
+        cache, and the attention context from the attention and the values.
         """
         cfg = self.config
         p, g = self.params, {}
-        ids, segs, poss, layer_caches, x_final = cache
+        ids, segs, poss, layer_caches = cache
         cache.clear()
         H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         scale = 1.0 / np.sqrt(dh)
 
-        g["out.W"], g["out.b"] = _affine_grads(x_final, dlogits)
+        def block_output(i: int) -> np.ndarray:  # block i's output, while its cache is held
+            return _layer_norm_output(layer_caches[i]["ln2"], p[f"layers.{i}.ln2.b"])
+
+        g["out.W"], g["out.b"] = _affine_grads(block_output(cfg.n_layers - 1), dlogits)
         dx = _affine(dlogits, p["out.W"].T)
-        del x_final
 
         for i in reversed(range(cfg.n_layers)):
             pre = f"layers.{i}."
@@ -309,20 +318,24 @@ class RewriterModel:
             del dx
             g[pre + "ln2.g"], g[pre + "ln2.b"] = dg2, db2
             g[pre + "ff.W2"], g[pre + "ff.b2"] = _affine_grads(c.pop("h_act"), dres2)
-            dh_pre = _gelu_backward(_affine(dres2, p[pre + "ff.W2"].T), c.pop("gelu"))
-            g[pre + "ff.W1"], g[pre + "ff.b1"] = _affine_grads(c.pop("x1"), dh_pre)
+            dh_pre = _affine(dres2, p[pre + "ff.W2"].T)
+            dh_pre *= c.pop("slope")
+            ln1 = c.pop("ln1")
+            x1 = _layer_norm_output(ln1, p[pre + "ln1.b"])
+            g[pre + "ff.W1"], g[pre + "ff.b1"] = _affine_grads(x1, dh_pre)
+            del x1
             dx1 = _affine(dh_pre, p[pre + "ff.W1"].T)
             dx1 += dres2
             del dres2, dh_pre
-            dres1, dg1, db1 = _layer_norm_backward(dx1, c.pop("ln1"))
-            del dx1
+            dres1, dg1, db1 = _layer_norm_backward(dx1, ln1)
+            del dx1, ln1
             g[pre + "ln1.g"], g[pre + "ln1.b"] = dg1, db1
-            g[pre + "attn.Wo"], g[pre + "attn.bo"] = _affine_grads(c.pop("ctx"), dres1)
+            attn, vh = c.pop("attn"), c.pop("vh")
+            g[pre + "attn.Wo"], g[pre + "attn.bo"] = _affine_grads(_context(attn, vh), dres1)
             dctx = _affine(dres1, p[pre + "attn.Wo"].T).reshape(B, R, H, dh).transpose(0, 2, 1, 3)
-            attn = c.pop("attn")
             dvh = attn.transpose(0, 1, 3, 2) @ dctx
-            dscores = dctx @ c.pop("vh").transpose(0, 1, 3, 2)  # dattn, then the scores' in place
-            del dctx
+            dscores = dctx @ vh.transpose(0, 1, 3, 2)  # dattn, then the scores' in place
+            del dctx, vh
             dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
             dscores *= attn
             del attn
@@ -330,23 +343,28 @@ class RewriterModel:
             dqh = dscores @ c.pop("kh")
             dkh = dscores.transpose(0, 1, 3, 2) @ c.pop("qh")
             del dscores
-            x_in, xq, rows = c.pop("x"), c.pop("xq"), c.pop("rows")
-            dq = dqh.transpose(0, 2, 1, 3).reshape(B, R, cfg.d_model)
-            dk = dkh.transpose(0, 2, 1, 3).reshape(x_in.shape)
-            dv = dvh.transpose(0, 2, 1, 3).reshape(x_in.shape)
+            dq, dk, dv = (
+                m.transpose(0, 2, 1, 3).reshape(B, -1, cfg.d_model) for m in (dqh, dkh, dvh)
+            )
             del dqh, dkh, dvh
+            x_in = block_output(i - 1) if i else self.embed_ids(ids, segs, poss)
+            rows = c.pop("rows")
+            xq = x_in if rows is None else x_in[rows]
             for name, dmat, x_of in (("q", dq, xq), ("k", dk, x_in), ("v", dv, x_in)):
                 g[pre + f"attn.W{name}"], g[pre + f"attn.b{name}"] = _affine_grads(x_of, dmat)
+            del x_in, xq, dmat, x_of
             dx = _affine(dq, p[pre + "attn.Wq"].T)
             dx += dres1
+            del dq, dres1
             if rows is not None:  # the query rows' gradient, back into all rows
-                dx_all = np.zeros_like(x_in)
+                dx_all = np.zeros_like(dk)
                 dx_all[rows] = dx
                 dx = dx_all
                 del dx_all
             dx += _affine(dk, p[pre + "attn.Wk"].T)
+            del dk
             dx += _affine(dv, p[pre + "attn.Wv"].T)
-            del dres1, x_in, xq, dq, dk, dv
+            del dv
         for name, index in (("tok_emb", ids), ("seg_emb", segs), ("pos_emb", poss)):
             g[name] = np.zeros_like(p[name])
             _scatter_rows(g[name], index, dx)
@@ -368,8 +386,9 @@ def _target_windows(target_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(B)[:, None], np.minimum(first, L - R)[:, None] + np.arange(R)
 
 
-# Kernels.  Each writes in place only into arrays it allocated itself; its
-# inputs and whatever it caches for the backward pass are never written again.
+# Kernels.  Each writes in place only into arrays it allocated itself, and
+# ``_gelu_slope`` also into the two its caller hands over; no other input, and
+# nothing the forward caches for the backward pass, is written again.
 # ``_backward`` consumes that cache: it drops each cached array after its last
 # reader, so a training step never holds its whole forward cache to the end.
 
@@ -402,12 +421,19 @@ def _scatter_rows(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> Non
 def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     d = x.shape[-1]
     xhat = x - x.sum(axis=-1, keepdims=True) / d
-    out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + _LN_EPS)
+    sq = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / d + _LN_EPS)
     xhat *= inv
-    np.multiply(xhat, gamma, out=out)
+    cache = (xhat, inv, gamma)
+    return _layer_norm_output(cache, beta, out=sq), cache
+
+
+def _layer_norm_output(cache, beta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The layer norm's output from its cache, by the forward's own operations."""
+    xhat, _, gamma = cache
+    out = np.multiply(xhat, gamma, out=out)
     out += beta
-    return out, (xhat, inv, gamma)
+    return out
 
 
 def _layer_norm_backward(dout: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -425,7 +451,14 @@ def _layer_norm_backward(dout: np.ndarray, cache) -> tuple[np.ndarray, np.ndarra
     return dx, dgamma, dbeta
 
 
-def _gelu_forward(x: np.ndarray):
+def _context(attn: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """The attention context [B, R, d] of weights [B, H, R, Lk] over values [B, H, Lk, dh]."""
+    B, H, R, _ = attn.shape
+    return (attn @ vh).transpose(0, 2, 1, 3).reshape(B, R, H * vh.shape[3])
+
+
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of x, and the ``tanh`` it took, which ``_gelu_slope`` reads."""
     t = x * x  # the tanh argument, then the tanh, in place
     t *= x
     t *= 0.044715
@@ -435,25 +468,28 @@ def _gelu_forward(x: np.ndarray):
     out = t + 1.0
     out *= x
     out *= 0.5
-    return out, (x, t)
+    return out, t
 
 
-def _gelu_backward(dout: np.ndarray, cache) -> np.ndarray:
-    x, t = cache
-    dx = x * x  # d tanh-argument / dx, then the whole derivative, in place
-    dx *= 3 * 0.044715
-    dx += 1.0
-    dx *= _GELU_C
+def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The GELU derivative at x, from x and its forward ``tanh`` t.
+
+    It is computed in the buffers of x and t, which the caller hands over,
+    plus one of its own, and returned in x's.
+    """
     tail = t * t
     np.subtract(1.0, tail, out=tail)
     tail *= x
     tail *= 0.5
-    dx *= tail
-    np.add(t, 1.0, out=tail)
-    tail *= 0.5
-    dx += tail
-    dx *= dout
-    return dx
+    np.multiply(x, x, out=x)  # d tanh-argument / dx, then the whole derivative, in place
+    x *= 3 * 0.044715
+    x += 1.0
+    x *= _GELU_C
+    x *= tail
+    t += 1.0
+    t *= 0.5
+    x += t
+    return x
 
 
 # -- batch assembly ----------------------------------------------------------
@@ -537,7 +573,7 @@ class PrefixCache:
             x = model.embed_ids(batch["ids"][s], batch["segs"][s], batch["poss"][s])
             for i, (K, V) in enumerate(self.kv):
                 rows = np.s_[:, :0] if i == cfg.n_layers - 1 else None
-                x = model._layer(i, x, batch["bias"][s], (K[s], V[s]), rows=rows)[0]
+                x = model._layer(i, x, batch["bias"][s], (K[s], V[s]), rows=rows)
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Logits [B, V] of the next rewrite row, which holds ``token_ids``."""
@@ -551,7 +587,7 @@ class PrefixCache:
             for i, kv in enumerate(self.kv):  # one layer's old buffers live at a time
                 self.kv[i] = tuple(_widened(m, cols) for m in kv)
         for i, kv in enumerate(self.kv):
-            x = model._layer(i, x, self.bias[:, :, : at + 1], kv, at)[0]
+            x = model._layer(i, x, self.bias[:, :, : at + 1], kv, at)
         self.steps += 1
         return _affine(x[:, 0], model.params["out.W"], model.params["out.b"])
 

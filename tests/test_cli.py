@@ -497,6 +497,42 @@ def test_evaluate_refuses_malformed_records(ws, capsys, tmp_path, line):
     assert "error[BAD_RECORD]" in err and f"{path}: record 1: " in err
 
 
+def test_evaluate_reads_its_input_once(ws, capsys, monkeypatch):
+    opened = []
+    text_lines = srl_rewriter.core.text_lines
+
+    def logged(path):
+        opened.append(path)
+        return text_lines(path)
+
+    monkeypatch.setattr("srl_rewriter.core.text_lines", logged)
+    assert main(["evaluate", "--input", ws["hyps"]]) == 0
+    assert opened == [ws["hyps"]]
+    opened.clear()
+    test = f"{ws['prefix']}.test.jsonl"
+    assert main(["evaluate", "--input", ws["hyps"], "--ref", test]) == 0
+    assert opened == [ws["hyps"], test]
+
+
+def test_evaluate_reports_the_first_bad_record(ws, capsys, tmp_path):
+    # record 1 has a hypothesis but a bad reference, record 2 a bad hypothesis
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(read_lines(ws["hyps"])[0] + "\n")
+        fh.write('{"hypothesis": ["a"], "reference": "a"}\n')
+        fh.write('{"hypothesis": 5, "reference": ["a"]}\n')
+    assert main(["evaluate", "--input", path]) == 1
+    assert f"{path}: record 1: reference" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_reference_files_of_another_length(ws, capsys, tmp_path):
+    path = str(tmp_path / "refs.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"reference": ["a"]}\n')
+    assert main(["evaluate", "--input", ws["hyps"], "--ref", path]) == 1
+    assert "error[LENGTH_MISMATCH]: 3 hypotheses vs 1 references" in capsys.readouterr().err
+
+
 def test_evaluate_refuses_a_malformed_reference_file(ws, capsys, tmp_path):
     path = str(tmp_path / "refs.jsonl")
     with open(path, "w", encoding="utf-8") as fh:

@@ -28,6 +28,7 @@ from srl_rewriter.model import (
     PrefixCache,
     RewriterModel,
     decode_corpus,
+    make_batch,
 )
 from srl_rewriter.packing import BOS_ID, EOS_ID, PAD_ID, build_vocabulary
 from srl_rewriter.srl import TripleMode, TripleSource
@@ -235,6 +236,23 @@ def test_budget_hits_stop_every_row_at_max_steps(splits, models):
     hyps = decode_corpus(model, packs, 3, splits[3])
     assert [len(h) for h in hyps] == [3] * len(packs)
     check_greedy(model, packs, hyps, splits[3], max_steps=3)
+
+
+def test_decoding_never_computes_the_gelu_slope(splits, models, monkeypatch):
+    # the slope is for the backward pass only; the prefix pass and the steps
+    # run the same blocks without it
+    model, vocab = models[MaskVariant.TRIPLE_MASK, "trained"], splits[3]
+    packs = prefixes(splits, MaskVariant.TRIPLE_MASK, "dev")
+    hyps = decode_corpus(model, packs, MAX_STEPS, vocab)
+
+    def refuse(*args):
+        raise AssertionError("GELU slope computed")
+
+    monkeypatch.setattr("srl_rewriter.model._gelu_slope", refuse)
+    train_packs = prepare_instances(splits[0][:4], vocab, SOURCES[MaskVariant.TRIPLE_MASK], 0)
+    with pytest.raises(AssertionError, match="GELU slope computed"):  # the patch is live
+        model.loss_and_grads(make_batch(train_packs, MaskVariant.TRIPLE_MASK))
+    assert decode_corpus(model, packs, MAX_STEPS, vocab) == hyps
 
 
 def test_decode_refuses_a_prefix_with_a_rewrite_region(splits, models):
