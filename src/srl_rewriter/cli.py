@@ -42,7 +42,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .packing import Vocabulary, build_vocabulary, pack
+from .packing import UNK_ID, Vocabulary, build_vocabulary, pack
 from .srl import (
     OK,
     TripleMode,
@@ -236,6 +236,9 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     hyps = decode_corpus(model, packs, args.max_decode_steps, vocab=vocab)
     write_records(args.out, map(example_to_record, examples, hyps))
     print(f"wrote {len(hyps)} rewrites to {args.out}")
+    # validate_example refuses the reserved tokens, so every [UNK] in a pack was unknown input
+    unknown = sum(packed.token_ids.count(UNK_ID) for packed in packs)
+    print(f"{unknown} packed input tokens fell outside the vocabulary")
     # a hypothesis as long as the budget was cut off: EOS never ends one that long
     hits = sum(len(hyp) == args.max_decode_steps for hyp in hyps)
     print(f"{hits} of {len(hyps)} rewrites hit the decode budget of {args.max_decode_steps} steps")

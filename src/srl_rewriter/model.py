@@ -3,8 +3,9 @@
 Post-norm encoder stack shared by all regions; the additive visibility bias is
 applied inside every attention head, so one set of weights serves both the
 bidirectional source side and the causal rewrite side.  Forward, loss, and
-analytic gradients are hand-written over float64 numpy; shapes follow the
-[batch, length, d_model] convention throughout.
+analytic gradients are hand-written in numpy, trained in float64 and decoded
+in the weights' dtype: float32 for the weights a checkpoint stores and loads.
+Shapes follow the [batch, length, d_model] convention throughout.
 """
 
 from __future__ import annotations
@@ -141,11 +142,9 @@ class RewriterModel:
         return RewriterModel._from_params(self.config, params)
 
     def stored_copy(self) -> "RewriterModel":
-        """A copy with the weights a checkpoint of this model stores and loads."""
-        clone = self.copy()
-        for v in clone.params.values():
-            v[...] = v.astype(_CHECKPOINT_DTYPE)
-        return clone
+        """A copy with the float32 weights a checkpoint of this model stores and loads."""
+        params = {k: v.astype(np.float32) for k, v in self.params.items()}
+        return RewriterModel._from_params(self.config, params)
 
     # -- forward ------------------------------------------------------------
 
@@ -231,7 +230,7 @@ class RewriterModel:
             V[:, :, at : at + L] = vh
             kh, vh = K[:, :, : at + L], V[:, :, : at + L]
         attn = qh @ kh.transpose(0, 1, 3, 2)  # the scores, turned into softmax in place
-        attn *= 1.0 / np.sqrt(dh)
+        attn *= float(1.0 / np.sqrt(dh))  # a Python float keeps float32 scores float32
         attn += bias[:, None, :, :]
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
@@ -558,22 +557,24 @@ class PrefixCache:
         self.model = model
         batch = make_batch(prefixes, cfg.mask_variant)
         B, L = batch["ids"].shape
+        dtype = model.params["out.W"].dtype  # the decode runs in the weights' dtype
         shape = (B, cfg.n_heads, L + min(max_steps, _KV_ROOM), cfg.d_model // cfg.n_heads)
-        self.kv = [(np.empty(shape), np.empty(shape)) for _ in range(cfg.n_layers)]
+        self.kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(cfg.n_layers)]
         # a rewrite row sees its own prefix and every rewrite row up to itself
         cols = np.arange(L + max_steps)
         lengths = np.array([len(packed) for packed in prefixes])[:, None, None]
-        self.bias = np.where((cols >= lengths) & (cols < L), NEG_BIAS, 0.0)
+        self.bias = np.where((cols >= lengths) & (cols < L), NEG_BIAS, 0.0).astype(dtype)
         self.prefix_len = L
         self.max_steps = max_steps
         self.steps = 0
+        bias = batch["bias"].astype(dtype, copy=False)
         # no step reads the prefix's last-layer output: that layer only writes K and V
         for lo in range(0, B, _PREFIX_SLICE):
             s = slice(lo, lo + _PREFIX_SLICE)
             x = model.embed_ids(batch["ids"][s], batch["segs"][s], batch["poss"][s])
             for i, (K, V) in enumerate(self.kv):
                 rows = np.s_[:, :0] if i == cfg.n_layers - 1 else None
-                x = model._layer(i, x, batch["bias"][s], (K[s], V[s]), rows=rows)
+                x = model._layer(i, x, bias[s], (K[s], V[s]), rows=rows)
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Logits [B, V] of the next rewrite row, which holds ``token_ids``."""
@@ -593,8 +594,8 @@ class PrefixCache:
 
 
 def _widened(buf: np.ndarray, cols: int) -> np.ndarray:
-    """A copy of K/V buffer ``buf`` [B, H, n, dh] with ``cols`` columns."""
-    out = np.empty((*buf.shape[:2], cols, buf.shape[3]))
+    """A copy of K/V buffer ``buf`` [B, H, n, dh] with ``cols`` columns, in its dtype."""
+    out = np.empty((*buf.shape[:2], cols, buf.shape[3]), buf.dtype)
     out[:, :, : buf.shape[2]] = buf
     return out
 
@@ -677,7 +678,7 @@ def load_checkpoint(path: str) -> RewriterModel:
             )
         params = {
             name: np.frombuffer(fh.read(4 * count), dtype=_CHECKPOINT_DTYPE)
-            .astype(np.float64).reshape(shape)
+            .astype(np.float32).reshape(shape)
             for (name, shape), count in zip(expected, counts)
         }
     return RewriterModel._from_params(config, params)

@@ -195,7 +195,7 @@ class EvalPoint:
 
 @dataclass
 class TrainResult:
-    model: RewriterModel  # float32-rounded weights at the best dev exact-match step
+    model: RewriterModel  # the float32 weights a checkpoint stores, from the best dev-EM step
     best_step: int
     best_em: float
     steps_run: int
@@ -235,8 +235,8 @@ def train(
     stop = False
 
     def run_eval() -> tuple[EvalPoint, RewriterModel]:
-        # dev is scored on the weights a checkpoint stores, so a reloaded best
-        # model reproduces the best dev exact match
+        # dev is decoded from the float32 weights a checkpoint stores, so a
+        # reloaded best model reproduces the best dev exact match
         scored = model.stored_copy()
         hyps = decode_corpus(scored, dev_packs, config.max_decode_steps, vocab=vocab)
         report = evaluate_corpus(hyps, dev_refs)

@@ -336,6 +336,20 @@ def test_rewrite_reports_decode_budget_hits(ws, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == lines[-1]
 
 
+def test_rewrite_counts_the_input_tokens_outside_the_vocabulary(ws, capsys, tmp_path):
+    # the vocabulary holds every dev token; two new ones at the end of the last
+    # turn lie outside every triple span, so each is packed once, as [UNK]
+    records = [json.loads(line) for line in read_lines(f"{ws['prefix']}.dev.jsonl")]
+    path, out = tmp_path / "unknown.jsonl", str(tmp_path / "hyps.jsonl")
+    for extra, count in (([], 0), (["unseen-1", "unseen-2"], 2)):
+        records[1]["utterances"][-1]["tokens"] += extra
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        for _ in range(2):  # the same count on a rerun
+            assert main(["rewrite", "--model", ws["ckpt"], "--input", str(path), "--out", out]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1] == f"{count} packed input tokens fell outside the vocabulary"
+
+
 @pytest.mark.parametrize("steps, code, message", [
     ("0", "CONFIG_INVALID", "max_decode_steps 0 < 1"),
     ("99", "TOO_LONG", "99 decode steps exceed max_position 64"),

@@ -6,10 +6,13 @@ it, and the row after the last is EOS unless the budget ended the decode.  By
 induction on the steps, the hypothesis is then the greedy one.
 
 The corpus and the model shape are those of criterion 8: 2,000 sessions split
-1,600/200/200, d_model 64, 4 heads, 2 layers, d_ff 128, 24 decode steps.
+1,600/200/200, d_model 64, 4 heads, 2 layers, d_ff 128, 24 decode steps.  The
+oracle checks run on float64 weights.  Decoding in float32, the dtype a
+checkpoint stores, is pinned to the float64 decode of the same values.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +31,15 @@ from srl_rewriter.model import (
     PrefixCache,
     RewriterModel,
     decode_corpus,
+    load_checkpoint,
     make_batch,
 )
-from srl_rewriter.packing import BOS_ID, EOS_ID, PAD_ID, build_vocabulary
+from srl_rewriter.packing import BOS_ID, EOS_ID, PAD_ID, Vocabulary, build_vocabulary
 from srl_rewriter.srl import TripleMode, TripleSource
 from srl_rewriter.training import TrainConfig, prepare_instances, train
 
 MAX_STEPS = 24
+BENCHMARK_CHECKPOINT = Path(__file__).parent.parent / "perfbench" / "weights" / "gold_triple.ckpt"
 SOURCES = {
     MaskVariant.NO_SRL: TripleSource(TripleMode.NONE),
     MaskVariant.BI_MASK: TripleSource(TripleMode.GOLD),
@@ -91,6 +96,29 @@ def check_greedy(model, packs, hyps, vocab, max_steps=MAX_STEPS):
         assert [oracle_argmax(row) for row in rows] == (ids + [EOS_ID])[: len(rows)]
         expected.append((ids, rows))
     return expected
+
+
+def in_dtype(model, dtype):
+    """The same model with its weights cast to ``dtype``."""
+    return RewriterModel._from_params(
+        model.config, {name: v.astype(dtype) for name, v in model.params.items()}
+    )
+
+
+def largest_step_logit_gap(a, b, packs, hyps, vocab, max_steps):
+    """Largest gap between the step logits of models ``a`` and ``b``, batch by
+    batch, each row fed its hypothesis up to the step that ended it."""
+    worst = 0.0
+    for lo in range(0, len(packs), _DECODE_BATCH):
+        fed_ids = [vocab.encode(hyp) for hyp in hyps[lo : lo + _DECODE_BATCH]]
+        caches = [PrefixCache(m, packs[lo : lo + _DECODE_BATCH], max_steps) for m in (a, b)]
+        for t in range(min(max_steps, max(map(len, fed_ids)) + 1)):
+            fed = np.array([BOS_ID if t == 0 else (ids[t - 1] if t <= len(ids) else PAD_ID)
+                            for ids in fed_ids])
+            live = np.array([t <= len(ids) for ids in fed_ids])
+            gap = np.abs(caches[0].step(fed) - caches[1].step(fed))
+            worst = max(worst, float(gap[live].max()))
+    return worst
 
 
 def worst_step_logit_error(model, packs, expected):
@@ -153,6 +181,48 @@ def test_key_value_room_grown_step_by_step_matches_full_recompute(splits, models
     assert all(rooms[t] > t for t in range(MAX_STEPS))
 
 
+def test_key_value_room_grown_in_float32_stays_float32(splits, models, monkeypatch):
+    # room for one rewrite column at first, so every batch grows its room
+    # several times; float64 buffers would decode the same hypotheses, so the
+    # dtypes are checked as well
+    monkeypatch.setattr("srl_rewriter.model._KV_ROOM", 1)
+    model, vocab = models[MaskVariant.TRIPLE_MASK, "trained"], splits[3]
+    stored = model.stored_copy()
+    assert {v.dtype for v in stored.params.values()} == {np.dtype(np.float32)}
+    packs = prefixes(splits, MaskVariant.TRIPLE_MASK, "dev")
+    hyps = decode_corpus(stored, packs, MAX_STEPS, vocab)
+    assert hyps == decode_corpus(in_dtype(stored, np.float64), packs, MAX_STEPS, vocab)
+
+    cache = PrefixCache(stored, packs[:2], MAX_STEPS)
+    for _ in range(MAX_STEPS):
+        assert cache.step(np.full(2, BOS_ID)).dtype == np.float32
+    assert cache.kv[0][0].shape[2] == cache.prefix_len + MAX_STEPS  # grown to the budget
+    assert cache.bias.dtype == np.float32
+    assert {m.dtype for kv in cache.kv for m in kv} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("corpus", ["held-out", "criterion-8 test"])
+def test_float32_decode_equals_the_float64_decode_of_the_same_weights(splits, corpus):
+    # the committed benchmark weights, trained on criterion 8's training split,
+    # decoded as stored and, as the oracle, widened to float64
+    stored = load_checkpoint(str(BENCHMARK_CHECKPOINT))
+    vocab = Vocabulary.load(str(BENCHMARK_CHECKPOINT) + ".vocab")
+    assert {v.dtype for v in stored.params.values()} == {np.dtype(np.float32)}
+    oracle = in_dtype(stored, np.float64)
+    if corpus == "held-out":  # the rewrite benchmark's held-out seed at workload seed 0
+        examples = sample_corpus(GeneratorConfig(n_sessions=200, seed=1000, cross_turn_rate=0.3))
+    else:
+        examples = splits[2]
+    packs = prepare_instances(examples, vocab, SOURCES[MaskVariant.TRIPLE_MASK], 0,
+                              include_reference=False)
+    hyps = decode_corpus(oracle, packs, 32, vocab)
+    gap = largest_step_logit_gap(stored, oracle, packs, hyps, vocab, 32)
+    assert decode_corpus(stored, packs, 32, vocab) == hyps, f"largest step-logit gap {gap:.2e}"
+    # float32 rounding (2**-24 relative) over sums of 64 to 128 terms, on logits
+    # of order 10; measured about 5e-6.  Zero would mean no float32 arithmetic ran.
+    assert 0.0 < gap < 1e-4, f"largest step-logit gap {gap:.2e}"
+
+
 def test_decode_peak_memory_follows_the_steps_taken(splits, models, monkeypatch):
     # criterion 8's test split at the rewrite command's budget of 32 steps;
     # the trained weights stop within 24 steps, most rows well inside the
@@ -160,7 +230,7 @@ def test_decode_peak_memory_follows_the_steps_taken(splits, models, monkeypatch)
     model, vocab = models[MaskVariant.TRIPLE_MASK, "trained"], splits[3]
     packs = prefixes(splits, MaskVariant.TRIPLE_MASK, "test")
 
-    def peak(room):
+    def peak(model, room):
         monkeypatch.setattr("srl_rewriter.model._KV_ROOM", room)
         decode_corpus(model, packs, 32, vocab)  # first-call allocations stay out of the reading
         tracemalloc.start()
@@ -170,11 +240,15 @@ def test_decode_peak_memory_follows_the_steps_taken(splits, models, monkeypatch)
         finally:
             tracemalloc.stop()
 
-    # 32-wide batches peak at 4.5 MB with room grown by use, and at 5.6 MB
-    # with room for the whole budget from the start
-    assert peak(32) > 5e6
-    grown = peak(_KV_ROOM)
+    # 32-wide batches of float64 weights peak at 4.5 MB with room grown by
+    # use, and at 5.6 MB with room for the whole budget from the start
+    assert peak(model, 32) > 5e6
+    grown = peak(model, _KV_ROOM)
     assert grown < 5e6, f"peak {grown / 1e6:.2f} MB"
+    # the float32 weights a checkpoint stores decode in float32 buffers and
+    # peak at 2.4 MB, where float64 buffers peak at 4.2 MB
+    stored = peak(model.stored_copy(), _KV_ROOM)
+    assert stored < 3e6, f"peak {stored / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("weights", ["random", "trained"])

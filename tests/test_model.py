@@ -320,7 +320,7 @@ def test_checkpoint_round_trip(tmp_path, model, packed_instances):
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
     for name, p in model.params.items():
-        assert loaded.params[name].dtype == np.float64
+        assert loaded.params[name].dtype == np.float32  # decoded as stored
         assert np.allclose(loaded.params[name], p, atol=1e-6)
     batch = make_batch(packed_instances[:1], MaskVariant.TRIPLE_MASK)
     a, _ = model.forward_batch(batch)
@@ -351,7 +351,7 @@ def test_load_checkpoint_draws_no_random_init(tmp_path, config, monkeypatch):
     loaded, want = load_checkpoint(path), model.stored_copy()
     assert loaded.config == want.config and loaded.params.keys() == want.params.keys()
     for name, p in want.params.items():
-        assert loaded.params[name].dtype == np.float64
+        assert loaded.params[name].dtype == p.dtype == np.float32
         assert np.array_equal(loaded.params[name], p)
 
 
