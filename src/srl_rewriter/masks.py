@@ -62,6 +62,8 @@ def build_mask(pack: PackedSequence, variant: MaskVariant) -> np.ndarray:
     return build_batch_mask([pack], variant)[0]
 
 
-def mask_to_additive(mask: np.ndarray) -> np.ndarray:
-    """0 where visible, a large negative bias where blocked (added pre-softmax)."""
-    return np.where(mask, 0.0, NEG_BIAS)
+def mask_to_additive(mask: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """0 where visible, a large negative bias where blocked (added pre-softmax),
+    in ``dtype``; NEG_BIAS is exact in float32 too."""
+    visible, blocked = np.array((0.0, NEG_BIAS), dtype)
+    return np.where(mask, visible, blocked)

@@ -197,7 +197,8 @@ class RewriterModel:
         Keys and values come from every row of x; queries, attention, layer
         norms and FFN run on the query rows only: all of x when ``rows`` is
         None, else x[rows] [B, R, d], R distinct rows of every example.
-        ``bias`` [B, L, Lk] holds one row per row of x.
+        ``bias`` [B, L, Lk] holds one row per row of x.  With no query rows
+        (R == 0) the block stops once it has written ``kv``.
         Without ``kv`` the rows attend each other (Lk == L).  With ``kv`` =
         (K, V), buffers [B, H, L_max, dh] whose first ``at`` columns hold the
         keys and values of earlier rows, the rows' own keys and values are
@@ -218,10 +219,6 @@ class RewriterModel:
         def heads(m: np.ndarray) -> np.ndarray:
             return m.reshape(B, m.shape[1], H, dh).transpose(0, 2, 1, 3)
 
-        xq = x
-        if rows is not None:
-            xq, bias = x[rows], bias[rows]
-        qh = heads(_affine(xq, p[pre + "attn.Wq"], p[pre + "attn.bq"]))
         kh = heads(_affine(x, p[pre + "attn.Wk"], p[pre + "attn.bk"]))
         vh = heads(_affine(x, p[pre + "attn.Wv"], p[pre + "attn.bv"]))
         if kv is not None:
@@ -229,6 +226,12 @@ class RewriterModel:
             K[:, :, at : at + L] = kh
             V[:, :, at : at + L] = vh
             kh, vh = K[:, :, : at + L], V[:, :, : at + L]
+        xq = x
+        if rows is not None:
+            xq, bias = x[rows], bias[rows]
+            if xq.shape[1] == 0:  # no query rows: the block only writes keys and values
+                return xq
+        qh = heads(_affine(xq, p[pre + "attn.Wq"], p[pre + "attn.bq"]))
         attn = qh @ kh.transpose(0, 1, 3, 2)  # the scores, turned into softmax in place
         attn *= float(1.0 / np.sqrt(dh))  # a Python float keeps float32 scores float32
         attn += bias[:, None, :, :]
@@ -496,44 +499,54 @@ def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> dict:
     """Pad packed sequences into model-ready arrays under a mask variant, with
-    next-token loss targets over each rewrite region.
+    next-token loss targets over each rewrite region."""
+    batch = _padded_inputs(packed_seqs, variant, np.float64)
+    ids = batch["ids"]
+    cols = np.arange(ids.shape[1])
+    lengths = np.array([len(s) for s in packed_seqs])
+    # targets run from each rewrite's BOS column up to its last-but-one token
+    bos = np.array([s.len_z + s.len_c for s in packed_seqs])
+    target_mask = (cols >= bos[:, None]) & (cols < lengths[:, None] - 1)
+    target_ids = np.zeros_like(ids)
+    target_ids[:, :-1] = np.where(target_mask[:, :-1], ids[:, 1:], 0)
+    batch["target_mask"], batch["target_ids"] = target_mask, target_ids
+    return batch
+
+
+def _padded_inputs(packed_seqs: Sequence[PackedSequence], variant: MaskVariant, dtype) -> dict:
+    """Token, segment and position ids [B, L] of packed sequences padded to the
+    longest, L, and their additive attention bias [B, L, L] in ``dtype``.
 
     The bias follows the padding rule of ``build_batch_mask``, so batched and
     single-sequence execution agree exactly.
     """
     lengths = np.array([len(s) for s in packed_seqs])
-    cols = np.arange(lengths.max())
-    real = cols < lengths[:, None]
+    real = np.arange(lengths.max()) < lengths[:, None]
 
     def padded(field: str) -> np.ndarray:
         out = np.zeros(real.shape, dtype=np.int64)
         out[real] = np.concatenate([getattr(s, field) for s in packed_seqs])
         return out
 
-    ids = padded("token_ids")
-    # targets run from each rewrite's BOS column up to its last-but-one token
-    bos = np.array([s.len_z + s.len_c for s in packed_seqs])
-    target_mask = (cols >= bos[:, None]) & (cols < lengths[:, None] - 1)
-    target_ids = np.zeros_like(ids)
-    target_ids[:, :-1] = np.where(target_mask[:, :-1], ids[:, 1:], 0)
     return {
-        "ids": ids,
+        "ids": padded("token_ids"),
         "segs": padded("segment_ids"),
         "poss": padded("position_ids"),
-        "bias": mask_to_additive(build_batch_mask(packed_seqs, variant)),
-        "target_mask": target_mask,
-        "target_ids": target_ids,
+        "bias": mask_to_additive(build_batch_mask(packed_seqs, variant), dtype),
     }
 
 
 # Prefixes decoded together against one prefix cache.  Wider batches take
 # fewer step passes; the prefix pass runs in slices, so its working set does
-# not grow with the batch, but the key and value buffers do.
-_DECODE_BATCH = 32
+# not grow with the batch, but the key and value buffers do.  Float32 buffers
+# hold half the bytes of float64 ones, so 64 prefixes cost about what 32 did
+# in float64.
+_DECODE_BATCH = 64
 # Prefixes per prefix pass.  The pass keeps every layer's activations for all
 # its rows alive at once, so a wide decode batch runs it in slices of this
 # many prefixes; the keys and values, which the steps need, are batch-wide.
-_PREFIX_SLICE = 4
+# Float32 activations let a slice hold 8 prefixes in what 4 took in float64.
+_PREFIX_SLICE = 8
 # Rewrite columns of key and value room a prefix cache starts with.  A step
 # that finds the room full doubles it, up to the decode budget, so the
 # buffers follow the steps a batch takes rather than the budget.
@@ -555,9 +568,9 @@ class PrefixCache:
             raise RewriterError("SHAPE_MISMATCH", "decode prefix already has a rewrite region")
         cfg = model.config
         self.model = model
-        batch = make_batch(prefixes, cfg.mask_variant)
-        B, L = batch["ids"].shape
         dtype = model.params["out.W"].dtype  # the decode runs in the weights' dtype
+        batch = _padded_inputs(prefixes, cfg.mask_variant, dtype)
+        B, L = batch["ids"].shape
         shape = (B, cfg.n_heads, L + min(max_steps, _KV_ROOM), cfg.d_model // cfg.n_heads)
         self.kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(cfg.n_layers)]
         # a rewrite row sees its own prefix and every rewrite row up to itself
@@ -567,21 +580,23 @@ class PrefixCache:
         self.prefix_len = L
         self.max_steps = max_steps
         self.steps = 0
-        bias = batch["bias"].astype(dtype, copy=False)
         # no step reads the prefix's last-layer output: that layer only writes K and V
         for lo in range(0, B, _PREFIX_SLICE):
             s = slice(lo, lo + _PREFIX_SLICE)
             x = model.embed_ids(batch["ids"][s], batch["segs"][s], batch["poss"][s])
             for i, (K, V) in enumerate(self.kv):
                 rows = np.s_[:, :0] if i == cfg.n_layers - 1 else None
-                x = model._layer(i, x, bias[s], (K[s], V[s]), rows=rows)
+                x = model._layer(i, x, batch["bias"][s], (K[s], V[s]), rows=rows)
 
     def step(self, token_ids: np.ndarray) -> np.ndarray:
         """Logits [B, V] of the next rewrite row, which holds ``token_ids``."""
-        model = self.model
+        model, p = self.model, self.model.params
         t = self.steps
-        ids = token_ids.reshape(-1, 1)
-        x = model.embed_ids(ids, np.full_like(ids, SegmentType.E_A), np.full_like(ids, t))
+        # embed_ids' sums without its range checks: an argmax or BOS id, and
+        # a position that check_decode_budget bounds
+        x = p["tok_emb"][token_ids.reshape(-1, 1)]
+        x += p["seg_emb"][SegmentType.E_A]
+        x += p["pos_emb"][t]
         at = self.prefix_len + t
         if at == self.kv[0][0].shape[2]:  # the room is full: double it, up to the budget
             cols = self.prefix_len + min(2 * t, self.max_steps)
@@ -590,7 +605,7 @@ class PrefixCache:
         for i, kv in enumerate(self.kv):
             x = model._layer(i, x, self.bias[:, :, : at + 1], kv, at)
         self.steps += 1
-        return _affine(x[:, 0], model.params["out.W"], model.params["out.b"])
+        return _affine(x[:, 0], p["out.W"], p["out.b"])
 
 
 def _widened(buf: np.ndarray, cols: int) -> np.ndarray:

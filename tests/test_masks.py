@@ -105,9 +105,12 @@ def test_mask_to_additive_values():
     tags = layout(1, [2], [2], 2)
     mask = build_mask(layout_pack(tags), MaskVariant.TRIPLE_MASK)
     bias = mask_to_additive(mask)
-    assert bias.shape == mask.shape
+    assert bias.shape == mask.shape and bias.dtype == np.float64
     assert (bias[mask] == 0.0).all()
     assert (bias[~mask] == NEG_BIAS).all()
+    # the decode's float32 bias holds the same values: NEG_BIAS is exact in float32
+    narrow = mask_to_additive(mask, np.float32)
+    assert narrow.dtype == np.float32 and np.array_equal(narrow, bias)
 
 
 @given(st.integers(0, 10_000))
