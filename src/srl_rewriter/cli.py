@@ -261,7 +261,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(REPORT_HEADER)
     print(report.row())
     if args.json_out:
-        write_json(args.json_out, report.to_dict())
+        write_json(args.json_out, dataclasses.asdict(report))
     return 0
 
 
@@ -306,24 +306,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     )
     print(result.table())
     for label, runs in result.runs.items():
-        scores = runs[0].srl_scores
+        scores = runs[0].srl
         if scores is not None:
             print(f"srl {label}: precision {scores[0]:.4f} recall {scores[1]:.4f} f1 {scores[2]:.4f}")
-    payload = {
-        label: [
-            {
-                "seed": r.seed,
-                "steps_run": r.steps_run,
-                "best_step": r.best_step,
-                "parameter_count": r.parameter_count,
-                "dev": r.dev_report.to_dict(),
-                "test": r.test_report.to_dict(),
-                "srl": list(r.srl_scores) if r.srl_scores else None,
-            }
-            for r in runs
-        ]
-        for label, runs in result.runs.items()
-    }
+    payload = {label: [dataclasses.asdict(r) for r in runs] for label, runs in result.runs.items()}
     write_json(args.out, payload)
     return 0
 

@@ -69,10 +69,6 @@ class DialogueSession:
         return len(self.utterances)
 
     @property
-    def target(self) -> Utterance:
-        return self.utterances[-1]
-
-    @property
     def target_speaker(self) -> Speaker:
         return self.utterances[-1].speaker
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import RESERVED_TOKENS, RewriterError
@@ -32,28 +32,15 @@ class EvalReport:
     rougeL: float
     n_matches: int
     n_examples: int
+    em: float = field(init=False)
 
-    @property
-    def em(self) -> float:
-        return self.n_matches / self.n_examples
+    def __post_init__(self):
+        object.__setattr__(self, "em", self.n_matches / self.n_examples)
 
     def row(self) -> str:
         """Aligned B1 B2 B4 R1 R2 RL EM row, x100 with 2 decimals."""
         values = [self.bleu1, self.bleu2, self.bleu4, self.rouge1, self.rouge2, self.rougeL, self.em]
         return "  ".join(f"{100 * v:6.2f}" for v in values)
-
-    def to_dict(self) -> dict:
-        return {
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "bleu4": self.bleu4,
-            "rouge1": self.rouge1,
-            "rouge2": self.rouge2,
-            "rougeL": self.rougeL,
-            "em": self.em,
-            "n_matches": self.n_matches,
-            "n_examples": self.n_examples,
-        }
 
 
 def _require_pairs(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> None:

@@ -137,10 +137,6 @@ class RewriterModel:
         model.params = params
         return model
 
-    def copy(self) -> "RewriterModel":
-        params = {k: v.copy() for k, v in self.params.items()}
-        return RewriterModel._from_params(self.config, params)
-
     def stored_copy(self) -> "RewriterModel":
         """A copy with the float32 weights a checkpoint of this model stores and loads."""
         params = {k: v.astype(np.float32) for k, v in self.params.items()}

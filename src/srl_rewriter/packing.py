@@ -115,13 +115,6 @@ class PackedSequence:
     len_c: int
     len_r: int
 
-    def __post_init__(self):
-        n = len(self.token_ids)
-        if not (len(self.segment_ids) == len(self.position_ids) == len(self.region_index) == n):
-            raise RewriterError("SHAPE_MISMATCH", "packed parallel lists differ in length")
-        if self.len_z + self.len_c + self.len_r != n:
-            raise RewriterError("SHAPE_MISMATCH", "region lengths do not add up")
-
     def __len__(self) -> int:
         return len(self.token_ids)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .core import (
     DialogueSession,
@@ -203,31 +203,14 @@ def declared_statistics(config: GeneratorConfig) -> RoleStatistics:
 # --- micro-F1 scorer --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SrlTuple:
-    """Scoring unit: exact (predicate, argument, label) match, no partial credit.
-
-    ``group`` keeps tuples from different records distinct in corpus-level sets.
-    """
-
-    predicate: Span
-    argument: Span
-    label: SemanticRole
-    group: int = 0
-
-
-def triple_to_tuple(triple: PATriple, group: int = 0) -> SrlTuple:
-    return SrlTuple(predicate=triple.predicate, argument=triple.argument, label=triple.role, group=group)
-
-
 def f1_score(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
 
 
-def score_srl(predicted: Iterable[SrlTuple], gold: Iterable[SrlTuple]) -> tuple[float, float, float]:
-    """Micro P/R/F1 over exact tuple matches.
+def score_srl(predicted: Iterable[Hashable], gold: Iterable[Hashable]) -> tuple[float, float, float]:
+    """Micro P/R/F1 over exact unit matches, no partial credit.
 
     Empty-set convention: an empty side scores 1.0 against an empty counterpart
     (vacuous correctness) and 0.0 otherwise.
@@ -257,9 +240,11 @@ def score_srl_corpus(
         )
     if not gold:
         raise RewriterError("EMPTY_CORPUS", "no records to score")
-    pred_tuples = [triple_to_tuple(t, group=i) for i, ts in enumerate(predicted) for t in ts]
-    gold_tuples = [triple_to_tuple(t, group=i) for i, ts in enumerate(gold) for t in ts]
-    return score_srl(pred_tuples, gold_tuples)
+    # a unit is (record, triple): a match needs the same predicate, argument,
+    # role and record
+    pred_units = [(i, t) for i, ts in enumerate(predicted) for t in ts]
+    gold_units = [(i, t) for i, ts in enumerate(gold) for t in ts]
+    return score_srl(pred_units, gold_units)
 
 
 # --- triple acquisition -----------------------------------------------------

@@ -306,13 +306,14 @@ DEFAULT_GRID: tuple[AblationCell, ...] = (
 
 @dataclass
 class CellRun:
+    # cmd_ablate writes a run as its fields, so these names are the JSON keys
     seed: int
     steps_run: int
     best_step: int
     parameter_count: int
-    dev_report: EvalReport
-    test_report: EvalReport
-    srl_scores: Optional[tuple[float, float, float]] = None
+    dev: EvalReport
+    test: EvalReport
+    srl: Optional[tuple[float, float, float]] = None
 
 
 @dataclass
@@ -320,7 +321,7 @@ class AblationResult:
     runs: dict[str, list[CellRun]]
 
     def median_test_em(self, label: str) -> float:
-        return statistics.median(r.test_report.em for r in self.runs[label])
+        return statistics.median(r.test.em for r in self.runs[label])
 
     def table(self) -> str:
         lines = [
@@ -328,12 +329,12 @@ class AblationResult:
         ]
         for label, runs in self.runs.items():
             for r in runs:
-                rep = r.test_report
+                rep = r.test
                 lines.append(
                     f"{label:<18} {r.seed:>4} {rep.em * 100:>7.2f} {rep.bleu4 * 100:>7.2f}"
                     f" {rep.rougeL * 100:>8.2f} {r.parameter_count:>9}"
                 )
-            ems = [r.test_report.em * 100 for r in runs]
+            ems = [r.test.em * 100 for r in runs]
             lines.append(
                 f"{label:<18} {'med':>4} {self.median_test_em(label) * 100:>7.2f}"
                 f"  min {min(ems):.2f} max {max(ems):.2f}"
@@ -400,9 +401,9 @@ def run_ablation_grid(
                     steps_run=result.steps_run,
                     best_step=result.best_step,
                     parameter_count=model.parameter_count(),
-                    dev_report=best_dev,
-                    test_report=evaluate_corpus(hyps, test_refs),
-                    srl_scores=srl_scores,
+                    dev=best_dev,
+                    test=evaluate_corpus(hyps, test_refs),
+                    srl=srl_scores,
                 )
     runs: dict[str, list[CellRun]] = {cell.label: [] for cell in grid}
     for i, cell in enumerate(grid):

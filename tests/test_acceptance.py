@@ -27,7 +27,7 @@ from test_metrics import random_corpus
 from test_training import split_packs
 
 from srl_rewriter.cli import main
-from srl_rewriter.core import SemanticRole, Span
+from srl_rewriter.core import PATriple, SemanticRole, Span
 from srl_rewriter.generator import (
     GeneratorConfig,
     Lexicon,
@@ -41,7 +41,6 @@ from srl_rewriter.metrics import bleu_n, evaluate_corpus, exact_match_count, rou
 from srl_rewriter.model import ModelConfig, RewriterModel, make_batch
 from srl_rewriter.packing import build_vocabulary, pack
 from srl_rewriter.srl import (
-    SrlTuple,
     compute_statistics,
     declared_statistics,
     f1_score,
@@ -201,13 +200,10 @@ def test_criterion_06_srl_f1_consistency():
     assert abs(100 * f1_score(0.7566, 0.7447) - 75.06) < 0.01
     # same components rebuilt as integer set overlaps through the scorer
     common, n_pred, n_gold = 7566, 10000, 10160
-    span_a, span_b = Span(0, 0, 1), Span(0, 1, 2)
-    pred = [SrlTuple(span_a, span_b, SemanticRole.ARG0, group=i) for i in range(n_pred)]
-    gold = [SrlTuple(span_a, span_b, SemanticRole.ARG0, group=i) for i in range(common)]
-    gold += [
-        SrlTuple(span_a, span_b, SemanticRole.ARG0, group=200000 + i)
-        for i in range(n_gold - common)
-    ]
+    triple = PATriple(Span(0, 0, 1), SemanticRole.ARG0, Span(0, 1, 2))
+    pred = [(i, triple) for i in range(n_pred)]  # (record, triple), as score_srl_corpus scores
+    gold = [(i, triple) for i in range(common)]
+    gold += [(200000 + i, triple) for i in range(n_gold - common)]
     precision, recall, f1 = score_srl(pred, gold)
     assert precision == pytest.approx(common / n_pred, abs=1e-12)
     assert recall == pytest.approx(common / n_gold, abs=1e-12)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import oracle_tags
+from test_model import join_checkpoint, split_checkpoint
 
 import srl_rewriter
 from srl_rewriter.cli import _manifest_config, build_parser, main
@@ -215,6 +216,17 @@ def test_train_refuses_a_zero_decode_budget_before_any_step(ws, capsys, tmp_path
     ]) == 1
     assert capsys.readouterr().err == "error[CONFIG_INVALID]: max_decode_steps 0 < 1\n"
     assert not os.path.exists(out)
+
+
+def test_train_refuses_an_empty_dev_split_before_writing(ws, capsys, tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main([
+        "train", "--train", f"{ws['prefix']}.train.jsonl", "--dev", str(empty),
+        "--out", str(tmp_path / "m.ckpt"), *TINY_MODEL, *TINY_TRAIN,
+    ]) == 1
+    assert capsys.readouterr() == ("", "error[EMPTY_CORPUS]: no dev examples\n")
+    assert sorted(os.listdir(tmp_path)) == ["empty.jsonl"]  # no checkpoint, vocabulary or manifest
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -472,6 +484,27 @@ def test_rewrite_refuses_a_variant_its_checkpoint_was_not_trained_with(ws, capsy
         assert main([*argv, *flags]) == 0
         manifest = json.loads(open(out + ".manifest.json", encoding="utf-8").read())
         assert manifest["config"]["variant"] == "triple-mask"
+
+
+def test_rewrite_refuses_a_checkpoint_whose_parameter_table_disagrees_with_its_config(
+    ws, capsys, tmp_path
+):
+    # the same arrays in reverse order, so the weights keep their byte size: a
+    # writer that stored them in this order would have them read into the
+    # wrong parameters
+    blob = open(ws["ckpt"], "rb").read()
+    header, weights = split_checkpoint(blob)
+    header["params"].reverse()
+    ckpt = str(tmp_path / "model.ckpt")
+    with open(ckpt, "wb") as fh:
+        fh.write(join_checkpoint(blob, header, weights))
+    shutil.copyfile(ws["ckpt"] + ".vocab", ckpt + ".vocab")
+    out = str(tmp_path / "hyps.jsonl")
+    assert main(["rewrite", "--model", ckpt, "--input", f"{ws['prefix']}.test.jsonl",
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[CHECKPOINT_MISMATCH]: parameter table does not match config\n"
+    assert not os.path.exists(out)
 
 
 def test_evaluate_hypotheses(ws, capsys, tmp_path):

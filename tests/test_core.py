@@ -43,7 +43,7 @@ def session():
 
 
 def test_target_is_last_utterance(session):
-    assert session.target.tokens == ("不", "吃")
+    assert session.utterances[-1].tokens == ("不", "吃")
     assert session.target_speaker is Speaker.A
     assert len(session) == 3
 

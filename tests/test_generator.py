@@ -33,7 +33,7 @@ LAST_ONLY = TripleSource(TripleMode.HEURISTIC, TripleScope.LAST_UTTERANCE_ONLY)
 
 def test_omitted_slots_fixture():
     ex = build_session(CH, "粤语", "普通话", "算", True, SlotMode.OMIT, SlotMode.OMIT)
-    assert ex.session.target.tokens == ("不", "算", "吧")
+    assert ex.session.utterances[-1].tokens == ("不", "算", "吧")
     assert ex.reference == tuple("粤语不算普通话吧")
     arg0, arg1 = ex.triples
     assert arg0.role is SemanticRole.ARG0 and arg0.argument == Span(1, 0, 2)
@@ -43,7 +43,7 @@ def test_omitted_slots_fixture():
 
 def test_full_slots_reference_is_the_last_turn_verbatim():
     ex = build_session(CH, "咖啡", "绿茶", "像", False, SlotMode.FULL, SlotMode.FULL)
-    assert ex.reference == ex.session.target.tokens
+    assert ex.reference == ex.session.utterances[-1].tokens
     arg0, arg1 = ex.triples
     assert arg0.argument.turn_index == 2
     assert arg1.argument.turn_index == 2
@@ -51,7 +51,7 @@ def test_full_slots_reference_is_the_last_turn_verbatim():
 
 def test_pronoun_slot_points_back_to_the_mention():
     ex = build_session(CH, "大海", "湖水", "像", False, SlotMode.PRONOUN, SlotMode.FULL)
-    assert ex.session.target.tokens[:1] == ("它",)
+    assert ex.session.utterances[-1].tokens[:1] == ("它",)
     arg0 = ex.triples[0]
     assert arg0.argument == Span(1, 0, 2)
     assert arg0.argument.slice(ex.session) == ("大", "海")
@@ -90,7 +90,7 @@ def test_negation_triple_is_opt_in():
 def test_word_mode_keeps_words_whole():
     ex = build_session(EN, "tea", "coffee", "is", False, SlotMode.FULL, SlotMode.FULL)
     assert ex.session.utterances[0].tokens == ("about", "tea")
-    assert ex.session.target.tokens == ("tea", "is", "coffee", "then")
+    assert ex.session.utterances[-1].tokens == ("tea", "is", "coffee", "then")
     assert ex.reference == ("tea", "is", "coffee", "then")
 
 
@@ -117,7 +117,7 @@ def test_zero_alteration_weights_disable_rewriting():
     )
     assert cfg.effective_alteration_rate == 0.0
     for ex in sample_corpus(cfg):
-        assert ex.reference == ex.session.target.tokens
+        assert ex.reference == ex.session.utterances[-1].tokens
 
 
 def test_pronoun_share():
@@ -153,9 +153,14 @@ def test_split_is_contiguous_80_10_10():
 # -- declared vs measured statistics ------------------------------------------------
 
 
-def test_declared_statistics_match_a_sampled_corpus():
-    # seed frozen: at 2000 draws the sampling noise sits ~1 sigma inside 0.02
-    cfg = GeneratorConfig(n_sessions=2000, seed=1, cross_turn_rate=0.3, tmp_rate=0.3)
+@pytest.mark.parametrize("negation", [False, True], ids=["no-neg", "neg"])
+def test_declared_statistics_match_a_sampled_corpus(negation):
+    # seed frozen: at 2000 draws the sampling noise sits ~1 sigma inside 0.02;
+    # negation triples share the draws, and only add the AM-NEG role
+    cfg = GeneratorConfig(
+        n_sessions=2000, seed=1, cross_turn_rate=0.3, tmp_rate=0.3,
+        include_negation_triples=negation,
+    )
     declared = declared_statistics(cfg)
     measured = compute_statistics(sample_corpus(cfg))
     assert set(declared.overall_ratio) == set(measured.overall_ratio)

@@ -1,5 +1,6 @@
 """Metric correctness against hand-derived values and brute-force oracles."""
 
+import dataclasses
 import math
 import random
 
@@ -115,8 +116,8 @@ def test_report_shape_and_row():
     row = report.row()
     assert len(row.split()) == len(REPORT_HEADER.split()) == 7
     assert "100.00" in row
-    assert report.to_dict()["em"] == 1.0
-    assert "srl_f1" not in report.to_dict()
+    assert dataclasses.asdict(report)["em"] == 1.0
+    assert "srl_f1" not in dataclasses.asdict(report)
 
 
 # -- oracle cross-checks --------------------------------------------------------

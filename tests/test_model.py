@@ -242,13 +242,6 @@ def test_mask_variant_never_changes_parameter_count(config):
     assert len(set(counts.values())) == 1
 
 
-def test_copy_is_independent(model):
-    clone = model.copy()
-    name = "out.b"
-    clone.params[name][0] += 1.0
-    assert model.params[name][0] != clone.params[name][0]
-
-
 def test_config_validation():
     with pytest.raises(RewriterError) as err:
         ModelConfig(vocab_size=50, d_model=10, n_heads=4)

@@ -18,7 +18,6 @@ from srl_rewriter.generator import GeneratorConfig, Lexicon, SlotMode, build_ses
 from srl_rewriter.srl import (
     OK,
     HeuristicRules,
-    SrlTuple,
     TripleLint,
     TripleMode,
     TripleScope,
@@ -29,7 +28,6 @@ from srl_rewriter.srl import (
     lint_annotations,
     score_srl,
     score_srl_corpus,
-    triple_to_tuple,
 )
 
 
@@ -136,7 +134,7 @@ def test_statistics_table_lists_roles_and_totals():
 
 
 def span_tuple(group=0, label=SemanticRole.ARG0, turn=0):
-    return SrlTuple(Span(turn, 0, 1), Span(turn, 1, 2), label, group)
+    return group, PATriple(Span(turn, 0, 1), label, Span(turn, 1, 2))
 
 
 def test_f1_hand_values():
@@ -188,12 +186,6 @@ def test_corpus_scoring_length_mismatch():
     with pytest.raises(RewriterError) as err:
         score_srl_corpus([[]], [[], []])
     assert err.value.code == "LENGTH_MISMATCH"
-
-
-def test_triple_to_tuple_keeps_fields():
-    triple = PATriple(Span(0, 0, 1), SemanticRole.AM_TMP, Span(0, 1, 2))
-    tup = triple_to_tuple(triple, group=7)
-    assert tup == SrlTuple(Span(0, 0, 1), Span(0, 1, 2), SemanticRole.AM_TMP, 7)
 
 
 # -- heuristic extraction --------------------------------------------------------

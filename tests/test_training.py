@@ -295,11 +295,11 @@ def test_ablation_grid_shapes_and_parameter_parity(micro_setup):
         for r in runs:
             counts.add(r.parameter_count)
             if label.startswith("heuristic"):
-                assert r.srl_scores is not None
-                p, rec, f1 = r.srl_scores
+                assert r.srl is not None
+                p, rec, f1 = r.srl
                 assert 0.0 <= f1 <= 1.0 and 0.0 <= p <= 1.0 and 0.0 <= rec <= 1.0
             else:
-                assert r.srl_scores is None
+                assert r.srl is None
     assert len(counts) == 1, "every cell must train the same architecture"
     table = result.table()
     assert "gold+triple" in table and "med" in table
@@ -380,4 +380,4 @@ def test_ablation_grid_cells_equal_the_cells_run_alone(micro_setup):
                 micro_train_config(max_steps=2, eval_every=2, seed=run.seed),
             )
             assert (alone.steps_run, alone.best_step) == (run.steps_run, run.best_step)
-            assert alone.history[-1].report == run.dev_report
+            assert alone.history[-1].report == run.dev
