@@ -123,7 +123,7 @@ def _config(cls: type, args: argparse.Namespace, **fixed):
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_gen_corpus(args: argparse.Namespace) -> int:
+def cmd_gen_corpus(args: argparse.Namespace) -> None:
     examples = sample_corpus(_config(GeneratorConfig, args))
     if args.split:
         parts = zip(("train", "dev", "test"), split_corpus(examples))
@@ -135,10 +135,9 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
         print(f"wrote {len(part):>6} examples to {path}")
     stats = compute_statistics(examples)
     print(stats.table())
-    return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> None:
     examples = read_examples(args.input)
     stats = compute_statistics(examples)
     print(stats.table())
@@ -158,10 +157,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 print(f"lint {code}: {n}")
         else:
             print("lint clean")
-    return 0
 
 
-def cmd_pack(args: argparse.Namespace) -> int:
+def cmd_pack(args: argparse.Namespace) -> None:
     examples = read_examples(args.input)
     if not 0 <= args.index < len(examples):
         raise RewriterError("BAD_RECORD", f"index {args.index} outside corpus of {len(examples)}")
@@ -182,10 +180,9 @@ def cmd_pack(args: argparse.Namespace) -> int:
         mask = build_mask(packed, MaskVariant(args.variant))
         for row in mask.astype(int):
             print("".join(str(v) for v in row))
-    return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> None:
     variant = MaskVariant(args.variant)
     if variant is MaskVariant.NO_SRL and args.source != TripleMode.NONE.value:
         raise RewriterError("VARIANT_MISMATCH", "no-srl needs the empty triple source")
@@ -213,10 +210,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"best dev-EM {result.best_em * 100:.2f} at step {result.best_step}")
     save_checkpoint(result.model, args.out)
     vocab.save(args.out + ".vocab")
-    return 0
 
 
-def cmd_rewrite(args: argparse.Namespace) -> int:
+def cmd_rewrite(args: argparse.Namespace) -> None:
     model = load_checkpoint(args.model)
     variant = model.config.mask_variant.value
     if args.variant not in (None, variant):
@@ -242,10 +238,9 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     # a hypothesis as long as the budget was cut off: EOS never ends one that long
     hits = sum(len(hyp) == args.max_decode_steps for hyp in hyps)
     print(f"{hits} of {len(hyps)} rewrites hit the decode budget of {args.max_decode_steps} steps")
-    return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> None:
     def hypothesis(rec) -> list[str]:
         return record_tokens(rec, "hypothesis", "reference")
 
@@ -262,10 +257,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(report.row())
     if args.json_out:
         write_json(args.json_out, dataclasses.asdict(report))
-    return 0
 
 
-def cmd_score_srl(args: argparse.Namespace) -> int:
+def cmd_score_srl(args: argparse.Namespace) -> None:
     gold_examples = read_examples(args.input)
     gold = [list(ex.triples) for ex in gold_examples]
     if args.pred:
@@ -282,10 +276,9 @@ def cmd_score_srl(args: argparse.Namespace) -> int:
     print(f"precision {precision:.4f}")
     print(f"recall    {recall:.4f}")
     print(f"f1        {f1:.4f}")
-    return 0
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
+def cmd_ablate(args: argparse.Namespace) -> None:
     try:
         seeds = [int(s) for s in _comma_list(args, "seeds")]
     except ValueError as exc:
@@ -311,7 +304,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             print(f"srl {label}: precision {scores[0]:.4f} recall {scores[1]:.4f} f1 {scores[2]:.4f}")
     payload = {label: [dataclasses.asdict(r) for r in runs] for label, runs in result.runs.items()}
     write_json(args.out, payload)
-    return 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -455,13 +447,13 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
-        code = args.func(args)
+        args.func(args)
         # the manifest goes to --manifest, else next to --out or --out-prefix
         stem = getattr(args, "out", None) or getattr(args, "out_prefix", None)
         path = args.manifest or (stem and stem + ".manifest.json")
-        if code == 0 and path:
+        if path:
             RunManifest(args.command, _manifest_config(args), read, written).save(path)
-        return code
+        return 0
     except RewriterError as err:
         print(f"error[{err.code}]: {err.message}", file=sys.stderr)
         return 1

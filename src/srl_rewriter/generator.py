@@ -95,6 +95,9 @@ class SlotMode(enum.Enum):
 
 TOKEN_MODES = ("char", "word")
 
+# the roles of turn 3's words 1 to 3: tmp, loc and neg, whose triple is written on request
+_ADJUNCTS = (SemanticRole.AM_TMP, SemanticRole.AM_LOC, SemanticRole.AM_NEG)
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -173,61 +176,35 @@ def build_session(
     y_start = len(x_t2) + len(lex.tokens_of(lex.relation))
     y_span_t2 = Span(1, y_start, y_start + len(y_t2))
 
-    tokens: list[str] = []
+    # turn 3's words [X][tmp][loc][neg][verb][Y][final]; the reference realizes every slot
+    words = (x, tmp, loc, lex.negation if negated else None, verb, y, lex.final)
+    full = [lex.tokens_of(word) if word is not None else () for word in words]
+    turn3 = full.copy()
+    for i, mode in ((0, x_mode), (5, y_mode)):  # an altered slot is omitted or a pronoun
+        if mode is not SlotMode.FULL:
+            turn3[i] = lex.tokens_of(lex.pronoun) if mode is SlotMode.PRONOUN else ()
+    tokens: tuple[str, ...] = ()
+    bounds = [0]  # turn 3's token count before each word and after the last
+    for part in turn3:
+        tokens += part
+        bounds.append(len(tokens))
 
-    def emit(word: str) -> Span:
-        start = len(tokens)
-        tokens.extend(lex.tokens_of(word))
-        return Span(2, start, len(tokens))
-
-    x_span_t3 = emit(x) if x_mode is SlotMode.FULL else None
-    if x_mode is SlotMode.PRONOUN:
-        emit(lex.pronoun)
-    tmp_span = emit(tmp) if tmp is not None else None
-    loc_span = emit(loc) if loc is not None else None
-    pred_start = len(tokens)
-    if negated:
-        tokens.extend(lex.tokens_of(lex.negation))
-    tokens.extend(lex.tokens_of(verb))
-    pred_span = Span(2, pred_start, len(tokens))
-    y_span_t3 = emit(y) if y_mode is SlotMode.FULL else None
-    if y_mode is SlotMode.PRONOUN:
-        emit(lex.pronoun)
-    emit(lex.final)
-
-    reference: list[str] = []
-    reference.extend(lex.tokens_of(x))
-    if tmp is not None:
-        reference.extend(lex.tokens_of(tmp))
-    if loc is not None:
-        reference.extend(lex.tokens_of(loc))
-    if negated:
-        reference.extend(lex.tokens_of(lex.negation))
-    reference.extend(lex.tokens_of(verb))
-    reference.extend(lex.tokens_of(y))
-    reference.extend(lex.tokens_of(lex.final))
-
-    triples = [
-        PATriple(pred_span, SemanticRole.ARG0, x_span_t3 or x_span_t2),
-        PATriple(pred_span, SemanticRole.ARG1, y_span_t3 or y_span_t2),
-    ]
-    if tmp_span is not None:
-        triples.append(PATriple(pred_span, SemanticRole.AM_TMP, tmp_span))
-    if loc_span is not None:
-        triples.append(PATriple(pred_span, SemanticRole.AM_LOC, loc_span))
-    if include_negation_triples and negated:
-        triples.append(
-            PATriple(pred_span, SemanticRole.AM_NEG, Span(2, pred_start, pred_start + 1))
-        )
+    pred = Span(2, bounds[3], bounds[5])
+    x_arg = Span(2, 0, bounds[1]) if x_mode is SlotMode.FULL else x_span_t2
+    y_arg = Span(2, bounds[5], bounds[6]) if y_mode is SlotMode.FULL else y_span_t2
+    triples = [PATriple(pred, SemanticRole.ARG0, x_arg), PATriple(pred, SemanticRole.ARG1, y_arg)]
+    for i, role in enumerate(_ADJUNCTS[: 2 + include_negation_triples], start=1):
+        if words[i] is not None:
+            triples.append(PATriple(pred, role, Span(2, bounds[i], bounds[i + 1])))
 
     session = DialogueSession(
         utterances=(
             Utterance(tokens=turn1, speaker=Speaker.A),
             Utterance(tokens=turn2, speaker=Speaker.B),
-            Utterance(tokens=tuple(tokens), speaker=Speaker.A),
+            Utterance(tokens=tokens, speaker=Speaker.A),
         )
     )
-    return RewriteExample(session=session, triples=tuple(triples), reference=tuple(reference))
+    return RewriteExample(session=session, triples=tuple(triples), reference=sum(full, ()))
 
 
 def sample_corpus(config: GeneratorConfig) -> list[RewriteExample]:

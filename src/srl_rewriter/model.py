@@ -148,8 +148,6 @@ class RewriterModel:
         cfg = self.config
         if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
             raise RewriterError("ID_OUT_OF_RANGE", "token id outside the embedding table")
-        if segs.max(initial=0) >= 3 or segs.min(initial=0) < 0:
-            raise RewriterError("ID_OUT_OF_RANGE", "segment id outside the 3-row table")
         if poss.max(initial=0) >= cfg.max_position or poss.min(initial=0) < 0:
             raise RewriterError(
                 "ID_OUT_OF_RANGE",

@@ -186,6 +186,24 @@ def references(examples: Sequence[RewriteExample]) -> list[list[str]]:
     return [list(example.reference) for example in examples]
 
 
+def _batch_order(n: int, batch_size: int, seed: int) -> Iterator[np.ndarray]:
+    """Batches of indices into ``n`` packs without end: each epoch slices a
+    fresh permutation, drawn only once the epoch starts."""
+    rng = substream(seed, "batch-order")
+    while True:
+        perm = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            yield perm[lo : lo + batch_size]
+
+
+def _stops(config: TrainConfig, loss: float, em: float) -> bool:
+    """Whether an eval point meets every stop threshold set, if any is."""
+    held = [loss < config.stop_loss] if config.stop_loss is not None else []
+    if config.stop_dev_em is not None:
+        held.append(em >= config.stop_dev_em)
+    return bool(held) and all(held)
+
+
 @dataclass
 class EvalPoint:
     step: int
@@ -225,64 +243,37 @@ def train(
     model.config.check_decode_budget(config.max_decode_steps)
 
     opt = AdamState.init(model)
-    order_rng = substream(config.seed, "batch-order")
+    batches = _batch_order(len(train_packs), config.batch_size, config.seed)
     history: list[EvalPoint] = []
-    best_model = model  # the first eval replaces it: the last step always evaluates
-    best_em = -1.0
-    best_step = 0
-    step = 0
-    last_loss = math.inf
-    stop = False
-
-    def run_eval() -> tuple[EvalPoint, RewriterModel]:
-        # dev is decoded from the float32 weights a checkpoint stores, so a
-        # reloaded best model reproduces the best dev exact match
-        scored = model.stored_copy()
-        hyps = decode_corpus(scored, dev_packs, config.max_decode_steps, vocab=vocab)
-        report = evaluate_corpus(hyps, dev_refs)
-        return EvalPoint(step=step, train_loss=last_loss, report=report), scored
+    best, best_model = None, model  # the last step always evaluates
 
     # two single-threaded shards side by side; two 2-thread BLAS calls would contend
     with _one_blas_thread() as held, ThreadPoolExecutor(max_workers=1) as pool:
-        while step < config.max_steps and not stop:
-            perm = order_rng.permutation(len(train_packs))
-            for lo in range(0, len(perm), config.batch_size):
-                idxs = perm[lo : lo + config.batch_size]
-                loss_sum, n_targets, grads = _batch_loss_and_grads(
-                    model, [train_packs[i] for i in idxs], pool if held else None
-                )
-                last_loss = loss_sum / n_targets
-                if not math.isfinite(last_loss):
-                    raise RewriterError("DIVERGENCE", f"non-finite loss at step {step + 1}")
-                clip_gradients(grads, config.clip_norm)
-                adam_update(model, grads, opt, config.lr)
-                del grads  # released before the next step's shards allocate theirs
-                step += 1
+        for step, idxs in enumerate(batches, start=1):
+            loss_sum, n_targets, grads = _batch_loss_and_grads(
+                model, [train_packs[i] for i in idxs], pool if held else None
+            )
+            loss = loss_sum / n_targets
+            if not math.isfinite(loss):
+                raise RewriterError("DIVERGENCE", f"non-finite loss at step {step}")
+            clip_gradients(grads, config.clip_norm)
+            adam_update(model, grads, opt, config.lr)
+            del grads  # released before the next step's shards allocate theirs
+            if step % config.eval_every and step < config.max_steps:
+                continue
+            # dev is decoded from the float32 weights a checkpoint stores, so a
+            # reloaded best model reproduces the best dev exact match
+            scored = model.stored_copy()
+            hyps = decode_corpus(scored, dev_packs, config.max_decode_steps, vocab=vocab)
+            point = EvalPoint(step=step, train_loss=loss, report=evaluate_corpus(hyps, dev_refs))
+            history.append(point)
+            if best is None or point.report.em > best.report.em:
+                best, best_model = point, scored
+            if step >= config.max_steps or _stops(config, loss, point.report.em):
+                break
 
-                if step % config.eval_every == 0 or step >= config.max_steps:
-                    point, scored = run_eval()
-                    history.append(point)
-                    if point.report.em > best_em:
-                        best_em = point.report.em
-                        best_step = step
-                        best_model = scored
-                    conditions = []
-                    if config.stop_loss is not None:
-                        conditions.append(last_loss < config.stop_loss)
-                    if config.stop_dev_em is not None:
-                        conditions.append(point.report.em >= config.stop_dev_em)
-                    if conditions and all(conditions):
-                        stop = True
-                if step >= config.max_steps or stop:
-                    break
-
-    return TrainResult(
-        model=best_model,
-        best_step=best_step,
-        best_em=best_em,
-        steps_run=step,
-        history=history,
-    )
+    return TrainResult(model=best_model, best_step=best.step, best_em=best.report.em,
+                       steps_run=step, history=history)
 
 
 # -- ablation grid ------------------------------------------------------------
@@ -377,26 +368,25 @@ def run_ablation_grid(
     if vocab is None:
         vocab = build_vocabulary([*train_examples, *dev_examples, *test_examples])
     dev_refs, test_refs = references(dev_examples), references(test_examples)
-    done: dict[tuple[int, int], CellRun] = {}  # by grid and seed position
+    runs: dict[str, list[CellRun]] = {cell.label: [] for cell in grid}
     for source in dict.fromkeys(cell.source for cell in grid):
-        cells = [(i, cell) for i, cell in enumerate(grid) if cell.source == source]
         srl_scores = None
         if source.mode is TripleMode.HEURISTIC:
             predicted = [list(acquire_triples(ex, source)) for ex in test_examples]
             srl_scores = score_srl_corpus(predicted, [list(ex.triples) for ex in test_examples])
-        for k, seed in enumerate(seeds):
+        for seed in seeds:
             train_packs, dev_packs, test_packs = (
                 prepare_instances(examples, vocab, source, seed, include_reference=split == "train")
                 for split, examples in splits
             )
             tcfg = replace(train_config, seed=seed)
-            for i, cell in cells:
+            for cell in [c for c in grid if c.source == source]:
                 cfg = replace(model_config, vocab_size=len(vocab), mask_variant=cell.variant)
                 model = RewriterModel(cfg, seed=derive_seed(seed, f"init:{cell.label}"))
                 result = train(model, train_packs, dev_packs, dev_refs, vocab, tcfg)
                 hyps = decode_corpus(result.model, test_packs, tcfg.max_decode_steps, vocab=vocab)
                 best_dev = next(p.report for p in result.history if p.step == result.best_step)
-                done[i, k] = CellRun(
+                runs[cell.label].append(CellRun(
                     seed=seed,
                     steps_run=result.steps_run,
                     best_step=result.best_step,
@@ -404,8 +394,5 @@ def run_ablation_grid(
                     dev=best_dev,
                     test=evaluate_corpus(hyps, test_refs),
                     srl=srl_scores,
-                )
-    runs: dict[str, list[CellRun]] = {cell.label: [] for cell in grid}
-    for i, cell in enumerate(grid):
-        runs[cell.label] += [done[i, k] for k in range(len(seeds))]
+                ))
     return AblationResult(runs=runs)

@@ -1184,6 +1184,16 @@ def test_unusable_out_fails_before_any_work(ws, tmp_path, monkeypatch, capsys, c
     assert err.startswith("error[IO_ERROR]: ") and out in err and "Traceback" not in err
 
 
+def test_a_reader_that_closes_the_pipe_early_exits_0(ws, monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError("the reader went away")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["stats", "--input", f"{ws['prefix']}.dev.jsonl", "--lint"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_unexpected_failures_exit_2(ws, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("internal fault")
@@ -1209,6 +1219,30 @@ def test_stats_lint_counts_what_reading_accepts_but_validation_flags(ws, tmp_pat
     assert main(["stats", "--input", str(path), "--lint"]) == 0
     lint = [line for line in capsys.readouterr().out.splitlines() if line.startswith("lint")]
     assert lint == ["lint C1_FUTURE_ARGUMENT: 1", "lint EMPTY_REFERENCE: 1", "lint EMPTY_UTTERANCE: 1"]
+
+
+def test_stats_lint_measures_an_argument_inside_its_predicate_at_distance_0(tmp_path, capsys):
+    # "tea is" holds its ARG0 "tea", so no other "tea" can lie nearer; the ARG1
+    # "jazz" of the second turn lies 2 tokens before "is", the last turn's 0 after it
+    record = {
+        "utterances": [
+            {"speaker": "A", "tokens": ["about", "tea"]},
+            {"speaker": "B", "tokens": ["tea", "is", "jazz", "right"]},
+            {"speaker": "A", "tokens": ["tea", "is", "jazz", "then"]},
+        ],
+        "triples": [
+            {"predicate": {"turn": 2, "start": 0, "end": 2}, "role": "ARG0",
+             "argument": {"turn": 2, "start": 0, "end": 1}},
+            {"predicate": {"turn": 2, "start": 1, "end": 2}, "role": "ARG1",
+             "argument": {"turn": 1, "start": 2, "end": 3}},
+        ],
+        "reference": ["tea", "is", "jazz", "then"],
+    }
+    path = tmp_path / "overlap.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["stats", "--input", str(path), "--lint"]) == 0
+    lint = [line for line in capsys.readouterr().out.splitlines() if line.startswith("lint")]
+    assert lint == ["lint C4_NOT_NEAREST: 1"]
 
 
 # -- memory ---------------------------------------------------------------------------
