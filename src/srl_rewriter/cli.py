@@ -65,13 +65,7 @@ from .training import (
 
 
 def _manifest_config(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "config", "manifest"):
-            continue
-        if isinstance(value, (str, int, float, bool, type(None), list, tuple)):
-            out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {k: v for k, v in vars(args).items() if k not in ("func", "config", "manifest")}
 
 
 def _comma_list(args: argparse.Namespace, name: str) -> list[str]:
@@ -129,12 +123,13 @@ def cmd_gen_corpus(args: argparse.Namespace) -> None:
         parts = zip(("train", "dev", "test"), split_corpus(examples))
     else:
         parts = [("all", examples)]
+    written = []
     for name, part in parts:
         path = f"{args.out_prefix}.{name}.jsonl"
         write_records(path, map(example_to_record, part))
-        print(f"wrote {len(part):>6} examples to {path}")
-    stats = compute_statistics(examples)
-    print(stats.table())
+        written.append(f"wrote {len(part):>6} examples to {path}")
+    print("\n".join(written))
+    print(compute_statistics(examples).table())
 
 
 def cmd_stats(args: argparse.Namespace) -> None:
@@ -186,7 +181,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     variant = MaskVariant(args.variant)
     if variant is MaskVariant.NO_SRL and args.source != TripleMode.NONE.value:
         raise RewriterError("VARIANT_MISMATCH", "no-srl needs the empty triple source")
-    config = _config(TrainConfig, args, clip_norm=args.clip_norm or None)
+    config = _config(TrainConfig, args)
     train_examples = read_examples(args.train)
     dev_examples = read_examples(args.dev)
     vocab = build_vocabulary([*train_examples, *dev_examples])
@@ -201,15 +196,15 @@ def cmd_train(args: argparse.Namespace) -> None:
         vocab,
         config,
     )
+    save_checkpoint(result.model, args.out)
+    vocab.save(args.out + ".vocab")
     for point in result.history:
         rep = point.report
         print(
             f"step {point.step:>6}  loss {point.train_loss:.4f}  "
             f"dev-EM {rep.em * 100:6.2f}  BLEU-4 {rep.bleu4 * 100:6.2f}"
         )
-    print(f"best dev-EM {result.best_em * 100:.2f} at step {result.best_step}")
-    save_checkpoint(result.model, args.out)
-    vocab.save(args.out + ".vocab")
+    print(f"best dev-EM {result.best.report.em * 100:.2f} at step {result.best.step}")
 
 
 def cmd_rewrite(args: argparse.Namespace) -> None:
@@ -253,10 +248,10 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         pairs = read_decoded(args.input, lambda rec: (hypothesis(rec), reference(rec)))
         hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
     report = evaluate_corpus(hyps, refs, smooth_bleu=args.smooth_bleu)
-    print(REPORT_HEADER)
-    print(report.row())
     if args.json_out:
         write_json(args.json_out, dataclasses.asdict(report))
+    print(REPORT_HEADER)
+    print(report.row())
 
 
 def cmd_score_srl(args: argparse.Namespace) -> None:
@@ -292,18 +287,18 @@ def cmd_ablate(args: argparse.Namespace) -> None:
     check_grid(grid, seeds)
     # the grid sets the vocabulary size, the mask variant and the seed of each run
     model_config = _config(ModelConfig, args, vocab_size=4)
-    train_config = _config(TrainConfig, args, clip_norm=args.clip_norm or None)
+    train_config = _config(TrainConfig, args)
     result = run_ablation_grid(
         read_examples(args.train), read_examples(args.dev), read_examples(args.test),
         model_config, train_config, grid=grid, seeds=seeds,
     )
+    payload = {label: [dataclasses.asdict(r) for r in runs] for label, runs in result.runs.items()}
+    write_json(args.out, payload)
     print(result.table())
     for label, runs in result.runs.items():
         scores = runs[0].srl
         if scores is not None:
             print(f"srl {label}: precision {scores[0]:.4f} recall {scores[1]:.4f} f1 {scores[2]:.4f}")
-    payload = {label: [dataclasses.asdict(r) for r in runs] for label, runs in result.runs.items()}
-    write_json(args.out, payload)
 
 
 # -- parser -------------------------------------------------------------------
@@ -447,7 +442,10 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
-        args.func(args)
+        try:
+            args.func(args)
+        except BrokenPipeError:  # stdout closed early; every command writes its files first
+            pass
         # the manifest goes to --manifest, else next to --out or --out-prefix
         stem = getattr(args, "out", None) or getattr(args, "out_prefix", None)
         path = args.manifest or (stem and stem + ".manifest.json")
@@ -457,13 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     except RewriterError as err:
         print(f"error[{err.code}]: {err.message}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        return 0
     except OSError as err:  # a path that is missing, a directory or not writable
         print(f"error[IO_ERROR]: {err}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception:
         traceback.print_exc()
         return 2

@@ -1,6 +1,7 @@
 """Core domain types: dialogue sessions, predicate-argument triples, rewrite examples.
 
-All types are immutable after construction and safe to share across workers.
+All types are immutable after construction and safe to share across workers;
+callers pass tuples for their sequence fields.
 The line-delimited record format used by every CLI command lives here too.
 """
 
@@ -17,8 +18,7 @@ PAD_TOKEN = "[PAD]"
 EOS_TOKEN = "[EOS]"
 BOS_TOKEN = "[BOS]"
 UNK_TOKEN = "[UNK]"
-
-RESERVED_TOKENS = (PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN)
+STRUCTURAL_TOKENS = (PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN)
 
 
 class RewriterError(Exception):
@@ -47,13 +47,18 @@ class SemanticRole(Enum):
     AM_NEG = "AM-NEG"
 
 
+# Role markers sit between predicate and argument tokens so each triple is
+# self-delimiting.  After the structural tokens they take the first ids of
+# every vocabulary, in this order, and no record's text may hold one.
+ROLE_TOKENS = {role: f"<{role.value}>" for role in SemanticRole}
+RESERVED_TOKENS = (*STRUCTURAL_TOKENS, *ROLE_TOKENS.values())
+_RESERVED = frozenset(RESERVED_TOKENS)
+
+
 @dataclass(frozen=True)
 class Utterance:
     tokens: tuple[str, ...]
     speaker: Speaker
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,6 @@ class DialogueSession:
     """Ordered utterances; the last one is the rewrite target."""
 
     utterances: tuple[Utterance, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "utterances", tuple(self.utterances))
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -97,11 +99,6 @@ class RewriteExample:
     session: DialogueSession
     triples: tuple[PATriple, ...] = ()
     reference: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "triples", tuple(self.triples))
-        if self.reference is not None:
-            object.__setattr__(self, "reference", tuple(self.reference))
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def validate_example(example: RewriteExample) -> tuple[Violation, ...]:
         if not utt.tokens:
             violations.append(Violation("EMPTY_UTTERANCE", f"utterance {pos} has no tokens"))
         for tok in utt.tokens:
-            if tok in (PAD_TOKEN, EOS_TOKEN, BOS_TOKEN):
+            if tok in _RESERVED:
                 violations.append(
                     Violation("RESERVED_TOKEN", f"utterance {pos} contains reserved token {tok}")
                 )
@@ -153,7 +150,7 @@ def validate_example(example: RewriteExample) -> tuple[Violation, ...]:
     if example.reference is not None and not example.reference:
         violations.append(Violation("EMPTY_REFERENCE", "reference token list is empty"))
     for tok in example.reference or ():
-        if tok in (PAD_TOKEN, EOS_TOKEN, BOS_TOKEN):
+        if tok in _RESERVED:
             violations.append(Violation("RESERVED_TOKEN", f"reference contains {tok}"))
             break
     return tuple(violations)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import RESERVED_TOKENS, RewriterError
+from .core import STRUCTURAL_TOKENS, RewriterError
 
 Tokens = Sequence[str]
 
@@ -151,7 +151,7 @@ def rouge_l(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float
 
 
 def _strip_reserved(tokens: Tokens) -> tuple[str, ...]:
-    return tuple(t for t in tokens if t not in RESERVED_TOKENS)
+    return tuple(t for t in tokens if t not in STRUCTURAL_TOKENS)
 
 
 def exact_match_count(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> int:

@@ -19,25 +19,17 @@ from typing import Iterable, Sequence
 from .core import (
     BOS_TOKEN,
     EOS_TOKEN,
-    PAD_TOKEN,
-    UNK_TOKEN,
+    RESERVED_TOKENS,
+    ROLE_TOKENS,
     DialogueSession,
     PATriple,
     RewriteExample,
     RewriterError,
-    SemanticRole,
     record_path,
     text_lines,
 )
 
-# Role markers sit between predicate and argument tokens so each triple is
-# self-delimiting.  They are permanent vocabulary entries right after the
-# four structural tokens.
-ROLE_TOKENS = {role: f"<{role.value}>" for role in SemanticRole}
-
 PAD_ID, EOS_ID, BOS_ID, UNK_ID = 0, 1, 2, 3
-# the first ids of every vocabulary: the structural tokens, then the role markers
-_RESERVED = (PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN, *(ROLE_TOKENS[r] for r in SemanticRole))
 
 
 class SegmentType(IntEnum):
@@ -50,7 +42,7 @@ class Vocabulary:
     """Token/id bijection with fixed structural ids and role markers first."""
 
     def __init__(self, tokens: Iterable[str]):
-        self._tokens: list[str] = list(_RESERVED)
+        self._tokens: list[str] = list(RESERVED_TOKENS)
         seen = set(self._tokens)
         for tok in tokens:
             if tok not in seen:
@@ -79,12 +71,12 @@ class Vocabulary:
     @staticmethod
     def load(path: str) -> "Vocabulary":
         lines = [(n, line.rstrip("\n")) for n, line in text_lines(path) if line.rstrip("\n")]
-        for (lineno, token), want in zip(lines, _RESERVED):
+        for (lineno, token), want in zip(lines, RESERVED_TOKENS):
             if token != want:
                 raise RewriterError(
                     "VOCAB_OVERFLOW", f"{path}: line {lineno} is {token!r}, not the reserved {want!r}"
                 )
-        if len(lines) < len(_RESERVED):
+        if len(lines) < len(RESERVED_TOKENS):
             raise RewriterError("VOCAB_OVERFLOW", f"{path} lacks the reserved token prefix")
         first: dict[str, int] = {}
         for lineno, token in lines:  # a repeat would shift every later token's id
@@ -92,7 +84,7 @@ class Vocabulary:
                 raise RewriterError(
                     "VOCAB_OVERFLOW", f"{path}: line {lineno} repeats line {first[token]}, {token!r}"
                 )
-        return Vocabulary(token for _, token in lines[len(_RESERVED) :])
+        return Vocabulary(token for _, token in lines[len(RESERVED_TOKENS) :])
 
 
 def build_vocabulary(examples: Iterable[RewriteExample]) -> Vocabulary:

@@ -262,15 +262,15 @@ class HeuristicRules:
 
     verbs: tuple[tuple[str, ...], ...]
     entities: tuple[tuple[str, ...], ...]
-    negation_prefixes: tuple[str, ...] = ("不", "not")
+    negation_prefixes: tuple[str, ...]
 
     @staticmethod
     def from_lexica(*lexica: Lexicon) -> "HeuristicRules":
-        """Each lexicon's verbs, their negated forms and its entities, in that
-        lexicon's tokens.  Char tokens are single CJK characters and word
-        tokens whole ASCII words, so no pattern of one lexicon matches a token
-        of the other: over either corpus the joint table finds what that
-        lexicon's own table would."""
+        """Each lexicon's verbs, their negated forms, its entities and its
+        negation particle, in that lexicon's tokens.  Char tokens are single
+        CJK characters and word tokens whole ASCII words, so no pattern of one
+        lexicon matches a token of the other: over either corpus the joint
+        table finds what that lexicon's own table would."""
         verbs = {
             form
             for lex in lexica
@@ -281,6 +281,7 @@ class HeuristicRules:
         return HeuristicRules(
             verbs=tuple(sorted(verbs, key=len, reverse=True)),
             entities=tuple(sorted(entities, key=len, reverse=True)),
+            negation_prefixes=tuple(lex.negation for lex in lexica),
         )
 
 

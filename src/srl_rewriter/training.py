@@ -52,7 +52,7 @@ class TrainConfig:
     max_steps: int = 1000
     eval_every: int = 100
     seed: int = 0
-    clip_norm: Optional[float] = field(default=1.0, metadata={"help": "0 disables clipping"})
+    clip_norm: float = field(default=1.0, metadata={"help": "0 disables clipping"})
     stop_loss: Optional[float] = None
     stop_dev_em: Optional[float] = None
     max_decode_steps: int = 32
@@ -71,8 +71,8 @@ class TrainConfig:
             raise RewriterError("CONFIG_INVALID", f"max_steps {self.max_steps} < 1")
         if self.eval_every < 1:
             raise RewriterError("CONFIG_INVALID", f"eval_every {self.eval_every} < 1")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise RewriterError("CONFIG_INVALID", f"clip_norm {self.clip_norm} must be positive")
+        if self.clip_norm < 0:
+            raise RewriterError("CONFIG_INVALID", f"negative clip_norm {self.clip_norm}")
 
 
 @dataclass
@@ -89,10 +89,11 @@ class AdamState:
         )
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: Optional[float]) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale all gradients so their joint L2 norm is at most max_norm, unless
+    max_norm is 0; returns the norm before scaling."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if max_norm is not None and total > max_norm and total > 0.0:
+    if 0.0 < max_norm < total:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -214,10 +215,9 @@ class EvalPoint:
 @dataclass
 class TrainResult:
     model: RewriterModel  # the float32 weights a checkpoint stores, from the best dev-EM step
-    best_step: int
-    best_em: float
+    best: EvalPoint
     steps_run: int
-    history: list[EvalPoint] = field(default_factory=list)
+    history: list[EvalPoint]
 
 
 def train(
@@ -272,8 +272,7 @@ def train(
             if step >= config.max_steps or _stops(config, loss, point.report.em):
                 break
 
-    return TrainResult(model=best_model, best_step=best.step, best_em=best.report.em,
-                       steps_run=step, history=history)
+    return TrainResult(model=best_model, best=best, steps_run=step, history=history)
 
 
 # -- ablation grid ------------------------------------------------------------
@@ -348,9 +347,8 @@ def run_ablation_grid(
     test_examples: Sequence[RewriteExample],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    grid: Sequence[AblationCell] = DEFAULT_GRID,
-    seeds: Sequence[int] = (0, 1, 2),
-    vocab: Optional[Vocabulary] = None,
+    grid: Sequence[AblationCell],
+    seeds: Sequence[int],
 ) -> AblationResult:
     """Train every grid cell across seeds on identical splits.
 
@@ -365,8 +363,7 @@ def run_ablation_grid(
     for split, examples in splits:
         if not examples:  # refused before any cell trains
             raise RewriterError("EMPTY_CORPUS", f"no {split} examples")
-    if vocab is None:
-        vocab = build_vocabulary([*train_examples, *dev_examples, *test_examples])
+    vocab = build_vocabulary([*train_examples, *dev_examples, *test_examples])
     dev_refs, test_refs = references(dev_examples), references(test_examples)
     runs: dict[str, list[CellRun]] = {cell.label: [] for cell in grid}
     for source in dict.fromkeys(cell.source for cell in grid):
@@ -385,13 +382,12 @@ def run_ablation_grid(
                 model = RewriterModel(cfg, seed=derive_seed(seed, f"init:{cell.label}"))
                 result = train(model, train_packs, dev_packs, dev_refs, vocab, tcfg)
                 hyps = decode_corpus(result.model, test_packs, tcfg.max_decode_steps, vocab=vocab)
-                best_dev = next(p.report for p in result.history if p.step == result.best_step)
                 runs[cell.label].append(CellRun(
                     seed=seed,
                     steps_run=result.steps_run,
-                    best_step=result.best_step,
+                    best_step=result.best.step,
                     parameter_count=model.parameter_count(),
-                    dev=best_dev,
+                    dev=result.best.report,
                     test=evaluate_corpus(hyps, test_refs),
                     srl=srl_scores,
                 ))

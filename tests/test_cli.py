@@ -18,9 +18,8 @@ from test_model import join_checkpoint, split_checkpoint
 
 import srl_rewriter
 from srl_rewriter.cli import _manifest_config, build_parser, main
-from srl_rewriter.core import RUN_FILES, file_digest, read_examples
+from srl_rewriter.core import ROLE_TOKENS, RUN_FILES, file_digest, read_examples
 from srl_rewriter.model import load_checkpoint
-from srl_rewriter.packing import ROLE_TOKENS
 from srl_rewriter.training import prepare_instances
 
 TINY_MODEL = [
@@ -158,10 +157,11 @@ def test_pack_rejects_out_of_range_triple_span(ws, capsys, tmp_path, span):
 
 @pytest.mark.parametrize("command", ["pack", "stats", "rewrite", "score-srl"])
 @pytest.mark.parametrize("where", ["utterance", "reference"])
-def test_reserved_tokens_are_refused_by_every_read(ws, capsys, tmp_path, command, where):
+@pytest.mark.parametrize("token", ["[EOS]", "<ARG1>"])
+def test_reserved_tokens_are_refused_by_every_read(ws, capsys, tmp_path, command, where, token):
     records = [json.loads(line) for line in read_lines(f"{ws['prefix']}.dev.jsonl")]
     tokens = records[1]["utterances"][0]["tokens"] if where == "utterance" else records[1]["reference"]
-    tokens.insert(1, "[EOS]")
+    tokens.insert(1, token)
     path = str(tmp_path / "bad.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(json.dumps(r) + "\n" for r in records))
@@ -175,7 +175,7 @@ def test_reserved_tokens_are_refused_by_every_read(ws, capsys, tmp_path, command
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error[BAD_RECORD]" in err and f"{path}: record 1: " in err
-    assert "[EOS]" in err
+    assert token in err
 
 
 # -- training and decoding ---------------------------------------------------------
@@ -1184,14 +1184,31 @@ def test_unusable_out_fails_before_any_work(ws, tmp_path, monkeypatch, capsys, c
     assert err.startswith("error[IO_ERROR]: ") and out in err and "Traceback" not in err
 
 
-def test_a_reader_that_closes_the_pipe_early_exits_0(ws, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["stats", "gen-corpus", "train"])
+def test_a_reader_that_closes_the_pipe_early_exits_0(ws, monkeypatch, capsys, tmp_path, command):
+    # every command writes its files before its first print, so a closed
+    # stdout leaves the files and the manifest of a run with a working one
     class ClosedPipe(io.StringIO):
         def write(self, text):
             raise BrokenPipeError("the reader went away")
 
+    out = str(tmp_path / "run")
+    argv = {
+        "stats": ["stats", "--input", f"{ws['prefix']}.dev.jsonl", "--lint"],
+        "gen-corpus": ["gen-corpus", "--n-sessions", "30", "--seed", "3", "--split",
+                       "--out-prefix", out],
+        "train": ["train", "--train", f"{ws['prefix']}.train.jsonl",
+                  "--dev", f"{ws['prefix']}.dev.jsonl", "--out", out, *TINY_MODEL, *TINY_TRAIN],
+    }[command]
+    assert main(argv) == 0
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert command == "stats" or "run.manifest.json" in files
+    for path in tmp_path.iterdir():
+        path.unlink()
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    assert main(["stats", "--input", f"{ws['prefix']}.dev.jsonl", "--lint"]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().err == ""
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
 def test_unexpected_failures_exit_2(ws, monkeypatch, capsys):

@@ -9,6 +9,8 @@ from srl_rewriter.core import (
     BOS_TOKEN,
     EOS_TOKEN,
     PAD_TOKEN,
+    RESERVED_TOKENS,
+    UNK_TOKEN,
     DialogueSession,
     PATriple,
     RewriteExample,
@@ -91,7 +93,7 @@ def test_validate_reference_optional_for_inference(session):
 
 
 def test_validate_rejects_structural_tokens(session):
-    for bad in (PAD_TOKEN, EOS_TOKEN, BOS_TOKEN):
+    for bad in RESERVED_TOKENS:  # the structural tokens and the role markers
         ex = RewriteExample(
             session=make_session(["好", bad]), reference=("好",)
         )
@@ -169,7 +171,7 @@ def test_record_fields_must_be_token_lists(session, field, value, words):
     assert words in err.value.message
 
 
-@pytest.mark.parametrize("token", [PAD_TOKEN, EOS_TOKEN, BOS_TOKEN])
+@pytest.mark.parametrize("token", [PAD_TOKEN, EOS_TOKEN, BOS_TOKEN, UNK_TOKEN, "<ARG0>"])
 def test_reserved_tokens_are_refused_on_read(session, token):
     record = example_to_record(RewriteExample(session, reference=("吃",)))
     record["utterances"][1]["tokens"].insert(1, token)

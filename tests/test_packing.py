@@ -9,6 +9,7 @@ from srl_rewriter.core import (
     BOS_TOKEN,
     EOS_TOKEN,
     PAD_TOKEN,
+    ROLE_TOKENS,
     UNK_TOKEN,
     RewriterError,
 )
@@ -17,7 +18,6 @@ from srl_rewriter.packing import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
-    ROLE_TOKENS,
     UNK_ID,
     SegmentType,
     Vocabulary,

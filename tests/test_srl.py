@@ -271,6 +271,7 @@ def one_lexicon_rules(lex):
     return HeuristicRules(
         verbs=tuple(sorted(verbs, key=len, reverse=True)),
         entities=tuple(sorted(entities, key=len, reverse=True)),
+        negation_prefixes=(lex.negation,),
     )
 
 

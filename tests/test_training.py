@@ -76,7 +76,7 @@ def test_train_config_rejects_bad_values():
         dict(lr=-1e-4),
         dict(max_steps=0),
         dict(eval_every=0),
-        dict(clip_norm=0.0),
+        dict(clip_norm=-1.0),
     ):
         with pytest.raises(RewriterError) as err:
             TrainConfig(**kwargs)
@@ -120,7 +120,7 @@ def test_clip_rescales_to_the_ceiling():
 
 def test_clip_disabled_or_slack_leaves_gradients_alone():
     grads = {"a": np.array([3.0, 4.0])}
-    assert clip_gradients(grads, None) == 5.0
+    assert clip_gradients(grads, 0.0) == 5.0
     assert np.array_equal(grads["a"], [3.0, 4.0])
     clip_gradients(grads, 10.0)
     assert np.array_equal(grads["a"], [3.0, 4.0])
@@ -174,7 +174,7 @@ def test_training_is_deterministic(micro_setup, micro_packs):
     for name, p in model_a.params.items():
         assert np.array_equal(p, model_b.params[name])
     assert [pt.train_loss for pt in a.history] == [pt.train_loss for pt in b.history]
-    assert a.best_step == b.best_step
+    assert a.best == b.best
 
 
 def test_divergence_is_reported_not_propagated(micro_setup, micro_packs):
@@ -223,8 +223,9 @@ def test_best_checkpoint_is_earliest_max(micro_setup, micro_packs):
     result = train(model, *micro_packs, vocab, micro_train_config(max_steps=6))
     ems = [(pt.step, pt.report.em) for pt in result.history]
     top = max(em for _, em in ems)
-    assert result.best_em == top
-    assert result.best_step == min(step for step, em in ems if em == top)
+    assert result.best.report.em == top
+    assert result.best.step == min(step for step, em in ems if em == top)
+    assert result.best in result.history
 
 
 def test_best_model_holds_the_weights_its_checkpoint_stores(micro_setup, micro_packs, tmp_path):
@@ -250,7 +251,7 @@ def test_eval_fires_at_final_step_even_off_schedule(micro_setup, micro_packs, ma
         micro_train_config(max_steps=max_steps, eval_every=eval_every),
     )
     assert [pt.step for pt in result.history] == steps
-    assert result.best_step in steps  # with one eval, that eval's step
+    assert result.best.step in steps  # with one eval, that eval's step
 
 
 def test_empty_split_is_rejected(micro_setup, micro_packs):
@@ -274,7 +275,7 @@ def test_prepare_instances_is_deterministic(micro_setup):
 
 
 def test_ablation_grid_shapes_and_parameter_parity(micro_setup):
-    corpus, vocab, config = micro_setup
+    corpus, _, config = micro_setup
     grid = (
         AblationCell("no-srl", TripleSource(TripleMode.NONE), MaskVariant.NO_SRL),
         AblationCell("gold+triple", GOLD, MaskVariant.TRIPLE_MASK),
@@ -286,7 +287,6 @@ def test_ablation_grid_shapes_and_parameter_parity(micro_setup):
         train_config=micro_train_config(max_steps=2, eval_every=2),
         grid=grid,
         seeds=(0, 1),
-        vocab=vocab,
     )
     assert set(result.runs) == {"no-srl", "gold+triple", "heuristic+bi"}
     counts = set()
@@ -344,10 +344,10 @@ THREE_CELLS = tuple(cell for cell in DEFAULT_GRID if cell.label in ("no-srl", "g
 
 
 def micro_grid(micro_setup, grid):
-    corpus, vocab, config = micro_setup
+    corpus, _, config = micro_setup
     return run_ablation_grid(
         corpus[:5], corpus[5:7], corpus[7:], config, micro_train_config(max_steps=2, eval_every=2),
-        grid=grid, seeds=(0, 1), vocab=vocab,
+        grid=grid, seeds=(0, 1),
     )
 
 
@@ -379,5 +379,5 @@ def test_ablation_grid_cells_equal_the_cells_run_alone(micro_setup):
                 model, *split_packs(corpus[:5], corpus[5:7], vocab, cell.source, run.seed), vocab,
                 micro_train_config(max_steps=2, eval_every=2, seed=run.seed),
             )
-            assert (alone.steps_run, alone.best_step) == (run.steps_run, run.best_step)
-            assert alone.history[-1].report == run.dev
+            assert (alone.steps_run, alone.best.step) == (run.steps_run, run.best_step)
+            assert alone.best.report == run.dev
