@@ -161,7 +161,7 @@ def cmd_pack(args: argparse.Namespace) -> None:
     example = examples[args.index]
     vocab = Vocabulary.load(args.vocab) if args.vocab else build_vocabulary(examples)
     triples = acquire_triples(example, _source(args))
-    packed = pack(example, triples, vocab, args.seed)
+    packed = pack(example, triples, vocab)
     if args.dump:
         print(f"{'idx':>4} {'token':<12} {'segment':<6} {'pos':>4} region")
         kinds = ["triple"] * packed.len_z + ["context"] * packed.len_c + ["rewrite"] * packed.len_r
@@ -190,8 +190,8 @@ def cmd_train(args: argparse.Namespace) -> None:
     source = _source(args)
     result = train(
         model,
-        prepare_instances(train_examples, vocab, source, args.seed),
-        prepare_instances(dev_examples, vocab, source, args.seed, include_reference=False),
+        prepare_instances(train_examples, vocab, source),
+        prepare_instances(dev_examples, vocab, source, include_reference=False),
         references(dev_examples),
         vocab,
         config,
@@ -223,7 +223,7 @@ def cmd_rewrite(args: argparse.Namespace) -> None:
     examples = read_examples(args.input)
     if not examples:
         raise RewriterError("EMPTY_CORPUS", "no records to rewrite")
-    packs = prepare_instances(examples, vocab, _source(args), args.seed, include_reference=False)
+    packs = prepare_instances(examples, vocab, _source(args), include_reference=False)
     hyps = decode_corpus(model, packs, args.max_decode_steps, vocab=vocab)
     write_records(args.out, map(example_to_record, examples, hyps))
     print(f"wrote {len(hyps)} rewrites to {args.out}")
@@ -339,7 +339,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = register("pack", cmd_pack, "inspect one packed training instance")
     sub.add_argument("--input", required=True)
     sub.add_argument("--index", type=int, default=0)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--vocab")
     sub.add_argument("--dump", action="store_true", help="print the packed token table")
     sub.add_argument("--dump-mask", action="store_true", help="print visibility rows as 0/1")
@@ -361,7 +360,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--input", required=True)
     sub.add_argument("--out", required=True)
     sub.add_argument("--max-decode-steps", type=int, default=32)
-    sub.add_argument("--seed", type=int, default=0)
     _add_source_flags(sub)
     sub.add_argument("--variant", choices=_VARIANTS,
                      help="must match the checkpoint's, which is the default")

@@ -9,11 +9,8 @@ token's region index hold the structure and the attention mask enforces it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import (
@@ -21,7 +18,6 @@ from .core import (
     EOS_TOKEN,
     RESERVED_TOKENS,
     ROLE_TOKENS,
-    DialogueSession,
     PATriple,
     RewriteExample,
     RewriterError,
@@ -111,33 +107,10 @@ class PackedSequence:
         return len(self.token_ids)
 
 
-def linearize_triples(
-    triples: Sequence[PATriple], session: DialogueSession, rng_seed: int
-) -> list[tuple[str, int]]:
-    """Render triples as predicate ++ role marker ++ argument token runs.
-
-    Triple order is a seeded uniform permutation; each token is tagged with the
-    ordinal of its triple in the emitted sequence.
-    """
-    order = list(range(len(triples)))
-    random.Random(rng_seed).shuffle(order)
-    out: list[tuple[str, int]] = []
-    for emitted_idx, source_idx in enumerate(order):
-        triple = triples[source_idx]
-        tokens = (
-            list(triple.predicate.slice(session))
-            + [ROLE_TOKENS[triple.role]]
-            + list(triple.argument.slice(session))
-        )
-        out.extend((tok, emitted_idx) for tok in tokens)
-    return out
-
-
 def pack(
     example: RewriteExample,
     triples: Sequence[PATriple],
     vocab: Vocabulary,
-    seed: int,
     include_reference: bool = True,
 ) -> PackedSequence:
     """Build the full training/decoding instance.
@@ -147,7 +120,12 @@ def pack(
     in the session and the rewrite's 0.  Positions restart at 0 in every
     region, and segments are E_SRL over triples, E_A/E_B over context by
     speaker parity with the rewriting speaker and E_A over the rewrite.
-    Deterministic given (example, triples, vocab, seed).
+
+    Triples are packed in the order given.  The model cannot see that order:
+    every triple token has segment E_SRL and positions that restart at 0, and
+    the triple mask only compares ordinals for equality.  Another order of the
+    same triples only permutes whole triple runs, which no context or rewrite
+    row can tell apart beyond the rounding of its attention sums.
     """
     session = example.session
     tokens: list[str] = []
@@ -161,9 +139,9 @@ def pack(
         positions.extend(range(len(run)))
         indices.extend([index] * len(run))
 
-    linear = linearize_triples(triples, session, seed)
-    for triple_idx, run in groupby(linear, key=itemgetter(1)):
-        region([tok for tok, _ in run], SegmentType.E_SRL, triple_idx)
+    for ordinal, triple in enumerate(triples):  # predicate ++ role marker ++ argument
+        run = [*triple.predicate.slice(session), ROLE_TOKENS[triple.role]]
+        region([*run, *triple.argument.slice(session)], SegmentType.E_SRL, ordinal)
     len_z = len(tokens)
 
     target_speaker = session.target_speaker

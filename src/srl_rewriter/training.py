@@ -1,9 +1,10 @@
 """Optimization loop: Adam over the analytic gradients, greedy-decode evals,
 best-checkpoint tracking, and the triple-source x mask-variant ablation grid.
 
-Every stochastic choice (triple order in packing, batch order, init) is
-derived from a seed, so a rerun with the same inputs reproduces the same
-weights.
+Every stochastic choice (batch order, init) is derived from a seed, so a
+rerun with the same inputs reproduces the same weights.  Packing draws
+nothing: triples keep the order their source gives, which the model cannot
+see (see ``pack``).
 """
 
 from __future__ import annotations
@@ -167,16 +168,13 @@ def prepare_instances(
     examples: Sequence[RewriteExample],
     vocab: Vocabulary,
     source: TripleSource,
-    master_seed: int,
     include_reference: bool = True,
 ) -> list[PackedSequence]:
-    """Acquire triples and pack every example with a derived per-example seed."""
-    packs = []
-    for idx, example in enumerate(examples):
-        triples = acquire_triples(example, source)
-        seed = derive_seed(master_seed, f"pack:{idx}")
-        packs.append(pack(example, triples, vocab, seed, include_reference=include_reference))
-    return packs
+    """Acquire every example's triples and pack it."""
+    return [
+        pack(example, acquire_triples(example, source), vocab, include_reference=include_reference)
+        for example in examples
+    ]
 
 
 def references(examples: Sequence[RewriteExample]) -> list[list[str]]:
@@ -353,8 +351,9 @@ def run_ablation_grid(
     """Train every grid cell across seeds on identical splits.
 
     All cells share one model architecture, so parameter counts match exactly;
-    only the triple source and the visibility rules differ.  The splits are
-    packed once per triple source and seed, for every cell that shares them.
+    only the triple source and the visibility rules differ.  Packs draw no
+    seed, so the splits are packed once per triple source, for every cell and
+    seed that share them.
     Heuristic cells also score their acquired triples against the stored gold
     ones.  The grid is checked before anything is packed.
     """
@@ -371,11 +370,11 @@ def run_ablation_grid(
         if source.mode is TripleMode.HEURISTIC:
             predicted = [list(acquire_triples(ex, source)) for ex in test_examples]
             srl_scores = score_srl_corpus(predicted, [list(ex.triples) for ex in test_examples])
+        train_packs, dev_packs, test_packs = (
+            prepare_instances(examples, vocab, source, include_reference=split == "train")
+            for split, examples in splits
+        )
         for seed in seeds:
-            train_packs, dev_packs, test_packs = (
-                prepare_instances(examples, vocab, source, seed, include_reference=split == "train")
-                for split, examples in splits
-            )
             tcfg = replace(train_config, seed=seed)
             for cell in [c for c in grid if c.source == source]:
                 cfg = replace(model_config, vocab_size=len(vocab), mask_variant=cell.variant)

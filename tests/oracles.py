@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from srl_rewriter.core import BOS_TOKEN, EOS_TOKEN, RewriterError
+from srl_rewriter.core import BOS_TOKEN, EOS_TOKEN, ROLE_TOKENS, RewriterError
 from srl_rewriter.masks import MaskVariant
 from srl_rewriter.model import make_batch
 from srl_rewriter.packing import (
@@ -21,7 +21,6 @@ from srl_rewriter.packing import (
     PAD_ID,
     PackedSequence,
     SegmentType,
-    linearize_triples,
 )
 
 
@@ -175,14 +174,21 @@ def layout_pack(tags):
     )
 
 
-def _oracle_layout(example, triples, seed, include_reference):
+def _oracle_layout(example, triples, include_reference):
     """Tokens, a fresh tag per token, and each context token's speaker."""
     session = example.session
     tokens, tags, speakers = [], [], []  # speakers: each context token's utterance's
-    for tok, triple_idx in linearize_triples(triples, session, seed):
-        tokens.append(tok)
-        tags.append(RegionTag(RegionKind.TRIPLE, triple_idx))
-        speakers.append(None)
+    for triple_idx, triple in enumerate(triples):  # in record order
+        run = []
+        for i in range(triple.predicate.start, triple.predicate.end):
+            run.append(session.utterances[triple.predicate.turn_index].tokens[i])
+        run.append(ROLE_TOKENS[triple.role])
+        for i in range(triple.argument.start, triple.argument.end):
+            run.append(session.utterances[triple.argument.turn_index].tokens[i])
+        for tok in run:
+            tokens.append(tok)
+            tags.append(RegionTag(RegionKind.TRIPLE, triple_idx))
+            speakers.append(None)
     len_z = len(tokens)
     for turn, utt in enumerate(session.utterances):
         for tok in [*utt.tokens, EOS_TOKEN]:
@@ -200,18 +206,16 @@ def _oracle_layout(example, triples, seed, include_reference):
     return tokens, tags, speakers, len_z, len_c
 
 
-def oracle_tags(example, triples, seed, include_reference=True):
+def oracle_tags(example, triples, include_reference=True):
     """The region tag of every token of ``pack``'s output."""
-    return _oracle_layout(example, triples, seed, include_reference)[1]
+    return _oracle_layout(example, triples, include_reference)[1]
 
 
-def oracle_pack(example, triples, vocab, seed, include_reference=True):
+def oracle_pack(example, triples, vocab, include_reference=True):
     """``pack`` token by token: a fresh tag per token, then one walk over the
     tags for segments and one for positions, which restart wherever a tag
     differs from the one before."""
-    tokens, tags, speakers, len_z, len_c = _oracle_layout(
-        example, triples, seed, include_reference
-    )
+    tokens, tags, speakers, len_z, len_c = _oracle_layout(example, triples, include_reference)
     target_speaker = example.session.target_speaker
     segments = []
     for tag, speaker in zip(tags, speakers):

@@ -59,8 +59,8 @@ def test_criterion_01_mask_rule_oracle():
     )
     vocab = build_vocabulary([example])
     # (pack under test, the oracle's tags of the same tokens)
-    packed = (pack(example, example.triples, vocab, seed=0), oracle_tags(example, example.triples, 0))
-    bare = (pack(example, (), vocab, seed=0), oracle_tags(example, (), 0))
+    packed = (pack(example, example.triples, vocab), oracle_tags(example, example.triples))
+    bare = (pack(example, (), vocab), oracle_tags(example, ()))
     written = [(layout_pack(tags), tags) for tags in (layout(0, [], [3, 4, 2], 5), WORKED_LAYOUT)]
     fixtures = {
         MaskVariant.NO_SRL: [bare, written[0]],
@@ -95,7 +95,7 @@ def test_criterion_02_causality():
         return exp / exp.sum(axis=-1, keepdims=True)
 
     for i, example in enumerate(corpus):
-        packed = pack(example, example.triples, vocab, seed=i)
+        packed = pack(example, example.triples, vocab)
         base = probs(packed)
         # perturb one rewrite-region token past BOS; everything before it is
         # on the causal side and must not move at all
@@ -117,7 +117,7 @@ def test_criterion_03_gradient_check():
         ),
         seed=3,
     )
-    packed = pack(corpus[0], corpus[0].triples, vocab, seed=0)
+    packed = pack(corpus[0], corpus[0].triples, vocab)
     batch = make_batch([packed], MaskVariant.TRIPLE_MASK)
     loss, _, grads = model.loss_and_grads(batch)
 

@@ -132,7 +132,7 @@ def test_pack_dump_prints_each_tokens_region_and_index(ws, capsys):
     assert main(["pack", "--input", path, "--dump"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     example = read_examples(path)[0]
-    tags = oracle_tags(example, example.triples, 0)
+    tags = oracle_tags(example, example.triples)
     assert [row.split()[-1] for row in rows] == [f"{tag.kind.value}:{tag.index}" for tag in tags]
 
 
@@ -658,6 +658,24 @@ def test_ablate_tiny_grid(ws, capsys, tmp_path):
     assert run["parameter_count"] == payload["no-srl"][0]["parameter_count"]
 
 
+def test_ablate_packs_each_split_once_per_source_for_all_seeds(ws, tmp_path, monkeypatch):
+    # packs draw no seed, so two seeds share one pack of train, dev and test
+    sources = []
+
+    def spy(examples, vocab, source, **kwargs):
+        sources.append(source.mode.value)
+        return prepare_instances(examples, vocab, source, **kwargs)
+
+    monkeypatch.setattr("srl_rewriter.training.prepare_instances", spy)
+    assert main([
+        "ablate", "--train", f"{ws['prefix']}.train.jsonl",
+        "--dev", f"{ws['prefix']}.dev.jsonl", "--test", f"{ws['prefix']}.test.jsonl",
+        "--seeds", "0,1", "--cells", "no-srl,gold+bi,gold+triple",
+        "--out", str(tmp_path / "grid.json"), *TINY_MODEL, *TINY_TRAIN,
+    ]) == 0
+    assert sources == ["none"] * 3 + ["gold"] * 3
+
+
 def test_ablate_unknown_cell(ws, capsys, tmp_path):
     assert main([
         "ablate", "--train", f"{ws['prefix']}.train.jsonl",
@@ -778,12 +796,10 @@ COMMAND_FLAGS = {
                    "--n-sessions", "--neg-rate", "--omission-rate", "--out-prefix",
                    "--pronoun-rate", "--seed", "--split", "--tmp-rate", "--token-mode"],
     "stats": ["--input", "--lint"],
-    "pack": ["--dump", "--dump-mask", "--index", "--input", "--seed", "--variant", "--vocab",
-             *SOURCE_FLAGS],
+    "pack": ["--dump", "--dump-mask", "--index", "--input", "--variant", "--vocab", *SOURCE_FLAGS],
     "train": ["--dev", "--out", "--seed", "--train", "--variant", *SOURCE_FLAGS, *MODEL_FLAGS,
               *TRAIN_FLAGS],
-    "rewrite": ["--input", "--max-decode-steps", "--model", "--out", "--seed", "--variant",
-                *SOURCE_FLAGS],
+    "rewrite": ["--input", "--max-decode-steps", "--model", "--out", "--variant", *SOURCE_FLAGS],
     "evaluate": ["--input", "--json-out", "--ref", "--smooth-bleu"],
     "score-srl": ["--input", "--pred", *SOURCE_FLAGS],
     "ablate": ["--cells", "--dev", "--out", "--seeds", "--test", "--train", *MODEL_FLAGS,
@@ -827,10 +843,10 @@ DEFAULTS = {
                    "pronoun_rate": 0.5, "seed": 0, "split": False, "tmp_rate": 0.0,
                    "token_mode": "char"},
     "stats": {"input": "I", "lint": False},
-    "pack": {"dump": False, "dump_mask": False, "index": 0, "input": "I", "seed": 0,
+    "pack": {"dump": False, "dump_mask": False, "index": 0, "input": "I",
              "variant": "triple-mask", "vocab": None, **SOURCE_DEFAULTS},
     "train": {"seed": 0, "variant": "triple-mask", **SOURCE_DEFAULTS, **TRAINING_DEFAULTS},
-    "rewrite": {"input": "I", "max_decode_steps": 32, "model": "M", "out": "O", "seed": 0,
+    "rewrite": {"input": "I", "max_decode_steps": 32, "model": "M", "out": "O",
                 "variant": None, **SOURCE_DEFAULTS},
     "evaluate": {"input": "I", "json_out": None, "ref": None, "smooth_bleu": False},
     "score-srl": {"input": "I", "pred": None, **SOURCE_DEFAULTS},

@@ -88,7 +88,7 @@ def test_validate_reference_optional_for_inference(session):
     assert validate_example(ex) == ()
     assert example_from_record(example_to_record(ex)) == ex
     with pytest.raises(RewriterError) as err:  # only what needs a reference refuses its absence
-        pack(ex, (), build_vocabulary([ex]), seed=0)
+        pack(ex, (), build_vocabulary([ex]))
     assert err.value.code == "NO_REFERENCE"
 
 

@@ -35,7 +35,7 @@ from srl_rewriter.model import (
     load_checkpoint,
     make_batch,
 )
-from srl_rewriter.packing import BOS_ID, EOS_ID, PAD_ID, Vocabulary, build_vocabulary
+from srl_rewriter.packing import BOS_ID, EOS_ID, PAD_ID, Vocabulary, build_vocabulary, pack
 from srl_rewriter.srl import TripleMode, TripleSource
 from srl_rewriter.training import TrainConfig, prepare_instances, train
 
@@ -82,7 +82,7 @@ def models(splits):
 
 def prefixes(splits, variant, split):
     examples = {"dev": splits[1], "test": splits[2]}[split]
-    return prepare_instances(examples, splits[3], SOURCES[variant], 0, include_reference=False)
+    return prepare_instances(examples, splits[3], SOURCES[variant], include_reference=False)
 
 
 def check_greedy(model, packs, hyps, vocab, max_steps=MAX_STEPS):
@@ -217,7 +217,7 @@ def test_float32_decode_equals_the_float64_decode_of_the_same_weights(splits, co
         examples = sample_corpus(GeneratorConfig(n_sessions=200, seed=1000, cross_turn_rate=0.3))
     else:
         examples = splits[2]
-    packs = prepare_instances(examples, vocab, SOURCES[MaskVariant.TRIPLE_MASK], 0,
+    packs = prepare_instances(examples, vocab, SOURCES[MaskVariant.TRIPLE_MASK],
                               include_reference=False)
     hyps = decode_corpus(oracle, packs, 32, vocab)
     gap = largest_step_logit_gap(stored, oracle, packs, hyps, vocab, 32)
@@ -350,7 +350,7 @@ def test_decoding_never_computes_the_gelu_slope(splits, models, monkeypatch):
         raise AssertionError("GELU slope computed")
 
     monkeypatch.setattr("srl_rewriter.model._gelu_slope", refuse)
-    train_packs = prepare_instances(splits[0][:4], vocab, SOURCES[MaskVariant.TRIPLE_MASK], 0)
+    train_packs = prepare_instances(splits[0][:4], vocab, SOURCES[MaskVariant.TRIPLE_MASK])
     with pytest.raises(AssertionError, match="GELU slope computed"):  # the patch is live
         model.loss_and_grads(make_batch(train_packs, MaskVariant.TRIPLE_MASK))
     assert decode_corpus(model, packs, MAX_STEPS, vocab) == hyps
@@ -359,7 +359,44 @@ def test_decoding_never_computes_the_gelu_slope(splits, models, monkeypatch):
 def test_decode_refuses_a_prefix_with_a_rewrite_region(splits, models):
     model = models[MaskVariant.TRIPLE_MASK, "random"]
     train_set, _, _, vocab = splits
-    full = prepare_instances(train_set[:2], vocab, SOURCES[MaskVariant.TRIPLE_MASK], 0)
+    full = prepare_instances(train_set[:2], vocab, SOURCES[MaskVariant.TRIPLE_MASK])
     with pytest.raises(RewriterError) as err:
         decode_corpus(model, full, MAX_STEPS, vocab)
     assert err.value.code == "SHAPE_MISMATCH"
+
+
+@pytest.mark.parametrize("variant", [MaskVariant.BI_MASK, MaskVariant.TRIPLE_MASK],
+                         ids=lambda v: v.value)
+def test_triple_order_is_invisible_to_the_model(splits, models, variant):
+    """Packing triples in another order only moves whole triple runs: each
+    keeps segment E_SRL and positions from 0, and the triple mask compares
+    ordinals only for equality.  So with every example's triples reversed the
+    rewrite rows' logits and the gradients agree to rounding, and greedy
+    decoding writes the same hypotheses."""
+    model, vocab = models[variant, "trained"], splits[3]
+    assert model.params["out.W"].dtype == np.float64
+
+    def packs(examples, step, include_reference=True):
+        return [pack(ex, ex.triples[::step], vocab, include_reference=include_reference)
+                for ex in examples]
+
+    several = [ex for ex in splits[2] if len(ex.triples) > 1][:_DECODE_BATCH]
+    given, flipped = packs(several, 1), packs(several, -1)
+    assert len(given) == _DECODE_BATCH
+    assert all(a.token_ids != b.token_ids for a, b in zip(given, flipped))
+
+    logits = [model.forward_batch(make_batch(p, variant))[0] for p in (given, flipped)]
+    for b, packed in enumerate(given):
+        rewrite = slice(packed.len_z + packed.len_c, len(packed))
+        assert np.max(np.abs(logits[0][b, rewrite] - logits[1][b, rewrite])) < 1e-12
+
+    scale = 1.0 / sum(p.len_r - 1 for p in given)  # train's mean over targets
+    (_, _, grads), (_, _, grads_flipped) = (
+        model.loss_and_grads(make_batch(p, variant), loss_scale=scale) for p in (given, flipped)
+    )
+    for name, grad in grads.items():
+        assert np.max(np.abs(grad - grads_flipped[name])) < 1e-12, name
+
+    hyps = [decode_corpus(model, packs(splits[2], step, include_reference=False), MAX_STEPS, vocab)
+            for step in (1, -1)]
+    assert hyps[0] == hyps[1]

@@ -142,9 +142,7 @@ def test_layer_norm_backward_matches_central_differences(rng):
 def batch_and_model():
     corpus = sample_corpus(GeneratorConfig(n_sessions=200, seed=0, cross_turn_rate=0.3))
     vocab = build_vocabulary(corpus)
-    packs = prepare_instances(
-        split_corpus(corpus)[0][:16], vocab, TripleSource(TripleMode.GOLD), master_seed=0
-    )
+    packs = prepare_instances(split_corpus(corpus)[0][:16], vocab, TripleSource(TripleMode.GOLD))
     config = ModelConfig(vocab_size=len(vocab), mask_variant=MaskVariant.TRIPLE_MASK)
     return make_batch(packs, MaskVariant.TRIPLE_MASK), RewriterModel(config, seed=3)
 
@@ -209,9 +207,7 @@ def test_loss_and_grads_peak_memory():
     # the 16 longest training packs of a 400-session corpus: B = 16, L = 44
     corpus = sample_corpus(GeneratorConfig(n_sessions=400, seed=0, cross_turn_rate=0.3))
     vocab = build_vocabulary(corpus)
-    packs = prepare_instances(
-        split_corpus(corpus)[0], vocab, TripleSource(TripleMode.GOLD), master_seed=0
-    )
+    packs = prepare_instances(split_corpus(corpus)[0], vocab, TripleSource(TripleMode.GOLD))
     batch = make_batch(sorted(packs, key=len)[-16:], MaskVariant.TRIPLE_MASK)
     assert batch["ids"].shape == (16, 44)
     model = RewriterModel(ModelConfig(vocab_size=len(vocab)), seed=0)

@@ -75,7 +75,7 @@ def criterion_8_model(vocab, variant):
 @pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)
 def test_forward_matches_oracle_forward(corpus, variant):
     train_set, vocab = corpus
-    packs = prepare_instances(train_set[:64], vocab, SOURCES[variant], master_seed=0)
+    packs = prepare_instances(train_set[:64], vocab, SOURCES[variant])
     model = criterion_8_model(vocab, variant)
     for seqs in (packs[:1], packs[1:9], packs[32:64]):
         batch = make_batch(seqs, variant)
@@ -88,7 +88,7 @@ def test_forward_matches_oracle_forward(corpus, variant):
 @pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)
 def test_loss_and_grads_match_full_row_oracle(corpus, variant):
     train_set, vocab = corpus
-    packs = prepare_instances(train_set[:64], vocab, SOURCES[variant], master_seed=0)
+    packs = prepare_instances(train_set[:64], vocab, SOURCES[variant])
     model = criterion_8_model(vocab, variant)
     for seqs in (packs[:1], packs[1:9], packs[32:64]):
         assert_matches_oracle(model, seqs)
@@ -99,7 +99,7 @@ def test_clipped_window_matches_full_row_oracle(corpus):
     # batch comes from the variant without triples
     train_set, vocab = corpus
     variant = MaskVariant.NO_SRL
-    packs = prepare_instances(train_set, vocab, SOURCES[variant], master_seed=0)
+    packs = prepare_instances(train_set, vocab, SOURCES[variant])
     seqs = clipped_pair(packs)
     assert window_is_clipped(make_batch(seqs, variant))
     assert_matches_oracle(criterion_8_model(vocab, variant), seqs)

@@ -35,10 +35,7 @@ def model(config):
 
 @pytest.fixture(scope="module")
 def packed_instances(tiny_corpus, tiny_vocab):
-    return [
-        pack(example, example.triples, tiny_vocab, seed=i)
-        for i, example in enumerate(tiny_corpus[:4])
-    ]
+    return [pack(example, example.triples, tiny_vocab) for example in tiny_corpus[:4]]
 
 
 # -- embeddings and forward -------------------------------------------------------
@@ -110,8 +107,8 @@ def test_perturbing_a_rewrite_token_cannot_leak_backward(model, packed_instances
 
 def test_context_rows_never_see_the_reference(model, tiny_corpus, tiny_vocab):
     example = tiny_corpus[0]
-    with_ref = pack(example, example.triples, tiny_vocab, seed=0)
-    bare = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
+    with_ref = pack(example, example.triples, tiny_vocab)
+    bare = pack(example, example.triples, tiny_vocab, include_reference=False)
     full, _ = model.forward_batch(make_batch([with_ref], MaskVariant.TRIPLE_MASK))
     zc_only, _ = model.forward_batch(make_batch([bare], MaskVariant.TRIPLE_MASK))
     n = len(bare)
@@ -132,12 +129,10 @@ def test_batched_and_single_forward_agree(model, packed_instances):
 def test_make_batch_matches_the_pairwise_oracle(tiny_corpus, tiny_vocab, variant, with_reference):
     triples = [() if variant is MaskVariant.NO_SRL else ex.triples for ex in tiny_corpus]
     packs = [
-        pack(ex, t, tiny_vocab, seed=i, include_reference=with_reference)
-        for i, (ex, t) in enumerate(zip(tiny_corpus, triples))
+        pack(ex, t, tiny_vocab, include_reference=with_reference)
+        for ex, t in zip(tiny_corpus, triples)
     ]
-    tags = [
-        oracle_tags(ex, t, i, with_reference) for i, (ex, t) in enumerate(zip(tiny_corpus, triples))
-    ]
+    tags = [oracle_tags(ex, t, with_reference) for ex, t in zip(tiny_corpus, triples)]
     for chunk, chunk_tags in ((packs, tags), (packs[:1], tags[:1]), (packs[3:8], tags[3:8])):
         batch = make_batch(chunk, variant)
         L = max(len(packed) for packed in chunk)
@@ -184,7 +179,7 @@ def test_loss_matches_probability_table(model, packed_instances):
 
 def test_loss_requires_reference_targets(model, tiny_corpus, tiny_vocab):
     example = tiny_corpus[0]
-    bare = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
+    bare = pack(example, example.triples, tiny_vocab, include_reference=False)
     with pytest.raises(RewriterError) as err:
         model.loss_and_grads(make_batch([bare], MaskVariant.TRIPLE_MASK))
     assert err.value.code == "NO_REFERENCE"
@@ -265,7 +260,7 @@ def surgery_model(config, **bias):
 def test_decode_stops_on_eos_without_emitting(config, tiny_corpus, tiny_vocab):
     model = surgery_model(config, **{str(EOS_ID): 5.0})
     example = tiny_corpus[0]
-    packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
+    packed = pack(example, example.triples, tiny_vocab, include_reference=False)
     assert decode_corpus(model, [packed], 8, tiny_vocab) == [[]]
 
 
@@ -273,7 +268,7 @@ def test_decode_tie_breaks_toward_lowest_id(config, tiny_corpus, tiny_vocab):
     # all-zero parameters leave every logit equal, so the argmax must land on id 0
     model = surgery_model(config)
     example = tiny_corpus[0]
-    packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
+    packed = pack(example, example.triples, tiny_vocab, include_reference=False)
     assert decode_corpus(model, [packed], 4, tiny_vocab) == [[tiny_vocab.token_of(PAD_ID)] * 4]
 
 
@@ -281,7 +276,7 @@ def test_decode_respects_max_steps(config, tiny_corpus, tiny_vocab):
     tok = 20
     model = surgery_model(config, **{str(tok): 5.0})
     example = tiny_corpus[0]
-    packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
+    packed = pack(example, example.triples, tiny_vocab, include_reference=False)
     assert decode_corpus(model, [packed], 3, tiny_vocab) == [[tiny_vocab.token_of(tok)] * 3]
 
 
@@ -296,7 +291,7 @@ def test_decode_budget_beyond_position_table_fails_up_front(config, tiny_corpus,
     # a model that never emits EOS fills every rewrite position id the table has
     model = surgery_model(replace(config, max_position=16), **{"20": 5.0})
     example = tiny_corpus[0]
-    packed = pack(example, example.triples, tiny_vocab, seed=0, include_reference=False)
+    packed = pack(example, example.triples, tiny_vocab, include_reference=False)
     assert len(decode_corpus(model, [packed], 16, tiny_vocab)[0]) == 16
     for packs in ([packed], []):
         with pytest.raises(RewriterError) as err:

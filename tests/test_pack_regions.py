@@ -22,5 +22,5 @@ def test_pack_equals_the_per_token_oracle_on_the_criterion_8_corpus(criterion_8_
     for idx, example in enumerate(corpus):
         triples = acquire_triples(example, source)
         for include_reference in (True, False):
-            got = pack(example, triples, vocab, idx, include_reference=include_reference)
-            assert got == oracle_pack(example, triples, vocab, idx, include_reference), idx
+            got = pack(example, triples, vocab, include_reference=include_reference)
+            assert got == oracle_pack(example, triples, vocab, include_reference), idx

@@ -1,4 +1,4 @@
-"""Vocabulary, triple linearization, and sequence packing."""
+"""Vocabulary and sequence packing."""
 
 from pathlib import Path
 
@@ -22,7 +22,6 @@ from srl_rewriter.packing import (
     SegmentType,
     Vocabulary,
     build_vocabulary,
-    linearize_triples,
     pack,
 )
 from srl_rewriter.srl import TripleMode, TripleSource, acquire_triples
@@ -136,57 +135,18 @@ def test_build_vocabulary_is_sorted_and_deduplicated(tiny_corpus):
     assert corpus_tokens == sorted(set(corpus_tokens))
 
 
-# -- linearization ---------------------------------------------------------------
-
-
-def test_linearized_triple_run_shape(fixture_example):
-    run = linearize_triples(fixture_example.triples[:1], fixture_example.session, 0)
-    tokens = [tok for tok, _ in run]
-    # predicate 不算, role marker, argument 粤语
-    assert tokens == ["不", "算", "<ARG0>", "粤", "语"]
-    assert {idx for _, idx in run} == {0}
-
-
-def test_linearization_order_is_seeded_permutation(fixture_example):
-    session = fixture_example.session
-    triples = fixture_example.triples  # two triples -> two possible orders
-    seen = set()
-    for seed in range(20):
-        run = linearize_triples(triples, session, seed)
-        # ordinals stay sequential no matter how the shuffle lands
-        assert tuple(dict.fromkeys(idx for _, idx in run)) == (0, 1)
-        first_role = next(tok for tok, _ in run if tok.startswith("<"))
-        seen.add(first_role)
-        # deterministic per seed
-        assert run == linearize_triples(triples, session, seed)
-    assert seen == {"<ARG0>", "<ARG1>"}, "both orders appear across seeds"
-
-
-def test_all_permutations_reachable_for_three_triples():
-    example = build_session(
-        Lexicon.chinese(),
-        "苹果",
-        "香蕉",
-        "像",
-        False,
-        SlotMode.FULL,
-        SlotMode.FULL,
-        tmp="今天",
-    )
-    assert len(example.triples) == 3
-    markers = set(ROLE_TOKENS.values())
-    perms = set()
-    for seed in range(100):
-        run = linearize_triples(example.triples, example.session, seed)
-        perms.add(tuple(tok for tok, _ in run if tok in markers))
-    assert len(perms) == 6, "all six orderings of three triples show up"
-
-
 # -- packing --------------------------------------------------------------------
 
 
+def test_linearized_triple_run_shape(fixture_example, fixture_vocab):
+    packed = pack(fixture_example, fixture_example.triples[:1], fixture_vocab)
+    z = fixture_vocab.decode(packed.token_ids[: packed.len_z])
+    assert z == ["不", "算", "<ARG0>", "粤", "语"]  # predicate 不算, role marker, argument 粤语
+    assert set(packed.region_index[: packed.len_z]) == {0}
+
+
 def test_pack_layout(fixture_example, fixture_vocab):
-    packed = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=0)
+    packed = pack(fixture_example, fixture_example.triples, fixture_vocab)
     session = fixture_example.session
     n_ctx = sum(len(u.tokens) for u in session.utterances) + len(session)
     assert packed.len_z == sum(
@@ -211,7 +171,7 @@ def test_pack_layout(fixture_example, fixture_vocab):
 
 
 def test_pack_segments(fixture_example, fixture_vocab):
-    packed = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=0)
+    packed = pack(fixture_example, fixture_example.triples, fixture_vocab)
     z = packed.segment_ids[: packed.len_z]
     assert set(z) == {SegmentType.E_SRL}
     # speakers are A, B, A and the target speaker is A
@@ -223,7 +183,7 @@ def test_pack_segments(fixture_example, fixture_vocab):
 
 
 def test_pack_positions_restart_per_region(fixture_example, fixture_vocab):
-    packed = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=0)
+    packed = pack(fixture_example, fixture_example.triples, fixture_vocab)
     positions = packed.position_ids
     # (region, index) of every token; the regions lie back to back
     kinds = [0] * packed.len_z + [1] * packed.len_c + [2] * packed.len_r
@@ -248,9 +208,7 @@ def test_pack_positions_restart_per_region(fixture_example, fixture_vocab):
 
 
 def test_pack_without_reference(fixture_example, fixture_vocab):
-    packed = pack(
-        fixture_example, fixture_example.triples, fixture_vocab, seed=0, include_reference=False
-    )
+    packed = pack(fixture_example, fixture_example.triples, fixture_vocab, include_reference=False)
     assert packed.len_r == 0
     assert len(packed) == packed.len_z + packed.len_c
 
@@ -260,22 +218,24 @@ def test_pack_requires_reference_for_training(fixture_example, fixture_vocab):
         session=fixture_example.session, triples=fixture_example.triples, reference=None
     )
     with pytest.raises(RewriterError) as err:
-        pack(stripped, stripped.triples, fixture_vocab, seed=0)
+        pack(stripped, stripped.triples, fixture_vocab)
     assert err.value.code == "NO_REFERENCE"
 
 
-def test_pack_is_deterministic_per_seed(fixture_example, fixture_vocab):
-    a = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=5)
-    b = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=5)
-    c = pack(fixture_example, fixture_example.triples, fixture_vocab, seed=6)
-    assert a == b
-    assert a != c  # two triples, orders differ between these seeds
+def test_pack_keeps_the_triple_order_given(fixture_example, fixture_vocab):
+    triples = fixture_example.triples
+    packed = pack(fixture_example, triples, fixture_vocab)
+    assert packed == pack(fixture_example, triples, fixture_vocab)
+    for order in (triples, triples[::-1]):
+        tokens = fixture_vocab.decode(pack(fixture_example, order, fixture_vocab).token_ids)
+        markers = [tok for tok in tokens if tok in ROLE_TOKENS.values()]
+        assert markers == [ROLE_TOKENS[t.role] for t in order]
 
 
 def test_removing_triples_leaves_context_and_rewrite_identical(tiny_corpus, tiny_vocab):
-    for seed, example in enumerate(tiny_corpus):
-        with_z = pack(example, example.triples, tiny_vocab, seed=seed)
-        without_z = pack(example, (), tiny_vocab, seed=seed)
+    for example in tiny_corpus:
+        with_z = pack(example, example.triples, tiny_vocab)
+        without_z = pack(example, (), tiny_vocab)
         assert without_z.len_z == 0
         assert with_z.token_ids[with_z.len_z :] == without_z.token_ids
         assert with_z.position_ids[with_z.len_z :] == without_z.position_ids
@@ -297,8 +257,8 @@ def test_oracle_decode_growth_reproduces_the_reference_pack():
     corpus = sample_corpus(GeneratorConfig(n_sessions=2000, seed=0, cross_turn_rate=0.3))
     vocab = build_vocabulary(corpus)
     for idx, example in enumerate(corpus):
-        packed = pack(example, example.triples, vocab, idx, include_reference=False)
+        packed = pack(example, example.triples, vocab, include_reference=False)
         grown = start_decode(packed)
         for token_id in vocab.encode([*example.reference, EOS_TOKEN]):
             grown = append_rewrite_token(grown, token_id)
-        assert grown == pack(example, example.triples, vocab, idx, include_reference=True), idx
+        assert grown == pack(example, example.triples, vocab), idx

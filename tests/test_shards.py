@@ -62,7 +62,7 @@ def criterion_8():
 @pytest.mark.parametrize("variant", list(MaskVariant), ids=lambda v: v.value)
 def test_sharded_step_matches_one_whole_batch(criterion_8, variant):
     train_set, vocab = criterion_8
-    packs = prepare_instances(train_set[:64], vocab, SOURCES[variant], master_seed=0)
+    packs = prepare_instances(train_set[:64], vocab, SOURCES[variant])
     config = ModelConfig(
         vocab_size=len(vocab), d_model=64, n_heads=4, n_layers=2, d_ff=128,
         max_position=64, mask_variant=variant,
@@ -91,7 +91,7 @@ def test_sharded_step_matches_one_whole_batch(criterion_8, variant):
 
 def test_a_batch_of_one_pack_starts_no_thread(micro_setup):
     corpus, vocab, config = micro_setup
-    packs = prepare_instances(corpus[:1], vocab, TripleSource(TripleMode.GOLD), master_seed=0)
+    packs = prepare_instances(corpus[:1], vocab, TripleSource(TripleMode.GOLD))
     model = RewriterModel(config, seed=2)
 
     class NoPool:

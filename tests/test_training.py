@@ -11,7 +11,7 @@ from srl_rewriter.generator import GeneratorConfig, sample_corpus
 from srl_rewriter.masks import MaskVariant
 from srl_rewriter.metrics import EvalReport
 from srl_rewriter.model import ModelConfig, RewriterModel, load_checkpoint, save_checkpoint
-from srl_rewriter.packing import build_vocabulary
+from srl_rewriter.packing import build_vocabulary, pack
 from srl_rewriter.seeding import derive_seed
 from srl_rewriter.srl import TripleMode, TripleSource
 from srl_rewriter.training import (
@@ -51,12 +51,12 @@ def micro_packs(micro_setup):
     return split_packs(corpus[:6], corpus[6:], vocab)
 
 
-def split_packs(train_examples, dev_examples, vocab, source=GOLD, seed=0):
+def split_packs(train_examples, dev_examples, vocab, source=GOLD):
     """``train``'s data as ``cmd_train`` packs it: training packs, reference-less
     dev packs and the dev references."""
     return (
-        prepare_instances(train_examples, vocab, source, seed),
-        prepare_instances(dev_examples, vocab, source, seed, include_reference=False),
+        prepare_instances(train_examples, vocab, source),
+        prepare_instances(dev_examples, vocab, source, include_reference=False),
         references(dev_examples),
     )
 
@@ -264,11 +264,9 @@ def test_empty_split_is_rejected(micro_setup, micro_packs):
 
 def test_prepare_instances_is_deterministic(micro_setup):
     corpus, vocab, _ = micro_setup
-    a = prepare_instances(corpus, vocab, GOLD, master_seed=11)
-    b = prepare_instances(corpus, vocab, GOLD, master_seed=11)
-    assert a == b
-    c = prepare_instances(corpus, vocab, GOLD, master_seed=12)
-    assert len(c) == len(a)
+    a = prepare_instances(corpus, vocab, GOLD)
+    assert a == prepare_instances(corpus, vocab, GOLD)
+    assert a == [pack(example, example.triples, vocab) for example in corpus]
 
 
 # -- ablation grid ----------------------------------------------------------------
@@ -351,7 +349,7 @@ def micro_grid(micro_setup, grid):
     )
 
 
-def test_ablation_grid_packs_each_source_and_seed_once(micro_setup, monkeypatch):
+def test_ablation_grid_packs_each_source_once(micro_setup, monkeypatch):
     calls = []
 
     def spy(*args, **kwargs):
@@ -360,8 +358,8 @@ def test_ablation_grid_packs_each_source_and_seed_once(micro_setup, monkeypatch)
 
     monkeypatch.setattr(training, "prepare_instances", spy)
     micro_grid(micro_setup, THREE_CELLS)
-    # two sources x two seeds x three splits, where each cell packing its own would take 18
-    assert len(calls) == 12
+    # two sources x three splits, shared by both seeds
+    assert len(calls) == 6
 
 
 def test_ablation_grid_cells_equal_the_cells_run_alone(micro_setup):
@@ -376,7 +374,7 @@ def test_ablation_grid_cells_equal_the_cells_run_alone(micro_setup):
                 seed=derive_seed(run.seed, f"init:{cell.label}"),
             )
             alone = train(
-                model, *split_packs(corpus[:5], corpus[5:7], vocab, cell.source, run.seed), vocab,
+                model, *split_packs(corpus[:5], corpus[5:7], vocab, cell.source), vocab,
                 micro_train_config(max_steps=2, eval_every=2, seed=run.seed),
             )
             assert (alone.steps_run, alone.best.step) == (run.steps_run, run.best_step)
