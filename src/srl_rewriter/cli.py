@@ -21,6 +21,7 @@ import traceback
 import typing
 
 from .core import (
+    RESERVED_TOKENS,
     RUN_FILES,
     RewriterError,
     example_to_record,
@@ -286,7 +287,7 @@ def cmd_ablate(args: argparse.Namespace) -> None:
     grid = [by_label[c] for c in labels]
     check_grid(grid, seeds)
     # the grid sets the vocabulary size, the mask variant and the seed of each run
-    model_config = _config(ModelConfig, args, vocab_size=4)
+    model_config = _config(ModelConfig, args, vocab_size=len(RESERVED_TOKENS))
     train_config = _config(TrainConfig, args)
     result = run_ablation_grid(
         read_examples(args.train), read_examples(args.dev), read_examples(args.test),

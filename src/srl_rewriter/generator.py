@@ -2,7 +2,9 @@
 
 Each session is three turns: A introduces a topic X, B asks whether X relates
 to Y, and A answers with a verdict verb whose argument slots may be omitted or
-pronominalized.  The reference rewrite restores every mention in place, so the
+pronominalized: each slot loses its mention with probability cross_turn_rate,
+and such a slot becomes the pronoun with probability pronoun_share, else a
+gap.  The reference rewrite restores every mention in place, so the
 task is exactly coreference and omission resolution.  Gold triples point at
 the realized mention when the slot survives in the last turn and at the
 nearest earlier mention otherwise, which keeps the annotation lint clean and
@@ -105,8 +107,9 @@ class GeneratorConfig:
     seed: int = 0
     token_mode: str = field(default="char", metadata={"choices": TOKEN_MODES})
     cross_turn_rate: float = 0.3
-    omission_rate: float = 0.5
-    pronoun_rate: float = 0.5
+    pronoun_share: float = field(
+        default=0.5, metadata={"help": "share of altered slots that become a pronoun, not a gap"}
+    )
     neg_rate: float = 0.25
     tmp_rate: float = 0.0
     loc_rate: float = 0.0
@@ -117,8 +120,7 @@ class GeneratorConfig:
             raise RewriterError("CONFIG_INVALID", "n_sessions must be >= 1")
         if self.token_mode not in TOKEN_MODES:
             raise RewriterError("CONFIG_INVALID", f"unknown token_mode {self.token_mode!r}")
-        for name in ("cross_turn_rate", "omission_rate", "pronoun_rate", "neg_rate",
-                     "tmp_rate", "loc_rate"):
+        for name in ("cross_turn_rate", "pronoun_share", "neg_rate", "tmp_rate", "loc_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise RewriterError("CONFIG_INVALID", f"{name} {value} outside [0, 1]")
@@ -126,23 +128,6 @@ class GeneratorConfig:
     @property
     def lexicon(self) -> Lexicon:
         return Lexicon.chinese() if self.token_mode == "char" else Lexicon.words()
-
-    @property
-    def effective_alteration_rate(self) -> float:
-        """Probability an argument slot of the last turn loses its mention.
-
-        With both the omission and pronoun weights at zero there is nothing to
-        alter a slot into, so the rate collapses to zero regardless of
-        cross_turn_rate and references equal the last turn verbatim.
-        """
-        if self.omission_rate + self.pronoun_rate == 0.0:
-            return 0.0
-        return self.cross_turn_rate
-
-    @property
-    def pronoun_share(self) -> float:
-        weight = self.omission_rate + self.pronoun_rate
-        return self.pronoun_rate / weight if weight > 0 else 0.0
 
 
 def build_session(
@@ -212,7 +197,6 @@ def sample_corpus(config: GeneratorConfig) -> list[RewriteExample]:
     given (seed, config) pair always yields the same corpus."""
     lex = config.lexicon
     rng = substream(config.seed, "corpus")
-    alpha = config.effective_alteration_rate
     examples = []
     for _ in range(config.n_sessions):
         ent_idx = rng.choice(len(lex.entities), size=2, replace=False)
@@ -225,7 +209,7 @@ def sample_corpus(config: GeneratorConfig) -> list[RewriteExample]:
 
         modes = []
         for _slot in range(2):
-            if rng.random() < alpha:
+            if rng.random() < config.cross_turn_rate:
                 modes.append(
                     SlotMode.PRONOUN if rng.random() < config.pronoun_share else SlotMode.OMIT
                 )

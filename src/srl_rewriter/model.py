@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RewriterError, record_path
+from .core import RESERVED_TOKENS, RewriterError, record_path
 from .masks import NEG_BIAS, MaskVariant, build_batch_mask, mask_to_additive
 from .packing import BOS_ID, EOS_ID, PackedSequence, SegmentType, Vocabulary
 
@@ -50,8 +50,11 @@ class ModelConfig:
             raise RewriterError(
                 "CONFIG_INVALID", f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.vocab_size < 4:
-            raise RewriterError("CONFIG_INVALID", "vocab_size must cover the reserved tokens")
+        if self.vocab_size < len(RESERVED_TOKENS):
+            raise RewriterError(
+                "CONFIG_INVALID",
+                f"vocab_size {self.vocab_size} must cover the {len(RESERVED_TOKENS)} reserved tokens",
+            )
 
     def check_decode_budget(self, max_steps: int) -> None:
         """Rewrite position ids run up to max_steps - 1; the table must hold them."""
@@ -255,15 +258,15 @@ class RewriterModel:
         by ``loss_scale``.  Returns (loss, target count, gradients by parameter
         name in ``params`` order); the model is only read.
 
-        The last layer and the logits head run only on a window of R rows per
-        example, R the widest target span of the batch: rows without a target
-        get no loss, so no gradient flows from them.
+        The last layer and the logits head run only on the rows of the
+        batch's ``window``: rows without a target get no loss, so no gradient
+        flows from them.
         """
         target_mask, target_ids = batch["target_mask"], batch["target_ids"]
         n_targets = int(target_mask.sum())
         if n_targets == 0:
             raise RewriterError("NO_REFERENCE", "batch contains no loss targets")
-        rows = _target_windows(target_mask)
+        rows = np.arange(len(target_mask))[:, None], batch["window"]
         target_mask, target_ids = target_mask[rows], target_ids[rows]
         logits, cache = self.forward_batch(batch, rows=rows)
         logits -= logits.max(axis=-1, keepdims=True)
@@ -365,21 +368,6 @@ class RewriterModel:
             g[name] = np.zeros_like(p[name])
             _scatter_rows(g[name], index, dx)
         return {name: g[name] for name in p}  # clip_gradients sums the norms in this order
-
-
-def _target_windows(target_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of one window of R rows per example that covers its targets.
-
-    R is the widest target span in the batch.  A window starts at the
-    example's first target, or earlier where it would run past the last row,
-    so its R rows are distinct and in range.
-    """
-    B, L = target_mask.shape
-    first = np.argmax(target_mask, axis=1)
-    last = L - 1 - np.argmax(target_mask[:, ::-1], axis=1)
-    span = np.where(target_mask.any(axis=1), last - first + 1, 0)
-    R = int(span.max())
-    return np.arange(B)[:, None], np.minimum(first, L - R)[:, None] + np.arange(R)
 
 
 # Kernels.  Each writes in place only into arrays it allocated itself, and
@@ -493,17 +481,26 @@ def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def make_batch(packed_seqs: Sequence[PackedSequence], variant: MaskVariant) -> dict:
     """Pad packed sequences into model-ready arrays under a mask variant, with
-    next-token loss targets over each rewrite region."""
+    next-token loss targets over each rewrite region.
+
+    ``window`` [B, R] holds the columns of each example's loss rows, R the
+    most targets any example has: R distinct in-range columns from the BOS
+    column, or from L - R where that would run past the last column, so they
+    cover every target.
+    """
     batch = _padded_inputs(packed_seqs, variant, np.float64)
     ids = batch["ids"]
-    cols = np.arange(ids.shape[1])
+    L = ids.shape[1]
+    cols = np.arange(L)
     lengths = np.array([len(s) for s in packed_seqs])
     # targets run from each rewrite's BOS column up to its last-but-one token
     bos = np.array([s.len_z + s.len_c for s in packed_seqs])
     target_mask = (cols >= bos[:, None]) & (cols < lengths[:, None] - 1)
     target_ids = np.zeros_like(ids)
     target_ids[:, :-1] = np.where(target_mask[:, :-1], ids[:, 1:], 0)
+    R = int((lengths - 1 - bos).max(initial=0))
     batch["target_mask"], batch["target_ids"] = target_mask, target_ids
+    batch["window"] = np.minimum(bos, L - R)[:, None] + np.arange(R)
     return batch
 
 

@@ -174,7 +174,6 @@ def compute_statistics(corpus: Sequence[RewriteExample]) -> RoleStatistics:
 
 def declared_statistics(config: GeneratorConfig) -> RoleStatistics:
     """Analytic expectation of compute_statistics over a sampled corpus."""
-    alpha = config.effective_alteration_rate
     expected = {
         SemanticRole.ARG0.value: 1.0,
         SemanticRole.ARG1.value: 1.0,
@@ -187,8 +186,8 @@ def declared_statistics(config: GeneratorConfig) -> RoleStatistics:
         expected[SemanticRole.AM_NEG.value] = config.neg_rate
     total = sum(expected.values())
     cross = {role: 0.0 for role in expected}
-    cross[SemanticRole.ARG0.value] = alpha
-    cross[SemanticRole.ARG1.value] = alpha
+    cross[SemanticRole.ARG0.value] = config.cross_turn_rate
+    cross[SemanticRole.ARG1.value] = config.cross_turn_rate
     n = config.n_sessions
     return RoleStatistics(
         overall_ratio={role: e / total for role, e in expected.items()},
@@ -322,7 +321,7 @@ def _extract_heuristic(session: DialogueSession, rules: HeuristicRules) -> list[
         for start, end in _greedy_matches(utt.tokens, rules.verbs):
             pred = Span(turn, start, end)
             pred_pos = global_pos(pred)
-            before = [e for e in entity_spans if global_pos(e) < pred_pos and e.turn_index <= turn]
+            before = [e for e in entity_spans if global_pos(e) < pred_pos]
             same_after = [e for e in entity_spans if e.turn_index == turn and e.start >= end]
             arg0 = next(
                 (e for e in reversed(before) if e.turn_index == turn), None
@@ -332,8 +331,7 @@ def _extract_heuristic(session: DialogueSession, rules: HeuristicRules) -> list[
             if arg1 is None:
                 taken = arg0.slice(session) if arg0 else None
                 arg1 = next((e for e in remaining if e.slice(session) != taken), None)
-                if arg1 in remaining:
-                    remaining = [e for e in remaining if e != arg1]
+                remaining = [e for e in remaining if e != arg1]
             if arg0 is None:
                 taken = arg1.slice(session) if arg1 else None
                 arg0 = next((e for e in remaining if e.slice(session) != taken), None)
@@ -369,4 +367,4 @@ def acquire_triples(
     if source.scope is TripleScope.LAST_UTTERANCE_ONLY:
         last = len(example.session) - 1
         triples = tuple(t for t in triples if t.predicate.turn_index == last)
-    return tuple(triples)
+    return triples

@@ -739,10 +739,12 @@ def test_ablate_seeds_from_config_file(ws, capsys, tmp_path):
     ("ablate", ["--scope", "last"]),
     ("ablate", ["--variant", "no-srl"]),
     ("score-srl", ["--variant", "bi-mask"]),
+    ("gen-corpus", ["--omission-rate", "0.5"]),
 ])
 def test_commands_refuse_flags_they_would_ignore(ws, tmp_path, capsys, command, flags):
     test = f"{ws['prefix']}.test.jsonl"
     argv = {
+        "gen-corpus": ["gen-corpus", "--out-prefix", str(tmp_path / "c")],
         "ablate": ["ablate", "--train", f"{ws['prefix']}.train.jsonl", "--dev", test,
                    "--test", test, "--seeds", "0", "--cells", "no-srl",
                    "--out", str(tmp_path / "x.json"), *TINY_MODEL, *TINY_TRAIN],
@@ -793,8 +795,8 @@ TRAIN_FLAGS = ["--batch-size", "--clip-norm", "--eval-every", "--lr", "--max-dec
                "--max-steps", "--stop-dev-em", "--stop-loss"]
 COMMAND_FLAGS = {
     "gen-corpus": ["--cross-turn-rate", "--include-negation-triples", "--loc-rate",
-                   "--n-sessions", "--neg-rate", "--omission-rate", "--out-prefix",
-                   "--pronoun-rate", "--seed", "--split", "--tmp-rate", "--token-mode"],
+                   "--n-sessions", "--neg-rate", "--out-prefix", "--pronoun-share", "--seed",
+                   "--split", "--tmp-rate", "--token-mode"],
     "stats": ["--input", "--lint"],
     "pack": ["--dump", "--dump-mask", "--index", "--input", "--variant", "--vocab", *SOURCE_FLAGS],
     "train": ["--dev", "--out", "--seed", "--train", "--variant", *SOURCE_FLAGS, *MODEL_FLAGS,
@@ -839,9 +841,8 @@ TRAINING_DEFAULTS = {
 }
 DEFAULTS = {
     "gen-corpus": {"cross_turn_rate": 0.3, "include_negation_triples": False, "loc_rate": 0.0,
-                   "n_sessions": 1000, "neg_rate": 0.25, "omission_rate": 0.5, "out_prefix": "P",
-                   "pronoun_rate": 0.5, "seed": 0, "split": False, "tmp_rate": 0.0,
-                   "token_mode": "char"},
+                   "n_sessions": 1000, "neg_rate": 0.25, "out_prefix": "P", "pronoun_share": 0.5,
+                   "seed": 0, "split": False, "tmp_rate": 0.0, "token_mode": "char"},
     "stats": {"input": "I", "lint": False},
     "pack": {"dump": False, "dump_mask": False, "index": 0, "input": "I",
              "variant": "triple-mask", "vocab": None, **SOURCE_DEFAULTS},

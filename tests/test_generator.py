@@ -1,10 +1,12 @@
 """Synthetic corpus: construction, sampling, splits, declared statistics."""
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srl_rewriter.cli import main
 from srl_rewriter.core import RewriterError, SemanticRole, Span, validate_example
 from srl_rewriter.generator import (
     GeneratorConfig,
@@ -111,19 +113,47 @@ def test_sampling_is_deterministic_per_seed():
     assert other != sample_corpus(cfg)
 
 
-def test_zero_alteration_weights_disable_rewriting():
-    cfg = GeneratorConfig(
-        n_sessions=30, seed=1, cross_turn_rate=0.9, omission_rate=0.0, pronoun_rate=0.0
-    )
-    assert cfg.effective_alteration_rate == 0.0
+# SHA-256 of the gen-corpus records of each setting; a change to the draw
+# sequence, the session layout or the record encoding changes them
+CORPUS_DIGESTS = [
+    ([], "130e080154e50efda7f82fd5b071b5713aaf7ae56c37111e011ad7e08e9cf2de"),
+    (["--n-sessions", "300", "--cross-turn-rate", "0.7", "--tmp-rate", "0.5", "--loc-rate", "0.4",
+      "--neg-rate", "0.6", "--include-negation-triples", "--pronoun-share", "0.75"],
+     "487cfe736b8dd5e9d0137ef0fa05b649001be0a552105738bcd6f53e2a745abe"),
+    (["--n-sessions", "300", "--token-mode", "word", "--cross-turn-rate", "0.5", "--tmp-rate",
+      "0.3", "--pronoun-share", "0.25"],
+     "7a0e4f38214acda4ba335d936b62efc50afa844dbec2be7dc87cd6c2e99a6a64"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", CORPUS_DIGESTS, ids=["defaults", "adjuncts", "word"])
+def test_corpus_format_is_pinned(tmp_path, capsys, flags, digest):
+    prefix = str(tmp_path / "c")
+    assert main(["gen-corpus", "--seed", "3", *flags, "--out-prefix", prefix]) == 0
+    with open(f"{prefix}.all.jsonl", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def test_zero_cross_turn_rate_disables_rewriting():
+    cfg = GeneratorConfig(n_sessions=30, seed=1, cross_turn_rate=0.0)
     for ex in sample_corpus(cfg):
         assert ex.reference == ex.session.utterances[-1].tokens
 
 
-def test_pronoun_share():
-    assert GeneratorConfig(omission_rate=0.5, pronoun_rate=0.5).pronoun_share == 0.5
-    assert GeneratorConfig(omission_rate=0.2, pronoun_rate=0.6).pronoun_share == pytest.approx(0.75)
-    assert GeneratorConfig(omission_rate=0.0, pronoun_rate=0.0).pronoun_share == 0.0
+@pytest.mark.parametrize("share", [0.0, 1.0])
+def test_pronoun_share_picks_how_an_altered_slot_is_realized(share):
+    # word mode: an entity and the pronoun are one token each, so only a
+    # dropped slot shortens the last turn against the reference
+    cfg = GeneratorConfig(
+        n_sessions=100, seed=1, token_mode="word", cross_turn_rate=0.9, pronoun_share=share
+    )
+    altered = []
+    for ex in sample_corpus(cfg):
+        last = ex.session.utterances[-1].tokens
+        dropped, pronouns = len(ex.reference) - len(last), last.count(EN.pronoun)
+        assert (pronouns if share == 0.0 else dropped) == 0
+        altered.append(dropped + pronouns)
+    assert sum(altered) > 0
 
 
 def test_config_validation():
@@ -132,6 +162,8 @@ def test_config_validation():
         dict(token_mode="byte"),
         dict(cross_turn_rate=1.5),
         dict(neg_rate=-0.1),
+        dict(pronoun_share=-0.5),
+        dict(pronoun_share=1.5),
     ):
         with pytest.raises(RewriterError) as err:
             GeneratorConfig(**kwargs)

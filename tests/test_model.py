@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_mask, oracle_tags
-from srl_rewriter.core import RewriterError
+from srl_rewriter.core import RESERVED_TOKENS, RewriterError
 from srl_rewriter.masks import NEG_BIAS, MaskVariant
 from srl_rewriter.model import (
     ModelConfig,
@@ -154,6 +154,15 @@ def test_make_batch_matches_the_pairwise_oracle(tiny_corpus, tiny_vocab, variant
             assert np.flatnonzero(marked).tolist() == list(range(start, start + len(targets)))
             assert batch["target_ids"][b][marked].tolist() == targets
             assert not batch["target_ids"][b][~marked].any()
+            # the loss rows: R distinct in-range columns that cover every
+            # target, from the BOS column unless that would run past column L
+            window = batch["window"][b]
+            R = max(max(p.len_r for p in chunk) - 1, 0)
+            assert window.shape == (R,) and len(set(window.tolist())) == R
+            assert ((0 <= window) & (window < L)).all()
+            assert set(np.flatnonzero(marked).tolist()) <= set(window.tolist())
+            if R:
+                assert window[0] == min(start, L - R)
 
 
 # -- loss and gradients -----------------------------------------------------------
@@ -241,8 +250,10 @@ def test_config_validation():
     with pytest.raises(RewriterError) as err:
         ModelConfig(vocab_size=50, d_model=10, n_heads=4)
     assert err.value.code == "CONFIG_INVALID"
-    with pytest.raises(RewriterError):
-        ModelConfig(vocab_size=3)
+    with pytest.raises(RewriterError) as err:
+        ModelConfig(vocab_size=12)  # one short of the 13 reserved tokens
+    assert err.value.code == "CONFIG_INVALID"
+    assert ModelConfig(vocab_size=13).vocab_size == len(RESERVED_TOKENS) == 13
 
 
 # -- greedy decoding ---------------------------------------------------------------
@@ -432,6 +443,19 @@ def test_checkpoint_header_sizes_are_checked_before_allocating(tmp_path, model):
     with pytest.raises(RewriterError) as err:
         load_checkpoint(str(path))
     assert err.value.code == "CHECKPOINT_MISMATCH"
+
+
+def test_checkpoint_refuses_a_vocabulary_short_of_the_reserved_tokens(tmp_path, model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    header, weights = split_checkpoint(blob)
+    header["config"]["vocab_size"] = 12
+    path.write_bytes(join_checkpoint(blob, header, weights))
+    with pytest.raises(RewriterError) as err:
+        load_checkpoint(str(path))
+    assert err.value.code == "CHECKPOINT_MISMATCH"
+    assert "13 reserved tokens" in err.value.message
 
 
 @pytest.mark.parametrize("key,value", [("dropout_rate", 0.0), ("tie_embeddings", False)])
