@@ -118,15 +118,17 @@ def _config(cls: type, args: argparse.Namespace, **fixed):
 # -- commands -----------------------------------------------------------------
 
 
+def _corpus_paths(args: argparse.Namespace) -> list[str]:
+    """The record files ``gen-corpus`` writes: its three splits or one file."""
+    names = ("train", "dev", "test") if args.split else ("all",)
+    return [f"{args.out_prefix}.{name}.jsonl" for name in names]
+
+
 def cmd_gen_corpus(args: argparse.Namespace) -> None:
     examples = sample_corpus(_config(GeneratorConfig, args))
-    if args.split:
-        parts = zip(("train", "dev", "test"), split_corpus(examples))
-    else:
-        parts = [("all", examples)]
+    parts = split_corpus(examples) if args.split else [examples]
     written = []
-    for name, part in parts:
-        path = f"{args.out_prefix}.{name}.jsonl"
+    for path, part in zip(_corpus_paths(args), parts):
         write_records(path, map(example_to_record, part))
         written.append(f"wrote {len(part):>6} examples to {path}")
     print("\n".join(written))
@@ -421,11 +423,11 @@ def _config_flags(path: str, sub: argparse.ArgumentParser) -> list[str]:
     return flags
 
 
-def _check_out(path: str) -> None:
-    """Refuse an --out that cannot be written before any work is done."""
+def _check_out(flag: str, path: str) -> None:
+    """Refuse a file that cannot be written before any work is done."""
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
-        raise RewriterError("IO_ERROR", f"cannot write --out {path}")
+        raise RewriterError("IO_ERROR", f"cannot write {flag} {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -439,17 +441,24 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:  # its flags go first, so the command line's own win
             argv[1:1] = _config_flags(args.config, registry[args.command])
             args = parser.parse_args(argv)
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
+        # the manifest goes to --manifest, else next to --out or --out-prefix
+        stem = getattr(args, "out", None) or getattr(args, "out_prefix", None)
+        manifest = args.manifest or (stem and stem + ".manifest.json")
+        outputs = [("--out", getattr(args, "out", None)),
+                   ("--json-out", getattr(args, "json_out", None))]
+        if args.command == "gen-corpus":
+            outputs += [("--out-prefix", path) for path in _corpus_paths(args)]
+        if args.command == "train":
+            outputs.append(("--out", args.out + ".vocab"))
+        for flag, path in [*outputs, ("--manifest", manifest)]:  # before any work
+            if path:
+                _check_out(flag, path)
         try:
             args.func(args)
         except BrokenPipeError:  # stdout closed early; every command writes its files first
             pass
-        # the manifest goes to --manifest, else next to --out or --out-prefix
-        stem = getattr(args, "out", None) or getattr(args, "out_prefix", None)
-        path = args.manifest or (stem and stem + ".manifest.json")
-        if path:
-            RunManifest(args.command, _manifest_config(args), read, written).save(path)
+        if manifest:
+            RunManifest(args.command, _manifest_config(args), read, written).save(manifest)
         return 0
     except RewriterError as err:
         print(f"error[{err.code}]: {err.message}", file=sys.stderr)

@@ -139,26 +139,38 @@ def _one_blas_thread() -> Iterator[bool]:
         set_(before)
 
 
+def _shards(packs: Sequence[PackedSequence]) -> tuple[list, list]:
+    """A batch of two or more packs cut in two where the larger shard pads the
+    fewest rows: sorted stably by length, cut at the largest k minimising
+    max(k * len(sorted[k-1]), (B - k) * len(sorted[-1])).  No other split into
+    two shards pads its larger one to fewer rows, and packs of one length cut
+    into the first ceil(B/2) and the rest, in batch order."""
+    ordered = sorted(packs, key=len)
+    longest, n = len(ordered[-1]), len(ordered)
+    cut = min(range(n - 1, 0, -1), key=lambda k: max(k * len(ordered[k - 1]), (n - k) * longest))
+    return ordered[:cut], ordered[cut:]
+
+
 def _batch_loss_and_grads(model, packs, pool=None) -> tuple[float, int, dict]:
     """Summed loss, target count and gradients, scaled by 1 / target count, of
-    a batch of packs with references.  The first ceil(B/2) packs run here and
-    the rest on ``pool`` meanwhile, or here after them; both shards only read
-    ``model``.  The second shard's gradients are added into the first's, so
-    the sums do not depend on which finished first."""
+    a batch of packs with references.  The batch is cut by ``_shards``: the
+    shorter packs run here and the longer on ``pool`` meanwhile, or here after
+    them; both shards only read ``model``.  The second shard's gradients are
+    added into the first's, so the sums do not depend on which finished first."""
     variant = model.config.mask_variant
     n_targets = sum(p.len_r - 1 for p in packs)  # make_batch's: BOS to last-but-one
-    half = (len(packs) + 1) // 2
 
     def shard(part) -> tuple[float, int, dict]:
         return model.loss_and_grads(make_batch(part, variant), loss_scale=1.0 / n_targets)
 
-    if half == len(packs):
+    if len(packs) == 1:
         return shard(packs)
+    first, second = _shards(packs)
     if pool is None:
-        (loss, _, grads), (rest, _, more) = shard(packs[:half]), shard(packs[half:])
+        (loss, _, grads), (rest, _, more) = shard(first), shard(second)
     else:  # a copy of this context carries numpy's error state to the worker
-        future = pool.submit(contextvars.copy_context().run, shard, packs[half:])
-        (loss, _, grads), (rest, _, more) = shard(packs[:half]), future.result()
+        future = pool.submit(contextvars.copy_context().run, shard, second)
+        (loss, _, grads), (rest, _, more) = shard(first), future.result()
     for name, g in grads.items():
         g += more[name]
     return loss + rest, n_targets, grads

@@ -1201,6 +1201,46 @@ def test_unusable_out_fails_before_any_work(ws, tmp_path, monkeypatch, capsys, c
     assert err.startswith("error[IO_ERROR]: ") and out in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["out-prefix", "split-prefix", "gen-manifest", "json-out", "json-out-dir", "manifest",
+     "train-vocab"],
+)
+def test_every_file_a_command_writes_is_checked_before_any_work(
+    ws, tmp_path, monkeypatch, capsys, case
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before every output was checked")
+
+    for name in ("sample_corpus", "read_decoded", "read_examples"):
+        monkeypatch.setattr(f"srl_rewriter.cli.{name}", no_work)
+    missing, test = str(tmp_path / "no" / "dir"), f"{ws['prefix']}.test.jsonl"
+    gen = ["gen-corpus", "--n-sessions", "30"]
+    argv, flag, path = {
+        "out-prefix": ([*gen, "--out-prefix", f"{missing}/c"], "--out-prefix",
+                       f"{missing}/c.all.jsonl"),
+        "split-prefix": ([*gen, "--split", "--out-prefix", f"{missing}/c"], "--out-prefix",
+                         f"{missing}/c.train.jsonl"),
+        "gen-manifest": ([*gen, "--out-prefix", str(tmp_path / "c"), "--manifest",
+                          f"{missing}/m.json"], "--manifest", f"{missing}/m.json"),
+        "json-out": (["evaluate", "--input", ws["hyps"], "--json-out", f"{missing}/r.json"],
+                     "--json-out", f"{missing}/r.json"),
+        "json-out-dir": (["evaluate", "--input", ws["hyps"], "--json-out", str(tmp_path)],
+                         "--json-out", str(tmp_path)),
+        "manifest": (["stats", "--input", test, "--manifest", f"{missing}/m.json"], "--manifest",
+                     f"{missing}/m.json"),
+        "train-vocab": (["train", "--train", test, "--dev", test, "--out", str(tmp_path / "m")],
+                        "--out", str(tmp_path / "m.vocab")),
+    }[case]
+    if case == "train-vocab":  # the vocabulary train writes next to its checkpoint
+        os.mkdir(path)
+    before = os.listdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[IO_ERROR]: cannot write {flag} {path}") and "Traceback" not in err
+    assert os.listdir(tmp_path) == before  # nothing written
+
+
 @pytest.mark.parametrize("command", ["stats", "gen-corpus", "train"])
 def test_a_reader_that_closes_the_pipe_early_exits_0(ws, monkeypatch, capsys, tmp_path, command):
     # every command writes its files before its first print, so a closed

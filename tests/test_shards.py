@@ -1,6 +1,7 @@
-"""The two-shard training step: each batch runs as two halves, the second on
-a worker thread against the same read-only model, with BLAS held at one
-thread for the whole of ``train``."""
+"""The two-shard training step: each batch is sorted by length and cut where
+the two shards' padded rows balance, the longer shard running on a worker
+thread against the same read-only model, with BLAS held at one thread for the
+whole of ``train``."""
 
 import ctypes
 import os
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_training import micro_packs, micro_setup, micro_train_config  # noqa: F401 (fixtures)
 
@@ -68,7 +70,11 @@ def test_sharded_step_matches_one_whole_batch(criterion_8, variant):
         max_position=64, mask_variant=variant,
     )
     model = RewriterModel(config, seed=5)
-    for seqs in (packs[:32], packs[32:63], packs[:1]):
+    by_length = sorted(packs, key=len)
+    skewed = [by_length[-1], *by_length[:31]]  # one long pack: the cut is uneven
+    assert len(training._shards(skewed)[0]) > 16
+    shuffled = [packs[i] for i in np.random.default_rng(0).permutation(32)]
+    for seqs in (packs[:32], packs[32:63], packs[:1], skewed, shuffled):
         batch = make_batch(seqs, variant)
         n = int(batch["target_mask"].sum())
         want_loss, want_n, want = model.loss_and_grads(batch, loss_scale=1.0 / n)
@@ -87,6 +93,35 @@ def test_sharded_step_matches_one_whole_batch(criterion_8, variant):
                     err = float(np.abs(got[name] - g).max())
                     bound = 1e-12 * float(np.abs(g).max() if name not in key_biases else largest)
                     assert err <= bound, f"B={len(seqs)} {name}: {err:.3g} > {bound:.3g}"
+
+
+def padded_rows(part):
+    return len(part) * max(map(len, part))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 64), min_size=2, max_size=40))
+def test_the_cut_pads_the_larger_shard_to_the_fewest_rows(lengths):
+    packs = [[0] * n for n in lengths]  # distinct objects, one per pack
+    first, second = training._shards(packs)
+    assert first and second
+    assert sorted(map(id, first + second)) == sorted(map(id, packs))
+    larger = max(padded_rows(first), padded_rows(second))
+    half = (len(packs) + 1) // 2
+    assert larger <= max(padded_rows(packs[:half]), padded_rows(packs[half:]))
+    ordered = sorted(packs, key=len)
+    for k in range(1, len(packs)):
+        assert larger <= max(padded_rows(ordered[:k]), padded_rows(ordered[k:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 64))
+def test_packs_of_one_length_cut_into_halves_in_batch_order(n_packs, length):
+    packs = [[0] * length for _ in range(n_packs)]
+    first, second = training._shards(packs)
+    half = (n_packs + 1) // 2
+    assert [id(p) for p in first] == [id(p) for p in packs[:half]]
+    assert [id(p) for p in second] == [id(p) for p in packs[half:]]
 
 
 def test_a_batch_of_one_pack_starts_no_thread(micro_setup):
@@ -168,20 +203,35 @@ def test_blas_is_held_at_one_thread_during_train_and_restored_after(
         set_(original)
 
 
-@pytest.mark.parametrize("half", ["first", "second"])
-def test_a_shard_error_surfaces_with_its_own_code(micro_setup, micro_packs, half):
-    """A token id past the embedding table, in either half of the one batch."""
+@pytest.mark.parametrize("bad_pack", ["shortest", "longest"])
+def test_a_shard_error_surfaces_with_its_own_code(micro_setup, micro_packs, monkeypatch, bad_pack):
+    """A token id past the embedding table, in the shortest pack of the one
+    batch, which the calling thread runs, or in its longest, which the worker
+    runs."""
     _, vocab, config = micro_setup
     packs, dev_packs, dev_refs = micro_packs
-    perm = substream(0, "batch-order").permutation(len(packs))
-    bad = perm[0] if half == "first" else perm[-1]
+    batch = substream(0, "batch-order").permutation(len(packs))  # the one batch, in order
+    if bad_pack == "shortest":  # first of the shortest: the sorted batch's first
+        bad = min(batch, key=lambda i: len(packs[i]))
+    else:  # last of the longest: the sorted batch's last
+        bad = max(reversed(batch), key=lambda i: len(packs[i]))
     ids = list(packs[bad].token_ids)
     ids[-1] = config.vocab_size
     packs = [*packs[:bad], replace(packs[bad], token_ids=tuple(ids)), *packs[bad + 1 :]]
+    on_main = []  # per shard holding the bad pack: whether the calling thread ran it
+
+    def spy(part, variant):
+        if any(p is packs[bad] for p in part):
+            on_main.append(threading.current_thread() is threading.main_thread())
+        return make_batch(part, variant)
+
+    monkeypatch.setattr(training, "make_batch", spy)
     with pytest.raises(RewriterError) as err:
         train(RewriterModel(config, seed=2), packs, dev_packs, dev_refs, vocab,
               six_steps(batch_size=len(packs)))
     assert err.value.code == "ID_OUT_OF_RANGE"
+    if BLAS is not None:  # the shards run side by side only with BLAS held at one thread
+        assert on_main == [bad_pack == "shortest"]
 
 
 def test_the_callers_numpy_error_state_holds_on_the_worker(micro_setup, micro_packs):
